@@ -13,7 +13,6 @@
 #include "common/rng.hpp"
 #include "consistency/op.hpp"
 #include "verify/oracle.hpp"
-#include "verify/streaming_oracle.hpp"
 #include "verify/trace.hpp"
 
 namespace dvmc {
@@ -145,33 +144,6 @@ void BM_OracleCheckRmo(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OracleCheckRmo);
-
-// The streaming oracle over the same traces: bounded-window ingest +
-// incremental settling instead of one whole-trace graph build. The perf
-// gate tracks this next to BM_OracleCheck so a regression in either path
-// is visible.
-void BM_StreamingOracleCheck(benchmark::State& state) {
-  const CapturedTrace t = syntheticTrace(
-      static_cast<std::size_t>(state.range(0)), 4, ConsistencyModel::kTSO);
-  for (auto _ : state) {
-    const verify::OracleResult o = verify::checkTraceStreaming(t, {}, 4096);
-    benchmark::DoNotOptimize(o.clean);
-  }
-}
-BENCHMARK(BM_StreamingOracleCheck)->Arg(4096)->Arg(32768);
-
-// Sharded read resolution across a thread pool (the dvmc_campaign
-// configuration: --jobs feeds StreamingOracleOptions::jobs).
-void BM_StreamingOracleCheckSharded(benchmark::State& state) {
-  const CapturedTrace t = syntheticTrace(32768, 8, ConsistencyModel::kTSO);
-  verify::StreamingOracleOptions o;
-  o.jobs = 4;
-  for (auto _ : state) {
-    const verify::OracleResult r = verify::checkTraceStreaming(t, o, 4096);
-    benchmark::DoNotOptimize(r.clean);
-  }
-}
-BENCHMARK(BM_StreamingOracleCheckSharded);
 
 // Console reporter that additionally records every iteration run into the
 // dvmc-bench row collector (same convention as bench_micro_checkers:

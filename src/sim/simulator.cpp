@@ -143,6 +143,21 @@ void Simulator::dispatch(Cycle t) {
   fn();
 }
 
+void Simulator::clear() {
+  for (std::size_t i = 0; i < kNearWindow; ++i) {
+    for (Event* e = bucketHead_[i]; e != nullptr;) {
+      Event* next = e->next;
+      releaseEvent(e);
+      e = next;
+    }
+    bucketHead_[i] = bucketTail_[i] = nullptr;
+  }
+  bucketMask_ = 0;
+  for (Event* e : heap_) releaseEvent(e);
+  heap_.clear();
+  size_ = 0;
+}
+
 bool Simulator::step() {
   if (size_ == 0) return false;
   dispatch(peekWhen());

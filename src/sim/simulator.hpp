@@ -67,6 +67,11 @@ class Simulator {
   /// drains, or `limit` is reached. Returns true if pred was satisfied.
   bool runUntil(const std::function<bool()>& pred, Cycle limit = ~Cycle{0});
 
+  /// Destroys every pending event without running it. Owners call this
+  /// before tearing down components whose resources pending actions still
+  /// hold (pooled message handles release into their pool).
+  void clear();
+
   std::uint64_t eventsExecuted() const { return executed_; }
   bool empty() const { return size_ == 0; }
   std::size_t pendingEvents() const { return size_; }

@@ -108,12 +108,11 @@ struct SystemConfig {
     std::size_t captureLimit = std::size_t{1} << 22;
 
     /// Streaming delivery (non-owning; nullptr = off): settled chunks of
-    /// `chunkRecords` records stream to the sink *during* the run, so a
-    /// capture no longer implies O(run-length) resident memory. Feed a
+    /// `chunkRecords` records stream to the sink *during* the run. Feed a
     /// verify::ChunkedTraceFileSink to spill to disk, or a
-    /// verify::StreamingOracle to check the run as it executes. With
-    /// keepInMemory off, RunResult::trace stays null and the sink gets
-    /// the only copy.
+    /// verify::StreamingOracle to check the capture with checkTrace()
+    /// once the run ends. With keepInMemory off, RunResult::trace stays
+    /// null and the sink gets the only copy.
     verify::TraceSink* sink = nullptr;
     std::size_t chunkRecords = 4096;
     bool keepInMemory = true;
@@ -137,39 +136,6 @@ struct SystemConfig {
     }
   };
   TraceOptions trace;
-
-  /// Deprecated aliases, kept one release: prefer trace.capture /
-  /// trace.captureLimit. effectiveTrace() folds them in (an alias only
-  /// wins where the new field was left at its default).
-  [[deprecated("use trace.capture")]] bool captureTrace = false;
-  [[deprecated("use trace.captureLimit")]] std::size_t traceCaptureLimit =
-      std::size_t{1} << 22;
-
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-  // The special members copy the deprecated alias fields; defaulting them
-  // inside the suppression keeps the warning scoped to real alias uses.
-  SystemConfig() = default;
-  SystemConfig(const SystemConfig&) = default;
-  SystemConfig& operator=(const SystemConfig&) = default;
-  SystemConfig(SystemConfig&&) = default;
-  SystemConfig& operator=(SystemConfig&&) = default;
-  ~SystemConfig() = default;
-
-  TraceOptions effectiveTrace() const {
-    TraceOptions t = trace;
-    if (captureTrace) t.capture = true;
-    constexpr std::size_t kDefaultLimit = std::size_t{1} << 22;
-    if (traceCaptureLimit != kDefaultLimit && t.captureLimit == kDefaultLimit) {
-      t.captureLimit = traceCaptureLimit;
-    }
-    return t;
-  }
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
   /// Global stop target: total transactions across all processors (barnes:
   /// phases per processor, run to completion).

@@ -362,7 +362,7 @@ MultiRunResult runSeeds(SystemConfig cfg, int seedCount,
       });
 
   MultiRunResult out;
-  if (cfg.effectiveTrace().capture) {
+  if (cfg.trace.capture) {
     obs::ScopedSpan span("capture");
     out.traces.reserve(results.size());
     for (const RunResult& r : results) out.traces.push_back(r.trace);

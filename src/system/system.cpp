@@ -98,9 +98,6 @@ class SnoopDataRouter final : public NetworkEndpoint {
 }  // namespace
 
 System::System(SystemConfig cfg) : cfg_(std::move(cfg)) {
-  // Fold the deprecated captureTrace/traceCaptureLimit aliases into the
-  // grouped options and validate the result once, up front.
-  cfg_.trace = cfg_.effectiveTrace();
   if (const char* why = cfg_.trace.validate(); why != nullptr) {
     DVMC_FATAL(why);
   }
@@ -173,7 +170,10 @@ System::System(SystemConfig cfg) : cfg_(std::move(cfg)) {
   }
 }
 
-System::~System() = default;
+// Members die in reverse declaration order, so sim_ would outlive the
+// networks and homes whose message pools its pending events hold handles
+// into; drop those events while the pools still exist.
+System::~System() { sim_.clear(); }
 
 std::unique_ptr<ThreadProgram> System::makeProgram(NodeId n) const {
   if (cfg_.programFactory) return cfg_.programFactory(n);

@@ -8,12 +8,67 @@
 #include "common/flat_map.hpp"
 #include "consistency/op.hpp"
 #include "consistency/ordering_table.hpp"
-#include "verify/model_rules.hpp"
 
 namespace dvmc::verify {
 namespace {
 
 constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+enum class EdgeKind : std::uint8_t {
+  kPo,      // program order mandated by the op's effective model
+  kAddr,    // same-core same-word coherence (CoWW / CoRW / CoRR)
+  kMembar,  // through a membar's per-bit virtual barrier
+  kDrain,   // pipeline drain on an effective-model switch
+  kRf,      // reads-from a globally performed writer
+  kWs,      // per-word write serialization
+  kFr,      // from-read into the writer's ws successor
+};
+
+const char* edgeKindName(EdgeKind k) {
+  switch (k) {
+    case EdgeKind::kPo: return "po";
+    case EdgeKind::kAddr: return "addr";
+    case EdgeKind::kMembar: return "membar";
+    case EdgeKind::kDrain: return "drain";
+    case EdgeKind::kRf: return "rf";
+    case EdgeKind::kWs: return "ws";
+    case EdgeKind::kFr: return "fr";
+  }
+  return "?";
+}
+
+bool isLoadClass(TraceOp op) {
+  return op == TraceOp::kLoad || op == TraceOp::kSwap || op == TraceOp::kCas;
+}
+bool isStoreClass(TraceOp op) {
+  return op == TraceOp::kStore || op == TraceOp::kSwap ||
+         op == TraceOp::kCas;
+}
+
+// The bits under which an earlier op of this type waits for a barrier, and
+// the bits whose barrier a later op of this type waits on (paper Table 4).
+std::uint8_t pendBits(const TraceRecord& r) {
+  std::uint8_t m = 0;
+  if (isLoadClass(r.op)) m |= membar::kLoadLoad | membar::kLoadStore;
+  if (isStoreClass(r.op)) m |= membar::kStoreLoad | membar::kStoreStore;
+  return m;
+}
+std::uint8_t waitBits(const TraceRecord& r) {
+  std::uint8_t m = 0;
+  if (isLoadClass(r.op)) m |= membar::kLoadLoad | membar::kStoreLoad;
+  if (isStoreClass(r.op)) m |= membar::kLoadStore | membar::kStoreStore;
+  return m;
+}
+
+std::uint64_t observedValue(const TraceRecord& r) {
+  return r.op == TraceOp::kLoad ? r.value : r.readValue;
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "0x%llx", (unsigned long long)v);
+  return buf;
+}
 
 struct Edge {
   std::uint32_t to;
@@ -79,8 +134,6 @@ struct GraphBuilder {
     return std::uint32_t(adj.size() - 1);
   }
 };
-
-std::string hex(std::uint64_t v) { return oracleHex(v); }
 
 class Oracle {
  public:
@@ -553,10 +606,7 @@ std::uint64_t initialWordValue(Addr wordAddr) {
 
 std::string describeRecord(const CapturedTrace& t, std::size_t i) {
   if (i >= t.records.size()) return "[out-of-range]";
-  return describeRecordLine(t.records[i], i);
-}
-
-std::string describeRecordLine(const TraceRecord& r, std::size_t i) {
+  const TraceRecord& r = t.records[i];
   char buf[192];
   if (r.op == TraceOp::kMembar) {
     std::snprintf(buf, sizeof buf, "[%zu] n%u membar #%x seq=%llu cycle=%llu",

@@ -1,108 +1,50 @@
-// Incremental, bounded-memory consistency oracle (the streaming half of
-// the verification pipeline — see docs/verification_oracle.md).
-//
-// The batch oracle (oracle.hpp) materializes the whole trace and the
-// whole constraint graph before checking. The StreamingOracle is a
-// TraceSink: it consumes settled chunks as the recorder closes them and
-// maintains only the *unsettled window* of the constraint graph —
-// records whose ordering constraints can still change. Everything older
-// is topologically retired and freed.
-//
-// The window is governed by one assumption, the settle horizon H
-// (`settleHorizon`): commit order and perform order never diverge by
-// more than H cycles. Under it:
-//   * a read is resolved once the frontier (max perform cycle ingested)
-//     passes its perform cycle by H — every candidate writer with an
-//     earlier-or-equal perform cycle has arrived;
-//   * a write stops receiving constraint edges once the frontier passes
-//     its perform cycle by 2H, after which it can be processed by the
-//     incremental topological sort and discarded;
-//   * ws / fr edges are emitted only once their endpoint's position in
-//     the per-word serialization is final (frontier past its cycle + H).
-//
-// The assumption is *checked*, not trusted: a record arriving more than
-// H behind the frontier, an edge landing on an already-retired node, or
-// a write of a value that an earlier zero/unique-match read resolved
-// against (which would have changed the batch oracle's candidate count)
-// sets windowExceeded() — as does breaching maxResidentEvents. The
-// contract is one-sided and makes the equivalence testable: if the
-// stream finishes with windowExceeded() == false, the verdict, the
-// violations, and the statistics equal batch checkTrace() exactly;
-// otherwise callers fall back to the batch path (dvmc_oracle and
-// dvmc_campaign do this automatically).
-//
-// Read justification is sharded across the thread pool per resolution
-// batch (`jobs`): candidate scans are pure lookups into the per-location
-// write histories, so they run in parallel and their outcomes are
-// applied serially in record order — violations, edges, and stats are
-// bit-identical for every jobs value, like runSeeds' merge.
+// Checks a live capture: StreamingOracle is a TraceSink that buffers the
+// chunks a run streams (through MemoryTraceSink) and judges the whole
+// trace with checkTrace() when finish() is called. Attach it as
+// SystemConfig::trace.sink; the verdict, violations and statistics are
+// checkTrace()'s by construction. See docs/verification_oracle.md.
 #pragma once
 
-#include <cstdint>
-#include <memory>
+#include <cstddef>
+#include <optional>
 
+#include "common/assert.hpp"
 #include "verify/oracle.hpp"
 #include "verify/trace_sink.hpp"
 
 namespace dvmc::verify {
 
-struct StreamingOracleOptions {
-  /// Stop after this many violations (same contract as OracleOptions).
-  std::size_t maxViolations = 1;
-  /// Settle horizon H in cycles: the assumed bound on commit-vs-perform
-  /// skew. Must exceed the protocol's visibility latency by a wide
-  /// margin; violations of the assumption are detected, not missed.
-  Cycle settleHorizon = Cycle{1} << 16;
-  /// Hard ceiling on live (unretired) records; 0 = unbounded. Breaching
-  /// it sets windowExceeded instead of growing further.
-  std::size_t maxResidentEvents = 0;
-  /// Worker threads for sharded read justification (1 = serial). The
-  /// verdict is identical for every value.
-  int jobs = 1;
-  /// Resolution batches smaller than this stay serial (fan-out overhead).
-  std::size_t shardMinBatch = 512;
-};
-
 class StreamingOracle final : public TraceSink {
  public:
-  explicit StreamingOracle(const StreamingOracleOptions& o = {});
-  ~StreamingOracle() override;
+  explicit StreamingOracle(const OracleOptions& o = {}) : opt_(o) {}
 
-  // TraceSink: feed chunks as they close (TraceRecorder does this live;
-  // streamTraceFile replays a file).
-  void begin(const TraceHeader& h) override;
-  void chunk(TraceChunk&& c) override;
-  void end(bool truncated) override;
+  void begin(const TraceHeader& h) override { buffer_.begin(h); }
+  void chunk(TraceChunk&& c) override { buffer_.chunk(std::move(c)); }
+  void end(bool truncated) override {
+    buffer_.end(truncated);
+    ended_ = true;
+  }
 
-  /// Completes all pending work and returns the verdict. Only valid
-  /// after end(); idempotent.
-  const OracleResult& finish();
+  /// Runs checkTrace() over the buffered stream. Only valid after end();
+  /// idempotent.
+  const OracleResult& finish() {
+    DVMC_ASSERT(ended_, "finish before the stream ended");
+    if (!result_) result_ = checkTrace(*buffer_.trace(), opt_);
+    return *result_;
+  }
 
-  /// True when the stream left the settle window (or breached
-  /// maxResidentEvents): the verdict is not guaranteed to equal batch
-  /// checkTrace() and the caller should fall back.
-  bool windowExceeded() const;
-  /// Human-readable reason for the first window excess (empty if none).
-  const std::string& windowExceededReason() const;
-
-  /// High-water mark of live records held at once — what
-  /// maxResidentEvents bounds.
-  std::size_t peakResidentRecords() const;
-  std::size_t residentRecords() const;
+  /// The sink keeps the whole stream, so there is no window to leave.
+  bool windowExceeded() const { return false; }
+  /// Records buffered so far (the whole capture).
+  std::size_t peakResidentRecords() const {
+    return buffer_.trace()->records.size();
+  }
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  OracleOptions opt_;
+  MemoryTraceSink buffer_;
+  bool ended_ = false;
+  std::optional<OracleResult> result_;
 };
-
-/// Replays an in-memory trace through a StreamingOracle in
-/// `chunkRecords` pieces and returns the verdict (differential tests and
-/// small-trace convenience). `windowExceeded` / `peakResident` report
-/// the stream's state when non-null.
-OracleResult checkTraceStreaming(const CapturedTrace& t,
-                                 const StreamingOracleOptions& o = {},
-                                 std::size_t chunkRecords = 4096,
-                                 bool* windowExceeded = nullptr,
-                                 std::size_t* peakResident = nullptr);
 
 }  // namespace dvmc::verify

@@ -140,24 +140,6 @@ void ChunkedTraceFileSink::end(bool truncated) {
   file_ = nullptr;
 }
 
-// --- TeeTraceSink ----------------------------------------------------------
-
-void TeeTraceSink::begin(const TraceHeader& h) {
-  a_->begin(h);
-  b_->begin(h);
-}
-
-void TeeTraceSink::chunk(TraceChunk&& c) {
-  TraceChunk copy = c;  // b_ gets the original buffer
-  a_->chunk(std::move(copy));
-  b_->chunk(std::move(c));
-}
-
-void TeeTraceSink::end(bool truncated) {
-  a_->end(truncated);
-  b_->end(truncated);
-}
-
 // --- file streaming --------------------------------------------------------
 
 namespace {

@@ -1,9 +1,8 @@
 // Streaming trace pipeline: chunked delivery of commit-point records.
 //
-// PR-5's recorder buffered the whole run in one CapturedTrace, so
-// captureTrace implied O(run-length) resident memory and the oracle ran
-// as a serial tail. A TraceSink instead receives the capture as a stream
-// of *settled* chunks while the run executes:
+// A TraceSink receives a run's capture as a stream of *settled* chunks
+// while the run executes, so the capture can go to disk (or anywhere
+// else) without the run holding it whole in memory:
 //
 //   begin(header)   once, before any record
 //   chunk(c)        zero or more closed chunks, in global commit order
@@ -16,10 +15,10 @@
 // out with kNotPerformed, exactly like the batch capture.
 //
 // Sinks provided here:
-//   MemoryTraceSink       reassembles a CapturedTrace (today's behavior)
+//   MemoryTraceSink       reassembles a CapturedTrace
 //   ChunkedTraceFileSink  spills chunks to disk as "dvmc-trace" version 2
-//   TeeTraceSink          fans one stream out to two sinks
-// verify::StreamingOracle (streaming_oracle.hpp) is itself a TraceSink.
+// verify::StreamingOracle (streaming_oracle.hpp) buffers the stream in a
+// MemoryTraceSink and checks it with checkTrace() once the stream ends.
 //
 // dvmc-trace version 2 ("chunked"): the same 48-byte header as v1 (with
 // version = 2), followed by chunks, each a 24-byte chunk header
@@ -110,20 +109,6 @@ class ChunkedTraceFileSink final : public TraceSink {
   bool ended_ = false;
 };
 
-/// Duplicates one stream into two sinks (e.g. a spill file plus the
-/// streaming oracle). Non-owning.
-class TeeTraceSink final : public TraceSink {
- public:
-  TeeTraceSink(TraceSink* a, TraceSink* b) : a_(a), b_(b) {}
-  void begin(const TraceHeader& h) override;
-  void chunk(TraceChunk&& c) override;
-  void end(bool truncated) override;
-
- private:
-  TraceSink* a_;
-  TraceSink* b_;
-};
-
 /// Streams a dvmc-trace file (version 1 or 2) through `sink` chunk by
 /// chunk without materializing the whole trace; v1 files are re-chunked
 /// every `chunkRecords` records. Returns false and fills `err` on I/O or
@@ -132,8 +117,8 @@ bool streamTraceFile(const std::string& path, TraceSink& sink,
                      std::string* err,
                      std::size_t chunkRecords = 4096);
 
-/// Replays an in-memory trace through `sink` in `chunkRecords` pieces
-/// (tests and the batch-capture compatibility path).
+/// Replays an in-memory trace through `sink` in `chunkRecords` pieces,
+/// as a run would stream it.
 void streamCapturedTrace(const CapturedTrace& t, TraceSink& sink,
                          std::size_t chunkRecords = 4096);
 

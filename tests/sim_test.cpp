@@ -2,6 +2,7 @@
 // reentrant scheduling, and the run/runUntil drivers.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -206,6 +207,26 @@ TEST(Simulator, NodeRecyclingKeepsOrdering) {
   }
   EXPECT_EQ(sim.eventsExecuted(), 5000u);
   EXPECT_NE(lastSeen, 0u);
+}
+
+TEST(Simulator, ClearDestroysPendingActionsWithoutRunningThem) {
+  // Near (calendar) and far (heap) events alike: clear() runs each pending
+  // action's destructor, releasing what it captured, and the kernel keeps
+  // working afterwards.
+  Simulator sim;
+  auto token = std::make_shared<int>(0);
+  bool ran = false;
+  sim.schedule(3, [&ran, token] { ran = true; });
+  sim.schedule(500, [&ran, token] { ran = true; });
+  EXPECT_EQ(token.use_count(), 3);
+  sim.clear();
+  EXPECT_TRUE(sim.empty());
+  EXPECT_EQ(token.use_count(), 1);
+  sim.run();
+  EXPECT_FALSE(ran);
+  sim.schedule(1, [&ran] { ran = true; });
+  sim.run();
+  EXPECT_TRUE(ran);
 }
 
 TEST(Simulator, RandomizedAgainstReferenceOrdering) {

@@ -1,6 +1,6 @@
-// Feature tests for the system layer: automatic recovery, write-buffer
-// coalescing, MET entry eviction, traffic classification, logical clocks,
-// and L1 inclusion.
+// Feature tests for the system layer: mid-run teardown, automatic recovery,
+// write-buffer coalescing, MET entry eviction, traffic classification,
+// logical clocks, and L1 inclusion.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -14,6 +14,26 @@
 
 namespace dvmc {
 namespace {
+
+// ---------------------------------------------------------------------------
+// Teardown
+// ---------------------------------------------------------------------------
+
+// A System destroyed mid-run still has pooled network and memory-reply
+// messages in flight; the pending events holding them must die before the
+// pools do (under ASan the old order was a heap-use-after-free).
+TEST(Teardown, DestroysMidRunSystemOnBothProtocols) {
+  for (Protocol p : {Protocol::kDirectory, Protocol::kSnooping}) {
+    SystemConfig cfg = SystemConfig::withDvmc(p, ConsistencyModel::kTSO);
+    cfg.numNodes = 8;
+    cfg.workload = WorkloadKind::kOltp;
+    cfg.seed = 3;
+    auto sys = std::make_unique<System>(cfg);
+    sys->runUntil([&] { return sys->sim().now() >= 5'000; });
+    EXPECT_FALSE(sys->sim().empty()) << protocolName(p);
+    sys.reset();
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Automatic recovery

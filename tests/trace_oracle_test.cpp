@@ -144,6 +144,32 @@ TEST(TraceOracle, RejectsNonMonotoneSequenceNumbers) {
   EXPECT_EQ(res.violations[0].kind, verify::OracleViolation::Kind::kMalformed);
 }
 
+// Perform cycles need not follow trace order: a record performing 999,990
+// cycles before the record ahead of it is clean.
+TEST(TraceOracle, RecordPerformingFarBehindAnotherIsClean) {
+  const ConsistencyModel m = ConsistencyModel::kRMO;
+  CapturedTrace t = makeTrace(
+      m, 2,
+      {rec(TraceOp::kStore, 0, 1, m, kX, 1, 1'000'000),
+       rec(TraceOp::kLoad, 1, 1, m, kY, 0, 10)});
+  EXPECT_TRUE(verify::checkTrace(t).clean);
+}
+
+// Two remote writers of the value a read observed leave its writer
+// unknown: the read is accepted without rf/fr edges and counted ambiguous.
+TEST(TraceOracle, ReadWithTwoSameValueRemoteWritersIsAmbiguous) {
+  const ConsistencyModel m = ConsistencyModel::kRMO;
+  CapturedTrace t = makeTrace(
+      m, 3,
+      {rec(TraceOp::kStore, 0, 1, m, kX, 5, 20),
+       rec(TraceOp::kLoad, 1, 1, m, kX, 5, 30),
+       rec(TraceOp::kLoad, 1, 2, m, kY, 0, 60),
+       rec(TraceOp::kStore, 2, 1, m, kX, 5, 100)});
+  const verify::OracleResult res = verify::checkTrace(t);
+  EXPECT_TRUE(res.clean);
+  EXPECT_EQ(res.stats.ambiguousReads, 1u);
+}
+
 // --- litmus conformance ----------------------------------------------------
 
 // Store buffering (SB): both cores buffer their store past their load.
@@ -437,25 +463,6 @@ TEST(LiveDifferential, CapturedTraceBitIdenticalAcrossJobs) {
   }
 }
 
-TEST(TraceOptions, DeprecatedCaptureTraceAliasStillArmsCapture) {
-  SystemConfig cfg = makeFuzzConfig(7);
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-  cfg.captureTrace = true;          // the one-release compatibility alias
-  cfg.traceCaptureLimit = 1 << 20;
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-  EXPECT_TRUE(cfg.effectiveTrace().capture);
-  EXPECT_EQ(cfg.effectiveTrace().captureLimit, std::size_t{1} << 20);
-  System sys(cfg);
-  const RunResult r = sys.run();
-  ASSERT_NE(r.trace, nullptr);
-  EXPECT_FALSE(r.trace->records.empty());
-}
-
 TEST(TraceOptions, ValidateRejectsInconsistentCombinations) {
   SystemConfig::TraceOptions t;
   EXPECT_EQ(t.validate(), nullptr);  // defaults are consistent
@@ -504,48 +511,34 @@ TEST(TraceOptions, SpillToDiskCaptureMatchesInMemoryCapture) {
   std::remove(path.c_str());
 }
 
-// --- streaming oracle differential -----------------------------------------
+// --- live-capture sink -------------------------------------------------------
 
-// The streaming oracle's contract: when the settle window holds
-// (windowExceeded() == false), verdict, violations, and statistics equal
-// batch checkTrace() exactly — for clean traces AND must-flag negatives.
-void expectStreamingMatchesBatch(const CapturedTrace& t,
-                                 std::size_t chunkRecords,
-                                 const verify::StreamingOracleOptions& o,
-                                 const std::string& label) {
-  SCOPED_TRACE(label + " chunk=" + std::to_string(chunkRecords) + " jobs=" +
-               std::to_string(o.jobs));
-  const verify::OracleResult batch =
-      verify::checkTrace(t, {o.maxViolations});
-  bool exceeded = false;
-  std::size_t peak = 0;
-  const verify::OracleResult stream =
-      verify::checkTraceStreaming(t, o, chunkRecords, &exceeded, &peak);
-  ASSERT_FALSE(exceeded);
-  EXPECT_EQ(stream.clean, batch.clean);
-  ASSERT_EQ(stream.violations.size(), batch.violations.size());
-  for (std::size_t i = 0; i < batch.violations.size(); ++i) {
-    const verify::OracleViolation& bv = batch.violations[i];
-    const verify::OracleViolation& sv = stream.violations[i];
-    EXPECT_EQ(sv.kind, bv.kind) << "violation " << i;
-    EXPECT_EQ(sv.recordA, bv.recordA) << "violation " << i;
-    EXPECT_EQ(sv.recordB, bv.recordB) << "violation " << i;
-    EXPECT_EQ(sv.byteA, bv.byteA) << "violation " << i;
-    EXPECT_EQ(sv.byteB, bv.byteB) << "violation " << i;
-    EXPECT_EQ(sv.message, bv.message) << "violation " << i;
+void expectSameResult(const verify::OracleResult& got,
+                      const verify::OracleResult& want) {
+  EXPECT_EQ(got.clean, want.clean);
+  ASSERT_EQ(got.violations.size(), want.violations.size());
+  for (std::size_t i = 0; i < want.violations.size(); ++i) {
+    const verify::OracleViolation& g = got.violations[i];
+    const verify::OracleViolation& w = want.violations[i];
+    EXPECT_EQ(g.kind, w.kind) << "violation " << i;
+    EXPECT_EQ(g.recordA, w.recordA) << "violation " << i;
+    EXPECT_EQ(g.recordB, w.recordB) << "violation " << i;
+    EXPECT_EQ(g.byteA, w.byteA) << "violation " << i;
+    EXPECT_EQ(g.byteB, w.byteB) << "violation " << i;
+    EXPECT_EQ(g.message, w.message) << "violation " << i;
   }
-  EXPECT_EQ(stream.stats.records, batch.stats.records);
-  EXPECT_EQ(stream.stats.reads, batch.stats.reads);
-  EXPECT_EQ(stream.stats.writes, batch.stats.writes);
-  EXPECT_EQ(stream.stats.membars, batch.stats.membars);
-  EXPECT_EQ(stream.stats.virtualNodes, batch.stats.virtualNodes);
-  EXPECT_EQ(stream.stats.edges, batch.stats.edges);
-  EXPECT_EQ(stream.stats.rfEdges, batch.stats.rfEdges);
-  EXPECT_EQ(stream.stats.wsEdges, batch.stats.wsEdges);
-  EXPECT_EQ(stream.stats.frEdges, batch.stats.frEdges);
-  EXPECT_EQ(stream.stats.forwardedReads, batch.stats.forwardedReads);
-  EXPECT_EQ(stream.stats.initReads, batch.stats.initReads);
-  EXPECT_EQ(stream.stats.ambiguousReads, batch.stats.ambiguousReads);
+  EXPECT_EQ(got.stats.records, want.stats.records);
+  EXPECT_EQ(got.stats.reads, want.stats.reads);
+  EXPECT_EQ(got.stats.writes, want.stats.writes);
+  EXPECT_EQ(got.stats.membars, want.stats.membars);
+  EXPECT_EQ(got.stats.virtualNodes, want.stats.virtualNodes);
+  EXPECT_EQ(got.stats.edges, want.stats.edges);
+  EXPECT_EQ(got.stats.rfEdges, want.stats.rfEdges);
+  EXPECT_EQ(got.stats.wsEdges, want.stats.wsEdges);
+  EXPECT_EQ(got.stats.frEdges, want.stats.frEdges);
+  EXPECT_EQ(got.stats.forwardedReads, want.stats.forwardedReads);
+  EXPECT_EQ(got.stats.initReads, want.stats.initReads);
+  EXPECT_EQ(got.stats.ambiguousReads, want.stats.ambiguousReads);
 }
 
 std::vector<std::pair<std::string, CapturedTrace>> conformanceSuite() {
@@ -612,142 +605,24 @@ std::vector<std::pair<std::string, CapturedTrace>> conformanceSuite() {
   return suite;
 }
 
-TEST(StreamingDifferential, ConformanceSuiteMatchesBatch) {
+// StreamingOracle, the sink a run streams its capture into, judges the
+// reassembled trace with checkTrace(): whatever the chunking, its verdict,
+// violations and statistics are checkTrace()'s, must-flag cases included.
+TEST(StreamingOracleSink, ConformanceSuiteMatchesCheckTrace) {
+  verify::OracleOptions o;
+  o.maxViolations = 16;
   for (const auto& [name, t] : conformanceSuite()) {
+    const verify::OracleResult want = verify::checkTrace(t, o);
     for (std::size_t chunk : {std::size_t{1}, std::size_t{2},
                               std::size_t{4096}}) {
-      expectStreamingMatchesBatch(t, chunk, {}, name);
+      SCOPED_TRACE(name + " chunk=" + std::to_string(chunk));
+      verify::StreamingOracle sink(o);
+      verify::streamCapturedTrace(t, sink, chunk);
+      expectSameResult(sink.finish(), want);
+      EXPECT_FALSE(sink.windowExceeded());
+      EXPECT_EQ(sink.peakResidentRecords(), t.records.size());
     }
   }
-}
-
-TEST(StreamingDifferential, LiveCapturesMatchBatchAcrossJobs) {
-  for (ConsistencyModel m : {ConsistencyModel::kTSO, ConsistencyModel::kRMO}) {
-    SystemConfig cfg = SystemConfig::withDvmc(Protocol::kDirectory, m);
-    cfg.numNodes = 4;
-    cfg.workload = WorkloadKind::kOltp;
-    cfg.targetTransactions = 30;
-    cfg.maxCycles = 5'000'000;
-    cfg.trace.capture = true;
-    System sys(cfg);
-    const RunResult r = sys.run();
-    ASSERT_TRUE(r.completed) << modelName(m);
-    ASSERT_NE(r.trace, nullptr) << modelName(m);
-    for (int jobs : {1, 4}) {
-      verify::StreamingOracleOptions o;
-      o.jobs = jobs;
-      o.shardMinBatch = 1;  // force the sharded path even on small batches
-      expectStreamingMatchesBatch(*r.trace, 512, o,
-                                  std::string("live/") + modelName(m));
-    }
-  }
-}
-
-TEST(StreamingDifferential, CorruptedCaptureMatchesBatch) {
-  SystemConfig cfg = SystemConfig::withDvmc(Protocol::kDirectory,
-                                            ConsistencyModel::kTSO);
-  cfg.numNodes = 4;
-  cfg.workload = WorkloadKind::kOltp;
-  cfg.targetTransactions = 1'000'000;
-  cfg.maxCycles = 30'000'000;
-  cfg.trace.capture = true;
-  System sys(cfg);
-  FaultInjector inj(sys, 0x0D15EA5E);
-  sys.runUntil([&] { return sys.sim().now() >= 20'000; });
-  bool flagged = false;
-  for (int round = 0; round < 80 && !flagged; ++round) {
-    inj.inject(FaultType::kMemoryDataMultiBit);
-    const Cycle until = sys.sim().now() + 25'000;
-    sys.runUntil([&] { return sys.sim().now() >= until; });
-    const RunResult r = sys.collectResult(false, sys.sim().now());
-    ASSERT_NE(r.trace, nullptr);
-    flagged = !verify::checkTrace(*r.trace).clean;
-    if (flagged) {
-      expectStreamingMatchesBatch(*r.trace, 1024, {}, "corrupted");
-    }
-  }
-  ASSERT_TRUE(flagged) << "corruption never reached a committed load";
-}
-
-// Bounded residency: on a long trace whose perform order tracks commit
-// order, the live window stays O(horizon) — the whole point of the
-// streaming path — while the verdict still matches batch.
-TEST(StreamingDifferential, ResidencyIsBoundedByTheWindow) {
-  const ConsistencyModel m = ConsistencyModel::kTSO;
-  const std::uint32_t kCores = 4;
-  std::vector<TraceRecord> recs;
-  std::vector<SeqNum> seq(kCores, 0);
-  std::vector<std::uint64_t> last(kCores, 0);
-  const std::size_t kOps = 40'000;
-  recs.reserve(kOps);
-  for (std::size_t i = 0; i < kOps; ++i) {
-    const NodeId core = NodeId(i % kCores);
-    const Addr addr = kX + 0x40 * Addr(core);  // core-private word
-    const Cycle cyc = Cycle(10 + i);
-    if ((i / kCores) % 2 == 0) {
-      const std::uint64_t v = 0x1000 + i;  // globally unique store values
-      recs.push_back(rec(TraceOp::kStore, core, ++seq[core], m, addr, v, cyc));
-      last[core] = v;
-    } else {
-      recs.push_back(rec(TraceOp::kLoad, core, ++seq[core], m, addr,
-                         last[core], cyc));
-    }
-  }
-  CapturedTrace t = makeTrace(m, kCores, std::move(recs));
-
-  verify::StreamingOracleOptions o;
-  o.settleHorizon = 256;
-  o.maxResidentEvents = 8192;
-  bool exceeded = true;
-  std::size_t peak = 0;
-  const verify::OracleResult stream =
-      verify::checkTraceStreaming(t, o, 512, &exceeded, &peak);
-  ASSERT_FALSE(exceeded);
-  EXPECT_TRUE(stream.clean);
-  // Far below both the cap and the trace length: memory is governed by
-  // the horizon, not the run length.
-  EXPECT_LE(peak, std::size_t{4096});
-  EXPECT_LT(peak, t.records.size() / 4);
-  expectStreamingMatchesBatch(t, 512, o, "bounded");
-}
-
-// A record performing far behind the frontier breaks the settle-horizon
-// assumption: the stream must say so (windowExceeded) instead of
-// guessing, and the batch fallback still yields the reference verdict.
-TEST(StreamingDifferential, LaggingRecordTripsTheWindowDetector) {
-  const ConsistencyModel m = ConsistencyModel::kRMO;
-  CapturedTrace t = makeTrace(
-      m, 2,
-      {rec(TraceOp::kStore, 0, 1, m, kX, 1, 1'000'000),
-       rec(TraceOp::kLoad, 1, 1, m, kY, 0, 10)});  // 999990 cycles behind
-  verify::StreamingOracleOptions o;
-  o.settleHorizon = 1024;
-  bool exceeded = false;
-  (void)verify::checkTraceStreaming(t, o, 1, &exceeded, nullptr);
-  EXPECT_TRUE(exceeded);
-  EXPECT_TRUE(verify::checkTrace(t).clean);  // the fallback path
-}
-
-// A write of a value that an earlier read already resolved against would
-// have changed the batch candidate count (unique -> ambiguous): the
-// watched-value detector refuses to stream that trace.
-TEST(StreamingDifferential, LateSameValueWriteTripsTheWatchDetector) {
-  const ConsistencyModel m = ConsistencyModel::kRMO;
-  CapturedTrace t = makeTrace(
-      m, 3,
-      {rec(TraceOp::kStore, 0, 1, m, kX, 5, 20),
-       rec(TraceOp::kLoad, 1, 1, m, kX, 5, 30),
-       rec(TraceOp::kLoad, 1, 2, m, kY, 0, 60),  // advances the frontier
-       rec(TraceOp::kStore, 2, 1, m, kX, 5, 100)});
-  verify::StreamingOracleOptions o;
-  o.settleHorizon = 16;
-  bool exceeded = false;
-  (void)verify::checkTraceStreaming(t, o, 1, &exceeded, nullptr);
-  EXPECT_TRUE(exceeded);
-  // Batch sees two same-value writers: ambiguous, but clean.
-  const verify::OracleResult batch = verify::checkTrace(t);
-  EXPECT_TRUE(batch.clean);
-  EXPECT_EQ(batch.stats.ambiguousReads, 1u);
 }
 
 // --- chunked trace container (dvmc-trace v2) --------------------------------
@@ -833,23 +708,6 @@ TEST(TraceSinkV2, ChunkedSinkSurfacesUnwritableTargets) {
             std::string::npos)
       << sink.error();
   EXPECT_EQ(sink.recordsWritten(), 0u);
-}
-
-// A tee must keep feeding its healthy child when the other child's I/O
-// fails — the streaming oracle still judges the run even when the spill
-// file cannot be written.
-TEST(TraceSinkV2, TeeKeepsTheHealthyChildFedWhenOneChildFails) {
-  CapturedTrace t = makeTrace(
-      ConsistencyModel::kTSO, 2,
-      {rec(TraceOp::kStore, 0, 1, ConsistencyModel::kTSO, kX, 7, 10),
-       rec(TraceOp::kLoad, 1, 1, ConsistencyModel::kTSO, kX, 7, 20)});
-  verify::ChunkedTraceFileSink broken("/nonexistent-dvmc-dir/x/tee.trace");
-  verify::MemoryTraceSink healthy;
-  verify::TeeTraceSink tee(&broken, &healthy);
-  verify::streamCapturedTrace(t, tee, 1);
-  EXPECT_FALSE(broken.ok());
-  ASSERT_NE(healthy.trace(), nullptr);
-  EXPECT_EQ(healthy.trace()->serialize(), t.serialize());
 }
 
 }  // namespace

@@ -18,12 +18,9 @@
 // catch errors before they corrupt the committed history; masked faults
 // harm nothing), so they do not fail the campaign.
 //
-// Oracle cross-checks run through the streaming oracle attached as the
-// capture's live TraceSink (bounded-memory: the full trace is never held
-// resident). On a violation, a window excess, or a --max-resident-events
-// breach, the deterministic case is re-run with in-memory capture and
-// judged by the batch oracle — the rerun also regenerates the trace for
-// the escape bundle. --batch-oracle forces that path for every case.
+// Each case keeps its capture in memory, judges it once with
+// verify::checkTrace, and hands the same trace to its escape bundle when
+// the oracle flags it.
 //
 // Supervision (docs/robustness.md): by default every config runs in its
 // own child process (`dvmc_campaign --worker <spec-json>` self-exec), so a
@@ -41,7 +38,6 @@
 //   dvmc_campaign [--configs N] [--param-base P] [--seed-base S]
 //                 [--clean-only | --faulted] [--jobs N]
 //                 [--escape-dir DIR] [--sample-trace FILE]
-//                 [--batch-oracle] [--max-resident-events N]
 //                 [--in-process] [--attempts K] [--backoff-ms MS]
 //                 [--deadline-sec S] [--child-mem-mb MB]
 //                 [--quarantine-dir DIR] [--journal FILE] [--resume FILE]
@@ -86,7 +82,6 @@
 #include "system/runner.hpp"
 #include "system/system.hpp"
 #include "verify/oracle.hpp"
-#include "verify/streaming_oracle.hpp"
 #include "verify/trace.hpp"
 #include "workload/fuzz_config.hpp"
 
@@ -105,8 +100,6 @@ struct CampaignOptions {
   bool faulted = true;
   std::string escapeDir = "campaign-escapes";
   std::string sampleTrace;
-  bool batchOracle = false;        // force batch checkTrace for every case
-  std::size_t maxResidentEvents = 0;  // streaming live-record ceiling
   // Supervision (ignored under --in-process).
   bool inProcess = false;
   int attempts = 3;
@@ -140,36 +133,9 @@ std::uint64_t totalFlushes(System& sys) {
   return total;
 }
 
-/// Arms a case config for oracle cross-checking. In streaming mode the
-/// oracle rides the capture as its live sink and nothing stays resident;
-/// in batch mode (--batch-oracle, or a rerun after a streaming verdict
-/// needs the trace bytes) the capture stays in memory for checkTrace and
-/// the escape bundle.
-bool armOracle(SystemConfig& cfg, const CampaignOptions& opt,
-               verify::StreamingOracle& oracle, bool keepTrace) {
-  cfg.trace.capture = true;
-  if (opt.batchOracle || keepTrace) return false;
-  cfg.trace.sink = &oracle;
-  cfg.trace.keepInMemory = false;
-  return true;
-}
-
-/// The streaming verdict, or a signal to rerun in batch mode: a window
-/// excess means the verdict is not guaranteed, and a violation needs the
-/// resident trace to dump the escape bundle.
-bool streamingVerdictUsable(verify::StreamingOracle& oracle,
-                            const verify::OracleResult** res) {
-  *res = &oracle.finish();
-  return !oracle.windowExceeded() && (*res)->clean;
-}
-
-CaseOutcome runClean(int param, const CampaignOptions& opt,
-                     bool keepTrace = false) {
+CaseOutcome runClean(int param) {
   SystemConfig cfg = makeFuzzConfig(param);
-  verify::StreamingOracleOptions so;
-  so.maxResidentEvents = opt.maxResidentEvents;
-  verify::StreamingOracle oracle(so);
-  const bool streaming = armOracle(cfg, opt, oracle, keepTrace);
+  cfg.trace.capture = true;
   System sys(cfg);
   RunResult r;
   {
@@ -185,27 +151,16 @@ CaseOutcome runClean(int param, const CampaignOptions& opt,
   out.ran = true;
   out.completed = r.completed;
   out.checkersDetected = r.detections > 0;
-  verify::OracleResult batchRes;
-  const verify::OracleResult* o = nullptr;
+  out.trace = r.trace;
+  verify::OracleResult o;
   {
     obs::ScopedSpan span("oracle");
-    if (streaming) {
-      // A clean in-window stream is the common case and never needed the
-      // trace; everything else re-runs the deterministic config with the
-      // capture resident and judges by the batch oracle.
-      if (!streamingVerdictUsable(oracle, &o)) {
-        return runClean(param, opt, /*keepTrace=*/true);
-      }
-    } else {
-      batchRes = verify::checkTrace(*r.trace);
-      o = &batchRes;
-      out.trace = r.trace;
-    }
+    o = verify::checkTrace(*r.trace);
   }
-  out.oracleViolation = !o->clean;
-  if (!o->clean) {
+  out.oracleViolation = !o.clean;
+  if (!o.clean) {
     out.falsePositive = true;
-    out.detail = o->violations.empty() ? "?" : o->violations[0].message;
+    out.detail = o.violations.empty() ? "?" : o.violations[0].message;
   } else if (r.detections > 0) {
     // A clean-run checker detection is covered by fuzz_test/tier-1; the
     // campaign only tracks oracle agreement, but surface it anyway.
@@ -214,13 +169,9 @@ CaseOutcome runClean(int param, const CampaignOptions& opt,
   return out;
 }
 
-CaseOutcome runFaulted(int param, const CampaignOptions& opt,
-                       std::uint64_t seedBase, bool keepTrace = false) {
+CaseOutcome runFaulted(int param, std::uint64_t seedBase) {
   SystemConfig cfg = makeFuzzConfig(param);
-  verify::StreamingOracleOptions so;
-  so.maxResidentEvents = opt.maxResidentEvents;
-  verify::StreamingOracle oracle(so);
-  const bool streaming = armOracle(cfg, opt, oracle, keepTrace);
+  cfg.trace.capture = true;
   Rng rng(seedBase ^ (0x9E3779B97F4A7C15ull * (param + 1)));
 
   std::vector<FaultType> applicable;
@@ -260,30 +211,21 @@ CaseOutcome runFaulted(int param, const CampaignOptions& opt,
     // Final sweep: a corruption living in a still-open epoch is only
     // checked once that epoch's inform reaches the MET, so flush before
     // judging.
-    sys.finishTraceCapture();
     sys.drainCheckers();
     out.checkersDetected = detected();
   }
 
   RunResult r = sys.collectResult(done(), sys.sim().now());
   out.completed = r.completed;
-  verify::OracleResult batchRes;
-  const verify::OracleResult* o = nullptr;
+  out.trace = r.trace;
+  verify::OracleResult o;
   {
     obs::ScopedSpan span("oracle");
-    if (streaming) {
-      if (!streamingVerdictUsable(oracle, &o)) {
-        return runFaulted(param, opt, seedBase, /*keepTrace=*/true);
-      }
-    } else {
-      batchRes = verify::checkTrace(*r.trace);
-      o = &batchRes;
-      out.trace = r.trace;
-    }
+    o = verify::checkTrace(*r.trace);
   }
-  out.oracleViolation = !o->clean;
-  if (!o->clean) {
-    out.detail = o->violations.empty() ? "?" : o->violations[0].message;
+  out.oracleViolation = !o.clean;
+  if (!o.clean) {
+    out.detail = o.violations.empty() ? "?" : o.violations[0].message;
     out.escape = !out.checkersDetected;
   }
   return out;
@@ -358,6 +300,22 @@ Json caseJson(const CaseOutcome& o) {
   return j;
 }
 
+/// Runs config `param`'s cases, writes the bundle of any case the oracle
+/// flagged (the worker or in-process thread holds the trace, the parent
+/// never does), and sets their "clean" / "faulted" records on `rec`.
+void runConfig(const CampaignOptions& opt, int param, Json& rec) {
+  if (opt.clean) {
+    const CaseOutcome c = runClean(param);
+    if (c.falsePositive) dumpEscape(opt, param, "false_positive", c);
+    rec.set("clean", caseJson(c));
+  }
+  if (opt.faulted) {
+    const CaseOutcome f = runFaulted(param, opt.seedBase);
+    if (f.escape) dumpEscape(opt, param, "escape", f);
+    rec.set("faulted", caseJson(f));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Worker mode: `dvmc_campaign --worker <spec-json>` runs exactly one
 // config in this process and reports its verdict as the last stdout line
@@ -422,11 +380,6 @@ int runWorkerMode(const char* specText) {
     const Json* p = spec->find("seedBase");
     return p != nullptr ? p->asUint(opt.seedBase) : opt.seedBase;
   }();
-  opt.batchOracle = jBool(*spec, "batchOracle");
-  opt.maxResidentEvents = static_cast<std::size_t>([&] {
-    const Json* p = spec->find("maxResidentEvents");
-    return p != nullptr ? p->asUint(0) : 0;
-  }());
   if (const std::string dir = jStr(*spec, "escapeDir"); !dir.empty()) {
     opt.escapeDir = dir;
   }
@@ -443,16 +396,7 @@ int runWorkerMode(const char* specText) {
   result.set("schema", Json::str(kResultSchemaName));
   result.set("version", Json::num(std::int64_t{1}));
   result.set("param", Json::num(std::int64_t{param}));
-  if (opt.clean) {
-    const CaseOutcome c = runClean(param, opt);
-    if (c.falsePositive) dumpEscape(opt, param, "false_positive", c);
-    result.set("clean", caseJson(c));
-  }
-  if (opt.faulted) {
-    const CaseOutcome f = runFaulted(param, opt, opt.seedBase);
-    if (f.escape) dumpEscape(opt, param, "escape", f);
-    result.set("faulted", caseJson(f));
-  }
+  runConfig(opt, param, result);
   const std::string line = result.dump();
   std::fwrite(line.data(), 1, line.size(), stdout);
   std::fputc('\n', stdout);
@@ -477,8 +421,6 @@ Json workerSpec(const CampaignOptions& opt, int param, int attempt) {
   j.set("clean", Json::boolean(opt.clean));
   j.set("faulted", Json::boolean(opt.faulted));
   j.set("seedBase", Json::num(opt.seedBase));
-  j.set("batchOracle", Json::boolean(opt.batchOracle));
-  j.set("maxResidentEvents", Json::num(std::uint64_t{opt.maxResidentEvents}));
   j.set("escapeDir", Json::str(opt.escapeDir));
   j.set("logLevel",
         Json::str(obs::logLevelName(obs::Logger::instance().level())));
@@ -589,12 +531,6 @@ int main(int argc, char** argv) {
              "(default campaign-escapes)");
   cli.path("--sample-trace", &opt.sampleTrace, "FILE",
            "also write the first case's capture as a dvmc-trace file");
-  cli.flag("--batch-oracle", &opt.batchOracle,
-           "judge every case with the whole-trace batch oracle instead of "
-           "the streaming sink");
-  cli.count("--max-resident-events", &opt.maxResidentEvents, "N",
-            "streaming: ceiling on live oracle records; a breach reruns "
-            "the case under the batch oracle (default: unbounded)");
   cli.flag("--in-process", &opt.inProcess,
            "run every config in this process (pre-supervision behavior: "
            "one crash or hang kills the whole campaign)");
@@ -715,8 +651,6 @@ int main(int argc, char** argv) {
   };
 
   const std::size_t resumed = journaled.size();
-  std::vector<CaseOutcome> cleanOut(opt.clean ? n : 0);
-  std::vector<CaseOutcome> faultOut(opt.faulted ? n : 0);
   std::vector<Json> records(n);
   std::vector<char> recordValid(n, 0);
   std::atomic<std::size_t> doneCount{resumed};
@@ -828,15 +762,14 @@ int main(int argc, char** argv) {
       Json rec = Json::object();
       rec.set("param", Json::num(std::int64_t{param}));
       rec.set("attempts", Json::num(std::int64_t{1}));
-      if (opt.clean) {
-        cleanOut[s] = runClean(param, opt);
-        if (cleanOut[s].falsePositive) ++falsePositivesSoFar;
-        rec.set("clean", caseJson(cleanOut[s]));
+      runConfig(opt, param, rec);
+      if (const Json* c = rec.find("clean");
+          c != nullptr && jBool(*c, "falsePositive")) {
+        ++falsePositivesSoFar;
       }
-      if (opt.faulted) {
-        faultOut[s] = runFaulted(param, opt, opt.seedBase);
-        if (faultOut[s].escape) ++escapesSoFar;
-        rec.set("faulted", caseJson(faultOut[s]));
+      if (const Json* f = rec.find("faulted");
+          f != nullptr && jBool(*f, "escape")) {
+        ++escapesSoFar;
       }
       {
         std::lock_guard<std::mutex> lock(journalMu);
@@ -996,10 +929,6 @@ int main(int argc, char** argv) {
       ++falsePositives;
       std::printf("FALSE-POSITIVE param=%d: %s\n", param,
                   jStr(*c, "detail").c_str());
-      // Supervised workers dump their own bundles (they hold the trace).
-      if (opt.inProcess) {
-        dumpEscape(opt, param, "false_positive", cleanOut[s]);
-      }
     }
     if (!opt.faulted) continue;
     const Json* f = rec.find("faulted");
@@ -1010,7 +939,6 @@ int main(int argc, char** argv) {
                   jStr(*f, "fault").c_str(),
                   static_cast<int>(jInt(*f, "injections")),
                   jStr(*f, "detail").c_str());
-      if (opt.inProcess) dumpEscape(opt, param, "escape", faultOut[s]);
     } else if (jBool(*f, "checkersDetected")) {
       ++detections;
       if (jBool(*f, "oracleViolation")) ++agreements;
@@ -1020,22 +948,13 @@ int main(int argc, char** argv) {
   }
 
   if (!opt.sampleTrace.empty()) {
-    // Streaming and supervised cases never held their trace; regenerate
-    // the first case (deterministic by param) with the capture resident.
-    std::shared_ptr<const verify::CapturedTrace> sample =
-        opt.clean && !cleanOut.empty() ? cleanOut[0].trace
-        : !faultOut.empty()            ? faultOut[0].trace
-                                       : nullptr;
-    if (sample == nullptr) {
-      sample = opt.clean
-                   ? runClean(opt.paramBase, opt, /*keepTrace=*/true).trace
-                   : runFaulted(opt.paramBase, opt, opt.seedBase,
-                                /*keepTrace=*/true)
-                         .trace;
-    }
+    // Cases drop their capture once judged (supervised ones, in a worker
+    // process); re-run the first case, deterministic by param, for it.
+    const CaseOutcome first = opt.clean
+                                  ? runClean(opt.paramBase)
+                                  : runFaulted(opt.paramBase, opt.seedBase);
     std::string err;
-    if (sample != nullptr &&
-        !verify::writeTraceFile(opt.sampleTrace, *sample, &err)) {
+    if (!verify::writeTraceFile(opt.sampleTrace, *first.trace, &err)) {
       obs::logError("campaign", "cannot write sample trace",
                     Json::object().set("error", Json::str(err)));
     }

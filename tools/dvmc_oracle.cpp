@@ -5,23 +5,15 @@
 //                             involved and their byte offsets in FILE
 //   dvmc_oracle stats FILE    trace header + constraint-graph statistics
 //
-// Checks run through the bounded-window streaming oracle by default; when
-// the stream leaves its settle window (or breaches --max-resident-events)
-// the tool reruns the whole-trace batch oracle automatically, so the
-// verdict is always authoritative. --batch forces the batch path.
-//
 // Exit codes: 0 = trace is consistent, 1 = violation found, 2 = usage or
 // unreadable/malformed file.
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "common/cli.hpp"
-#include "obs/log.hpp"
 #include "obs/run_report.hpp"
 #include "obs/spans.hpp"
 #include "verify/oracle.hpp"
-#include "verify/streaming_oracle.hpp"
 #include "verify/trace.hpp"
 
 using namespace dvmc;
@@ -66,32 +58,8 @@ int runOracle(int argc, char** argv) {
   CliParser cli("dvmc_oracle",
                 "offline consistency oracle over dvmc-trace captures");
   cli.usageLine("dvmc_oracle [options] {check|explain|stats} FILE");
-  bool batch = false;
-  bool streaming = false;
-  std::uint64_t maxResident = 0;
-  std::uint64_t horizon = 0;
-  std::uint64_t jobs = 0;
-  cli.flag("--batch", &batch,
-           "force the whole-trace batch oracle (no bounded-window pass)");
-  cli.flag("--streaming", &streaming,
-           "use the bounded-window streaming oracle (the default; kept "
-           "explicit for scripts)");
-  cli.count("--max-resident-events", &maxResident, "N",
-            "streaming: ceiling on live (unretired) records; a breach "
-            "falls back to the batch oracle (default: unbounded)");
-  cli.count("--settle-horizon", &horizon, "CYCLES",
-            "streaming: assumed bound on commit-vs-perform skew "
-            "(default 65536)");
-  cli.count("--jobs", &jobs, "N",
-            "streaming: worker threads for sharded read justification "
-            "(default 1; verdict identical for every value)")
-      .alias("-j");
   obs::addObsFlags(cli);
   argc = cli.parse(argc, argv);
-  if (batch && streaming) {
-    std::fprintf(stderr, "dvmc_oracle: --batch and --streaming conflict\n");
-    return 2;
-  }
 
   if (argc != 3) return usage();
   const std::string cmd = argv[1];
@@ -111,30 +79,9 @@ int runOracle(int argc, char** argv) {
   if (cmd == "explain") opts.maxViolations = 16;
 
   verify::OracleResult res;
-  const char* mode = "batch";
-  std::size_t peakResident = 0;
   {
     obs::ScopedSpan span("oracle");
-    if (!batch) {
-      verify::StreamingOracleOptions so;
-      so.maxViolations = opts.maxViolations;
-      if (horizon != 0) so.settleHorizon = horizon;
-      so.maxResidentEvents = static_cast<std::size_t>(maxResident);
-      if (jobs != 0) so.jobs = static_cast<int>(jobs);
-      bool exceeded = false;
-      res = verify::checkTraceStreaming(t, so, /*chunkRecords=*/4096,
-                                        &exceeded, &peakResident);
-      if (exceeded) {
-        obs::logWarn("oracle",
-                     "trace left the streaming settle window; falling back "
-                     "to the batch oracle");
-        res = verify::checkTrace(t, opts);
-      } else {
-        mode = "streaming";
-      }
-    } else {
-      res = verify::checkTrace(t, opts);
-    }
+    res = verify::checkTrace(t, opts);
   }
 
   if (cmd == "stats") {
@@ -147,12 +94,6 @@ int runOracle(int argc, char** argv) {
                 s.virtualNodes);
     std::printf("edges     %zu (rf=%zu ws=%zu fr=%zu)\n", s.edges, s.rfEdges,
                 s.wsEdges, s.frEdges);
-    if (std::strcmp(mode, "streaming") == 0) {
-      std::printf("oracle    streaming (peak %zu resident record(s))\n",
-                  peakResident);
-    } else {
-      std::printf("oracle    batch\n");
-    }
     std::printf("verdict   %s\n", res.clean ? "CONSISTENT" : "VIOLATION");
     return res.clean ? 0 : 1;
   }
