@@ -8,13 +8,7 @@ namespace dvmc {
 DirectoryHome::DirectoryHome(Simulator& sim, TorusNetwork& net, NodeId node,
                              MemoryMap map, CoherenceTimings timings,
                              ErrorSink* sink)
-    : sim_(sim),
-      net_(net),
-      node_(node),
-      map_(map),
-      timings_(timings),
-      sink_(sink),
-      memory_(/*eccProtected=*/true) {}
+    : HomeController(sim, net, node, map, timings, sink) {}
 
 NodeId DirectoryHome::ownerOf(Addr blk) const {
   auto it = dir_.find(blk);
@@ -100,8 +94,7 @@ void DirectoryHome::handleGetS(const Message& msg, DirEntry& e) {
   const Addr blk = blockAddr(msg.addr);
   cGetS_.inc();
   if (homeObserver_ != nullptr) {
-    homeObserver_->onHomeRequest(blk,
-                                 memory_.read(blk, sink_, node_, sim_.now()));
+    homeObserver_->onHomeRequest(blk, readMemory(blk));
   }
   if (e.owner == msg.src) {
     // The registered owner re-requesting means its copy vanished without a
@@ -126,9 +119,9 @@ void DirectoryHome::handleGetS(const Message& msg, DirEntry& e) {
   } else {
     sendDataFromMemory(blk, msg.src, 0);
     if (homeObserver_ != nullptr) {
-      homeObserver_->onHomeGrant(
-          blk, msg.src, /*readWrite=*/false, /*fromMemory=*/true,
-          hashBlock(memory_.read(blk, sink_, node_, sim_.now())));
+      homeObserver_->onHomeGrant(blk, msg.src, /*readWrite=*/false,
+                                 /*fromMemory=*/true,
+                                 hashBlock(readMemory(blk)));
     }
   }
   e.sharers.insert(msg.src);
@@ -139,8 +132,7 @@ void DirectoryHome::handleGetM(const Message& msg, DirEntry& e) {
   const Addr blk = blockAddr(msg.addr);
   cGetM_.inc();
   if (homeObserver_ != nullptr) {
-    homeObserver_->onHomeRequest(blk,
-                                 memory_.read(blk, sink_, node_, sim_.now()));
+    homeObserver_->onHomeRequest(blk, readMemory(blk));
   }
 
   std::set<NodeId> invTargets = e.sharers;
@@ -189,7 +181,7 @@ void DirectoryHome::handleGetM(const Message& msg, DirEntry& e) {
     const bool fromMemory = e.owner == kInvalidNode;
     homeObserver_->onHomeGrant(
         blk, msg.src, /*readWrite=*/true, fromMemory,
-        fromMemory ? hashBlock(memory_.read(blk, sink_, node_, sim_.now()))
+        fromMemory ? hashBlock(readMemory(blk))
                    : static_cast<std::uint16_t>(0));
   }
   e.owner = msg.src;
@@ -205,7 +197,7 @@ void DirectoryHome::handlePutM(const Message& msg, DirEntry& e) {
   reply.addr = blk;
   if (e.owner == msg.src) {
     DVMC_ASSERT(msg.hasData, "PutM without data");
-    memory_.write(blk, msg.data);
+    memory().write(blk, msg.data);
     e.owner = kInvalidNode;
     reply.type = MsgType::kPutAck;
     cPutM_.inc();
@@ -233,23 +225,7 @@ void DirectoryHome::handlePutM(const Message& msg, DirEntry& e) {
 }
 
 void DirectoryHome::sendDataFromMemory(Addr blk, NodeId dest, int ackCount) {
-  // The reply (memory image included) is built at the *read* point and
-  // parked in the pool for the memory latency; the scheduled event carries
-  // a 16-byte handle instead of a DataBlock capture.
-  Message m;
-  m.type = MsgType::kData;
-  m.src = node_;
-  m.dest = dest;
-  m.addr = blk;
-  m.ackCount = ackCount;
-  m.hasData = true;
-  m.data = memory_.read(blk, sink_, node_, sim_.now());
-  m.fromMemory = true;
-  sim_.schedule(timings_.memLatency,
-                [this, pm = pool_.acquire(std::move(m)), g = gen_]() mutable {
-                  if (g != gen_) return;
-                  send(std::move(*pm));
-                });
+  replyFromMemory(MsgType::kData, dest, blk, ackCount);
   cMemData_.inc();
 }
 

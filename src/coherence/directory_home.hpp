@@ -10,21 +10,15 @@
 // buffer in the meantime).
 #pragma once
 
-#include <cstdint>
 #include <deque>
 #include <set>
 
-#include "coherence/interfaces.hpp"
-#include "coherence/memory_storage.hpp"
-#include "common/error_sink.hpp"
+#include "coherence/home_controller.hpp"
 #include "common/flat_map.hpp"
-#include "obs/metrics.hpp"
-#include "net/torus.hpp"
-#include "sim/simulator.hpp"
 
 namespace dvmc {
 
-class DirectoryHome {
+class DirectoryHome final : public HomeController {
  public:
   DirectoryHome(Simulator& sim, TorusNetwork& net, NodeId node,
                 MemoryMap map, CoherenceTimings timings, ErrorSink* sink);
@@ -32,25 +26,10 @@ class DirectoryHome {
   /// Network entry point (router dispatches home-bound messages here).
   void onMessage(const Message& msg);
 
-  void setHomeObserver(HomeObserver* o) { homeObserver_ = o; }
-
-  MemoryStorage& memory() { return memory_; }
-  const MetricSet& stats() const { return stats_; }
-
   /// Directory introspection for tests.
   NodeId ownerOf(Addr blk) const;
   std::set<NodeId> sharersOf(Addr blk) const;
   bool isBusy(Addr blk) const;
-
-  /// Number of blocks with a directory entry (MET sizing, Section 6.3).
-  std::size_t directoryEntries() const { return dir_.size(); }
-
-  /// BER recovery: caches were invalidated and memory restored; memory owns
-  /// every block again and pending transactions are squashed.
-  void resetDirectory() {
-    dir_.clear();
-    ++gen_;  // squash scheduled home events from the rolled-back past
-  }
 
  private:
   struct DirEntry {
@@ -60,6 +39,7 @@ class DirectoryHome {
     std::deque<Message> pending;
   };
 
+  void forgetBlocks() override { dir_.clear(); }
   void process(const Message& msg, DirEntry& e);
   void handleGetS(const Message& msg, DirEntry& e);
   void handleGetM(const Message& msg, DirEntry& e);
@@ -68,19 +48,7 @@ class DirectoryHome {
   void sendDataFromMemory(Addr blk, NodeId dest, int ackCount);
   void send(Message m) { net_.send(std::move(m)); }
 
-  Simulator& sim_;
-  TorusNetwork& net_;
-  MessagePool pool_;  // parks memory-latency data replies in flight
-  NodeId node_;
-  MemoryMap map_;
-  CoherenceTimings timings_;
-  ErrorSink* sink_;
-  HomeObserver* homeObserver_ = nullptr;
-  MemoryStorage memory_;
   FlatMap<Addr, DirEntry> dir_;
-  std::uint32_t gen_ = 0;
-  // Metric registry (stats_ must precede the handles).
-  MetricSet stats_;
   Counter cServiced_ = stats_.counter("home.serviced");
   Counter cGetS_ = stats_.counter("home.getS");
   Counter cGetM_ = stats_.counter("home.getM");

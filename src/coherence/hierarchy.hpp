@@ -11,6 +11,7 @@
 #include <cstdint>
 
 #include "coherence/cache_array.hpp"
+#include "coherence/coherent_cache.hpp"
 #include "coherence/interfaces.hpp"
 #include "common/error_sink.hpp"
 #include "obs/metrics.hpp"

@@ -16,7 +16,6 @@
 
 #include "common/data_block.hpp"
 #include "common/types.hpp"
-#include "coherence/logical_clock.hpp"
 
 namespace dvmc {
 
@@ -147,39 +146,6 @@ struct CoherenceTimings {
   Cycle storeLatency = 3;  // store/atomic write-port path (hit in M)
   Cycle memLatency = 160;
   Cycle ctrlLatency = 2;
-};
-
-/// Retry interval for a fill that found every way in its set
-/// mid-transaction (the MSHR holds the response until a way frees).
-inline constexpr Cycle kFillRetryCycles = 8;
-
-/// Protocol-independent face of an L2 cache + coherence controller.
-class CoherentCache {
- public:
-  virtual ~CoherentCache() = default;
-
-  virtual void request(const CacheOp& op, CacheOpCallback cb) = 0;
-
-  virtual void setCpuNotifier(CpuNotifier* n) = 0;
-  virtual void setEpochObserver(EpochObserver* o) = 0;
-  virtual EpochObserver* epochObserver() const = 0;
-  virtual LogicalClock& clock() = 0;
-
-  /// Observes every performed store/atomic (address, size, value). The
-  /// system layer uses this to maintain the architectural memory shadow
-  /// that SafetyNet checkpoints.
-  using StorePerformHook =
-      std::function<void(Addr, std::size_t, std::uint64_t)>;
-  virtual void setStorePerformHook(StorePerformHook h) = 0;
-
-  /// Direct block lookup used by the L1 refill path and by tests; returns
-  /// nullptr when the block has no read permission at L2.
-  virtual const DataBlock* peekReadable(Addr blk) = 0;
-
-  /// True when the block is held with write permission (M): a store to it
-  /// drains without a coherence transaction. Drives the relaxed write
-  /// buffer's owned-blocks-first issue policy (Table 5).
-  virtual bool peekWritable(Addr blk) = 0;
 };
 
 }  // namespace dvmc

@@ -1,7 +1,6 @@
 #include "coherence/snoop_cache.hpp"
 
 #include "common/assert.hpp"
-#include "obs/trace.hpp"
 
 namespace dvmc {
 
@@ -11,135 +10,23 @@ SnoopCacheController::SnoopCacheController(Simulator& sim,
                                            MemoryMap map, CacheGeometry l2Geom,
                                            CoherenceTimings timings,
                                            ErrorSink* sink)
-    : sim_(sim),
-      addrNet_(addrNet),
-      dataNet_(dataNet),
-      node_(node),
-      map_(map),
-      timings_(timings),
-      sink_(sink),
-      array_(l2Geom, /*eccProtected=*/true) {}
+    : CoherentCache(sim, dataNet, node, map, l2Geom, timings, sink,
+                    orderClock_),
+      addrNet_(addrNet) {}
 
-const DataBlock* SnoopCacheController::peekReadable(Addr blk) {
-  CacheLine* line = array_.find(blk);
-  if (line != nullptr && mosiCanRead(line->state)) return &line->data;
-  return nullptr;
-}
-
-bool SnoopCacheController::peekWritable(Addr blk) {
-  CacheLine* line = array_.find(blk);
-  return line != nullptr && mosiCanWrite(line->state);
-}
-
-void SnoopCacheController::request(const CacheOp& op, CacheOpCallback cb) {
-  // Loads pay the full L2 array access; stores and atomics drain through
-  // the dedicated write port (writes to an already-owned line are cheap —
-  // they would hit an L1-class writeback structure in a real hierarchy).
-  const bool writePath = op.kind == CacheOp::Kind::kStore ||
-                         op.kind == CacheOp::Kind::kAtomicSwap ||
-                         op.kind == CacheOp::Kind::kAtomicCas;
-  const Cycle lat = writePath ? timings_.storeLatency : timings_.l2Latency;
-  sim_.schedule(lat, [this, op, cb = std::move(cb), g = gen_] {
-    if (g != gen_) return;  // squashed by BER recovery
-    processOp(op, cb);
-  });
-}
-
-void SnoopCacheController::processOp(const CacheOp& op, CacheOpCallback cb) {
-  const Addr blk = blockAddr(op.addr);
-
-  auto mit = mshrs_.find(blk);
-  if (mit != mshrs_.end()) {
-    mit->second.ops.push_back(PendingOp{op, std::move(cb)});
-    return;
-  }
-
-  CacheLine* line = array_.find(blk);
-  const bool needsWrite = op.kind == CacheOp::Kind::kStore ||
-                          op.kind == CacheOp::Kind::kAtomicSwap ||
-                          op.kind == CacheOp::Kind::kAtomicCas ||
-                          op.kind == CacheOp::Kind::kPrefetchM;
-
-  if (line != nullptr && mosiCanRead(line->state) &&
-      (!needsWrite || mosiCanWrite(line->state))) {
-    array_.touch(*line, sink_, node_, sim_.now());
-    cHit_.inc();
-    const std::size_t off = blockOffset(op.addr);
-    switch (op.kind) {
-      case CacheOp::Kind::kLoad:
-      case CacheOp::Kind::kReplayLoad:
-        completeOp(op, cb, line->data.read(off, op.size), op.countsAsPerform);
-        return;
-      case CacheOp::Kind::kStore:
-        line->data.write(off, op.size, op.value);
-        if (storeHook_) storeHook_(op.addr, op.size, op.value);
-        completeOp(op, cb, 0, true);
-        return;
-      case CacheOp::Kind::kAtomicSwap: {
-        const std::uint64_t old = line->data.read(off, op.size);
-        line->data.write(off, op.size, op.value);
-        if (storeHook_) storeHook_(op.addr, op.size, op.value);
-        completeOp(op, cb, old, true);
-        return;
-      }
-      case CacheOp::Kind::kAtomicCas: {
-        const std::uint64_t old = line->data.read(off, op.size);
-        if (old == op.compare) {
-          line->data.write(off, op.size, op.value);
-          if (storeHook_) storeHook_(op.addr, op.size, op.value);
-        }
-        completeOp(op, cb, old, true);
-        return;
-      }
-      case CacheOp::Kind::kPrefetchS:
-      case CacheOp::Kind::kPrefetchM:
-        completeOp(op, cb, 0, false);
-        return;
-    }
-  }
-
-  cMiss_.inc();
-  if (auto* t = sim_.tracer()) {
-    t->instant(sim_.now(), TraceKind::kCoherence,
-               needsWrite ? "l2.missM" : "l2.missS", node_, blk, 0);
-  }
-  startTransaction(blk, needsWrite, PendingOp{op, std::move(cb)});
-}
-
-void SnoopCacheController::completeOp(const CacheOp& op,
-                                      const CacheOpCallback& cb,
-                                      std::uint64_t value, bool performed) {
-  if (performed && epochs_ != nullptr) {
-    const bool isWrite = op.kind == CacheOp::Kind::kStore ||
-                         op.kind == CacheOp::Kind::kAtomicSwap ||
-                         op.kind == CacheOp::Kind::kAtomicCas;
-    epochs_->onPerformAccess(blockAddr(op.addr), isWrite);
-  }
-  CacheOpResult r;
-  r.tag = op.tag;
-  r.value = value;
-  r.performLogical = clock_.now();
-  r.completedAt = sim_.now();
-  if (cb) cb(r);
-}
-
-void SnoopCacheController::startTransaction(Addr blk, bool wantM,
-                                            PendingOp pending) {
-  Mshr& m = mshrs_[blk];
-  m.wantM = wantM;
-  m.ops.push_back(std::move(pending));
-
+void SnoopCacheController::issueRequest(Addr blk, Mshr& m) {
+  m.deferredSnoops.emplace();
   Message req;
-  req.type = wantM ? MsgType::kSnpGetM : MsgType::kSnpGetS;
+  req.type = m.wantM ? MsgType::kSnpGetM : MsgType::kSnpGetS;
   req.src = node_;
   req.addr = blk;
   addrNet_.broadcast(req);
-  (wantM ? cGetM_ : cGetS_).inc();
+  (m.wantM ? cGetM_ : cGetS_).inc();
 }
 
 void SnoopCacheController::onSnoop(const Message& msg) {
-  clock_.tick();
-  const std::uint64_t ltime = clock_.now();
+  orderClock_.tick();
+  const std::uint64_t ltime = orderClock_.now();
   const Addr blk = blockAddr(msg.addr);
 
   if (msg.src == node_) {
@@ -187,7 +74,7 @@ void SnoopCacheController::onSnoop(const Message& msg) {
   // and must wait for our data.
   auto it = mshrs_.find(blk);
   if (it != mshrs_.end() && it->second.ordered) {
-    it->second.deferredSnoops.push_back(msg);
+    it->second.deferredSnoops->push_back(msg);
     cDeferredSnoop_.inc();
     return;
   }
@@ -203,7 +90,7 @@ void SnoopCacheController::applySnoop(const Message& msg,
     case MsgType::kSnpGetS:
       if (line != nullptr && mosiIsOwner(line->state)) {
         array_.touch(*line, sink_, node_, sim_.now());
-        supplyData(msg.src, blk, line->data);
+        supplyData(MsgType::kSnpData, msg.src, blk, line->data);
         if (line->state == MosiState::kM) {
           if (epochs_ != nullptr) {
             epochs_->onEpochEnd(blk, line->data, ltime);
@@ -213,20 +100,20 @@ void SnoopCacheController::applySnoop(const Message& msg,
         }
       } else if (auto wb = wbBuffer_.find(blk);
                  wb != wbBuffer_.end() && wb->second.stillOwner) {
-        supplyData(msg.src, blk, wb->second.data);
+        supplyData(MsgType::kSnpData, msg.src, blk, wb->second.data);
       }
       return;
     case MsgType::kSnpGetM:
       if (line != nullptr && mosiCanRead(line->state)) {
         if (mosiIsOwner(line->state)) {
-          supplyData(msg.src, blk, line->data);
+          supplyData(MsgType::kSnpData, msg.src, blk, line->data);
         }
         if (epochs_ != nullptr) epochs_->onEpochEnd(blk, line->data, ltime);
         line->valid = false;
         line->state = MosiState::kI;
       } else if (auto wb = wbBuffer_.find(blk);
                  wb != wbBuffer_.end() && wb->second.stillOwner) {
-        supplyData(msg.src, blk, wb->second.data);
+        supplyData(MsgType::kSnpData, msg.src, blk, wb->second.data);
         wb->second.stillOwner = false;
       }
       // A remote writer is taking the block. Even with no line present
@@ -234,10 +121,8 @@ void SnoopCacheController::applySnoop(const Message& msg,
       // it, so the squash hint fires regardless of line presence.
       notifyCpuLost(blk, /*remoteWrite=*/true);
       return;
-    case MsgType::kSnpPutM:
-      return;  // memory handles writebacks
     default:
-      return;
+      return;  // memory handles writebacks
   }
 }
 
@@ -252,7 +137,7 @@ void SnoopCacheController::onMessage(const Message& msg) {
     cStrayData_.inc();
     return;
   }
-  it->second.dataReceived = true;
+  it->second.hasData = true;
   it->second.data = msg.data;
   maybeComplete(blk);
 }
@@ -260,119 +145,34 @@ void SnoopCacheController::onMessage(const Message& msg) {
 void SnoopCacheController::maybeComplete(Addr blk) {
   auto it = mshrs_.find(blk);
   DVMC_ASSERT(it != mshrs_.end(), "complete without MSHR");
-  Mshr& m = it->second;
+  const Mshr& m = it->second;
   if (!m.ordered) return;
-  if (!m.dataReceived && !m.selfSupply) return;
+  if (!m.hasData && !m.selfSupply) return;
+  // Snoops for this block keep deferring while the fill waits for a way.
+  completeFill(blk);
+}
 
-  // A fill needs a way. When every line in the set is itself
-  // mid-transaction (upgrade MSHR, writeback awaiting its data turn),
-  // hardware holds the response in the MSHR until a way frees; model that
-  // as a bounded-latency retry. Snoops for this block keep deferring
-  // meanwhile, and the blocked transactions never depend on this fill.
-  if (CacheLine* l = array_.find(blk); l == nullptr || !mosiCanRead(l->state)) {
-    if (array_.victim(blk, [this](const CacheLine& c) {
-          return mshrs_.count(c.tag) == 0 && wbBuffer_.count(c.tag) == 0;
-        }) == nullptr) {
-      cFillStall_.inc();
-      sim_.schedule(kFillRetryCycles, [this, blk, g = gen_] {
-        if (g != gen_) return;  // squashed by BER recovery
-        if (mshrs_.count(blk) != 0) maybeComplete(blk);
-      });
-      return;
-    }
-  }
+void SnoopCacheController::fillWithoutData(Addr) {
+  DVMC_FATAL("install without data payload");
+}
 
-  // Move the MSHR out before installing: eviction and op re-dispatch below
-  // may create new transactions for other blocks.
-  Mshr done = std::move(m);
-  mshrs_.erase(it);
-
-  CacheLine* line = array_.find(blk);
-  if (line != nullptr && mosiCanRead(line->state)) {
-    DVMC_ASSERT(done.wantM, "GetS completion with a valid line");
-    if (epochs_ != nullptr) {
-      epochs_->onEpochEnd(blk, line->data, done.orderTime);
-    }
-    if (done.dataReceived) line->data = done.data;
-    line->state = MosiState::kM;
-    array_.touch(*line, sink_, node_, sim_.now());
-    if (epochs_ != nullptr) {
-      epochs_->onEpochBegin(blk, true, line->data, done.orderTime);
-    }
-  } else {
-    DVMC_ASSERT(done.dataReceived, "install without data payload");
-    installWithEviction(blk, done.wantM ? MosiState::kM : MosiState::kS,
-                        done.data, done.orderTime);
-  }
-
+void SnoopCacheController::finishFill(Addr, Mshr& m) {
   // Perform the queued CPU operations inside our epoch, then honor the
   // snoops that were ordered after our request.
-  for (auto& p : done.ops) {
-    processOp(p.op, std::move(p.cb));
-  }
-  for (const Message& snoop : done.deferredSnoops) {
+  replayOps(m);
+  for (const Message& snoop : *m.deferredSnoops) {
     applySnoop(snoop, snoop.snoopOrder + 1);
   }
 }
 
-void SnoopCacheController::installWithEviction(Addr blk, MosiState st,
-                                               const DataBlock& d,
-                                               std::uint64_t ltime) {
-  CacheLine* victim = array_.victim(blk, [this](const CacheLine& l) {
-    return mshrs_.count(l.tag) == 0 && wbBuffer_.count(l.tag) == 0;
-  });
-  DVMC_ASSERT(victim != nullptr, "no evictable way in set");
-  if (victim->valid) evictLine(*victim);
-  array_.install(*victim, blk, st, d);
-  if (epochs_ != nullptr) {
-    epochs_->onEpochBegin(blk, st == MosiState::kM, d, ltime);
-  }
-}
-
-void SnoopCacheController::evictLine(CacheLine& line) {
-  const Addr blk = line.tag;
-  if (epochs_ != nullptr) epochs_->onEpochEnd(blk, line.data, clock_.now());
-  if (mosiIsOwner(line.state)) {
-    wbBuffer_[blk] = WbEntry{line.data, true};
-    Message putm;
-    putm.type = MsgType::kSnpPutM;
-    putm.src = node_;
-    putm.addr = blk;
-    addrNet_.broadcast(putm);
-    cEvictDirty_.inc();
-  } else {
-    cEvictClean_.inc();
-  }
-  line.valid = false;
-  line.state = MosiState::kI;
-  notifyCpuLost(blk, /*remoteWrite=*/false);  // local eviction
-}
-
-void SnoopCacheController::supplyData(NodeId dest, const Addr blk,
-                                      const DataBlock& d) {
-  Message m;
-  m.type = MsgType::kSnpData;
-  m.src = node_;
-  m.dest = dest;
-  m.addr = blk;
-  m.hasData = true;
-  m.data = d;
-  dataNet_.send(m);
-  cDataSupplied_.inc();
-}
-
-void SnoopCacheController::notifyCpuLost(Addr blk, bool remoteWrite) {
-  if (cpu_ != nullptr) cpu_->onReadPermissionLost(blk, remoteWrite);
-}
-
-void SnoopCacheController::invalidateAll() {
-  array_.forEachValid([](CacheLine& line) {
-    line.valid = false;
-    line.state = MosiState::kI;
-  });
-  mshrs_.clear();
-  wbBuffer_.clear();
-  ++gen_;  // squash scheduled controller events from the rolled-back past
+void SnoopCacheController::sendWriteback(Addr blk, const DataBlock&) {
+  // The data follows on the data network once the PutM reaches its order
+  // point (onSnoop).
+  Message putm;
+  putm.type = MsgType::kSnpPutM;
+  putm.src = node_;
+  putm.addr = blk;
+  addrNet_.broadcast(putm);
 }
 
 }  // namespace dvmc

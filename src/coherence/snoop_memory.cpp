@@ -10,13 +10,7 @@ SnoopMemoryController::SnoopMemoryController(Simulator& sim,
                                              NodeId node, MemoryMap map,
                                              CoherenceTimings timings,
                                              ErrorSink* sink)
-    : sim_(sim),
-      dataNet_(dataNet),
-      node_(node),
-      map_(map),
-      timings_(timings),
-      sink_(sink),
-      memory_(/*eccProtected=*/true) {}
+    : HomeController(sim, dataNet, node, map, timings, sink) {}
 
 NodeId SnoopMemoryController::cacheOwnerOf(Addr blk) const {
   auto it = state_.find(blk);
@@ -24,68 +18,32 @@ NodeId SnoopMemoryController::cacheOwnerOf(Addr blk) const {
 }
 
 void SnoopMemoryController::onSnoop(const Message& msg) {
-  // Logical time: one tick per coherence request processed, for every
-  // controller, so all controllers' counts agree at each order point.
-  clock_.tick();
-
   const Addr blk = blockAddr(msg.addr);
   if (map_.homeOf(blk) != node_) return;  // not our slice
 
   HomeState& h = state_[blk];
-  if (homeObserver_ != nullptr &&
-      (msg.type == MsgType::kSnpGetS || msg.type == MsgType::kSnpGetM)) {
-    homeObserver_->onHomeRequest(blk,
-                                 memory_.read(blk, sink_, node_, sim_.now()));
-  }
-
   switch (msg.type) {
-    case MsgType::kSnpGetS: {
-      const bool fromMemory =
-          h.ownerCache == kInvalidNode && !h.awaitingWb;
-      bool deferredGrant = false;
-      if (h.ownerCache == kInvalidNode) {
-        if (h.awaitingWb) {
-          // Grant notification deferred to writeback-data arrival so the
-          // shadow checker sees writeback-then-grant in logical order.
-          h.waiting.push_back(msg);
-          deferredGrant = true;
-          cHeldForWb_.inc();
-        } else {
-          supplyData(blk, msg.src);
-        }
-      }
-      // A cache owner (possibly mid-writeback) supplies otherwise.
-      if (!deferredGrant && homeObserver_ != nullptr) {
-        homeObserver_->onHomeGrant(
-            blk, msg.src, /*readWrite=*/false, fromMemory,
-            fromMemory
-                ? hashBlock(memory_.read(blk, sink_, node_, sim_.now()))
-                : static_cast<std::uint16_t>(0));
-      }
-      break;
-    }
+    case MsgType::kSnpGetS:
     case MsgType::kSnpGetM: {
-      const bool fromMemory =
-          h.ownerCache == kInvalidNode && !h.awaitingWb;
-      bool deferredGrant = false;
-      if (h.ownerCache == kInvalidNode) {
-        if (h.awaitingWb) {
-          h.waiting.push_back(msg);
-          deferredGrant = true;
-          cHeldForWb_.inc();
-        } else if (msg.src != kInvalidNode) {
-          supplyData(blk, msg.src);
-        }
+      if (homeObserver_ != nullptr) {
+        homeObserver_->onHomeRequest(blk, readMemory(blk));
       }
-      if (!deferredGrant && homeObserver_ != nullptr) {
-        homeObserver_->onHomeGrant(
-            blk, msg.src, /*readWrite=*/true, fromMemory,
-            fromMemory
-                ? hashBlock(memory_.read(blk, sink_, node_, sim_.now()))
-                : static_cast<std::uint16_t>(0));
+      // Memory answers while no cache owns the block; a cache owner
+      // (possibly mid-writeback) supplies otherwise.
+      const bool fromMemory = h.ownerCache == kInvalidNode;
+      if (!h.awaitingWb) {
+        grant(blk, msg, fromMemory);
+      } else if (fromMemory || homeObserver_ != nullptr) {
+        // A writeback is pending: memory's answer waits for its data, and
+        // every grant notification waits with it in snoop order, so the
+        // home observer sees the writeback before any grant ordered after
+        // it. A request a cache answers leaves a notify-only entry.
+        h.waiting.push_back(msg);
+        h.waiting.back().fromMemory = fromMemory;
+        if (fromMemory) cHeldForWb_.inc();
       }
-      // Ownership transfers to the requester at this order point.
-      h.ownerCache = msg.src;
+      // A GetM transfers ownership to the requester at this order point.
+      if (msg.type == MsgType::kSnpGetM) h.ownerCache = msg.src;
       break;
     }
     case MsgType::kSnpPutM:
@@ -107,6 +65,16 @@ void SnoopMemoryController::onSnoop(const Message& msg) {
   }
 }
 
+void SnoopMemoryController::grant(Addr blk, const Message& req,
+                                  bool fromMemory) {
+  if (fromMemory && req.src != kInvalidNode) supplyData(blk, req.src);
+  if (homeObserver_ != nullptr) {
+    homeObserver_->onHomeGrant(
+        blk, req.src, /*readWrite=*/req.type == MsgType::kSnpGetM, fromMemory,
+        fromMemory ? hashBlock(readMemory(blk)) : std::uint16_t{0});
+  }
+}
+
 void SnoopMemoryController::onMessage(const Message& msg) {
   if (msg.type != MsgType::kSnpWbData) {
     cUnexpectedData_.inc();
@@ -118,7 +86,7 @@ void SnoopMemoryController::onMessage(const Message& msg) {
     return;
   }
   DVMC_ASSERT(msg.hasData, "WbData without payload");
-  memory_.write(blk, msg.data);
+  memory().write(blk, msg.data);
   HomeState& h = state_[blk];
   if (homeObserver_ != nullptr) {
     homeObserver_->onHomeWriteback(blk, h.wbFrom, hashBlock(msg.data),
@@ -127,15 +95,7 @@ void SnoopMemoryController::onMessage(const Message& msg) {
   h.awaitingWb = false;
   std::deque<Message> waiting;
   waiting.swap(h.waiting);
-  for (const Message& w : waiting) {
-    supplyData(blk, w.src);
-    if (homeObserver_ != nullptr) {
-      homeObserver_->onHomeGrant(
-          blk, w.src, /*readWrite=*/w.type == MsgType::kSnpGetM,
-          /*fromMemory=*/true,
-          hashBlock(memory_.read(blk, sink_, node_, sim_.now())));
-    }
-  }
+  for (const Message& w : waiting) grant(blk, w, w.fromMemory);
   // Note: snooping homes do NOT raise onBlockUncached — they cannot see
   // read-only sharers, and evicting the MET entry while RO epochs are
   // still open poisons the re-seeded entry's last-RW time (a false
@@ -145,21 +105,7 @@ void SnoopMemoryController::onMessage(const Message& msg) {
 }
 
 void SnoopMemoryController::supplyData(Addr blk, NodeId dest) {
-  // Built at the read point, parked in the pool for the memory latency:
-  // the scheduled event carries a 16-byte handle, not a DataBlock capture.
-  Message m;
-  m.type = MsgType::kSnpData;
-  m.src = node_;
-  m.dest = dest;
-  m.addr = blk;
-  m.hasData = true;
-  m.data = memory_.read(blk, sink_, node_, sim_.now());
-  m.fromMemory = true;
-  sim_.schedule(timings_.memLatency,
-                [this, pm = pool_.acquire(std::move(m)), g = gen_]() mutable {
-                  if (g != gen_) return;  // squashed by BER recovery
-                  dataNet_.send(std::move(*pm));
-                });
+  replyFromMemory(MsgType::kSnpData, dest, blk);
   cDataSupplied_.inc();
 }
 

@@ -5,26 +5,16 @@
 // (updated purely from the snoop order, so all controllers agree), supplies
 // data when memory owns the block, and holds requests that are ordered
 // between a PutM and the arrival of its writeback data.
-//
-// The controller's CountingClock (requests processed so far) is the
-// snooping logical time base used to seed MET entries.
 #pragma once
 
-#include <cstdint>
 #include <deque>
 
-#include "coherence/interfaces.hpp"
-#include "coherence/logical_clock.hpp"
-#include "coherence/memory_storage.hpp"
-#include "common/error_sink.hpp"
+#include "coherence/home_controller.hpp"
 #include "common/flat_map.hpp"
-#include "obs/metrics.hpp"
-#include "net/torus.hpp"
-#include "sim/simulator.hpp"
 
 namespace dvmc {
 
-class SnoopMemoryController {
+class SnoopMemoryController final : public HomeController {
  public:
   SnoopMemoryController(Simulator& sim, TorusNetwork& dataNet, NodeId node,
                         MemoryMap map, CoherenceTimings timings,
@@ -36,44 +26,25 @@ class SnoopMemoryController {
   /// Data-network entry: writeback data (kSnpWbData).
   void onMessage(const Message& msg);
 
-  void setHomeObserver(HomeObserver* o) { homeObserver_ = o; }
-
-  MemoryStorage& memory() { return memory_; }
-  CountingClock& clock() { return clock_; }
-  const MetricSet& stats() const { return stats_; }
-
   NodeId cacheOwnerOf(Addr blk) const;
-
-  /// BER recovery: memory owns every block again.
-  void resetState() {
-    state_.clear();
-    ++gen_;
-  }
 
  private:
   struct HomeState {
     NodeId ownerCache = kInvalidNode;  // kInvalidNode => memory owns
     bool awaitingWb = false;
     NodeId wbFrom = kInvalidNode;  // evictor whose WbData is in flight
-    std::deque<Message> waiting;  // requests memory must answer after WbData
+    // Requests ordered while the writeback is pending, granted once its
+    // data lands; `fromMemory` marks the ones memory answers.
+    std::deque<Message> waiting;
   };
 
+  void forgetBlocks() override { state_.clear(); }
+  /// Answers `req` from memory when `fromMemory` and tells the home
+  /// observer about the grant.
+  void grant(Addr blk, const Message& req, bool fromMemory);
   void supplyData(Addr blk, NodeId dest);
 
-  Simulator& sim_;
-  TorusNetwork& dataNet_;
-  MessagePool pool_;  // parks memory-latency data replies in flight
-  NodeId node_;
-  MemoryMap map_;
-  CoherenceTimings timings_;
-  ErrorSink* sink_;
-  HomeObserver* homeObserver_ = nullptr;
-  MemoryStorage memory_;
-  CountingClock clock_;
   FlatMap<Addr, HomeState> state_;
-  std::uint32_t gen_ = 0;
-  // Metric registry (stats_ must precede the handles).
-  MetricSet stats_;
   Counter cDataSupplied_ = stats_.counter("mem.dataSupplied");
   Counter cPutM_ = stats_.counter("mem.putM");
   Counter cStalePutM_ = stats_.counter("mem.stalePutM");

@@ -182,11 +182,6 @@ CliParser& CliParser::passthroughPrefix(const std::string& prefix) {
   return *this;
 }
 
-CliParser& CliParser::lenient() {
-  lenient_ = true;
-  return *this;
-}
-
 CliParser& CliParser::noPositionals() {
   noPositionals_ = true;
   return *this;
@@ -262,7 +257,7 @@ int CliParser::parse(int argc, char** argv) {
     }
     if (matched == nullptr) {
       if (arg.size() > 1 && arg[0] == '-' && arg != "-") {
-        bool pass = lenient_;
+        bool pass = false;
         for (const std::string& p : passthrough_) {
           if (arg.compare(0, p.size(), p) == 0) {
             pass = true;

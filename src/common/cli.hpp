@@ -18,9 +18,8 @@
 //   * a passthrough prefix escape hatch for google-benchmark's
 //     --benchmark_* flags.
 //
-// parse() strips recognized flags from argv and returns the new argc
-// (the parseJobsFlag convention), so existing positional handling in the
-// tools keeps working unchanged.
+// parse() strips recognized flags from argv and returns the new argc, so
+// positional handling in the tools works on what remains.
 #pragma once
 
 #include <cstdint>
@@ -70,11 +69,6 @@ class CliParser {
   /// an error (google-benchmark's --benchmark_* passthrough).
   CliParser& passthroughPrefix(const std::string& prefix);
 
-  /// Every unknown flag stays in argv instead of being an error. Backing
-  /// for the legacy strip-what-you-know parsers (parseObsFlags,
-  /// parseJobsFlag) that run before a later parsing stage.
-  CliParser& lenient();
-
   /// Any argument that still starts with '-' after parsing is an error.
   /// Default: leave non-option operands in argv for the caller.
   CliParser& noPositionals();
@@ -123,7 +117,6 @@ class CliParser {
   std::string usage_;
   std::vector<Opt> opts_;
   std::vector<std::string> passthrough_;
-  bool lenient_ = false;
   bool noPositionals_ = false;
   bool exitOnError_ = true;
   bool helpRequested_ = false;

@@ -29,6 +29,7 @@ CacheEpochChecker::CacheEpochChecker(Simulator& sim, NodeId node,
 void CacheEpochChecker::onEpochBegin(Addr blk, bool readWrite,
                                      const DataBlock& data,
                                      std::uint64_t ltime) {
+  if (stopped_) return;
   lastLtime_ = std::max(lastLtime_, ltime);
   auto [it, inserted] = cet_.try_emplace(blk);
   if (!inserted) {
@@ -69,7 +70,7 @@ void CacheEpochChecker::onEpochBegin(Addr blk, bool readWrite,
   if (scrubFifo_.size() > cfg_.scrubFifoCapacity) {
     cScrubOverflow_.inc();
   }
-  if (fifoWasEmpty && !stopped_) {
+  if (fifoWasEmpty) {
     sim_.schedule(cfg_.scrubCheckPeriod, [this] { scrubSweep(); });
   }
 }
@@ -116,6 +117,7 @@ void CacheEpochChecker::announceOpen(Addr blk, CetEntry& e) {
 
 void CacheEpochChecker::onEpochEnd(Addr blk, const DataBlock& data,
                                    std::uint64_t ltime) {
+  if (stopped_) return;
   lastLtime_ = std::max(lastLtime_, ltime);
   auto it = cet_.find(blk);
   if (it == cet_.end()) {
@@ -162,6 +164,7 @@ void CacheEpochChecker::onEpochEnd(Addr blk, const DataBlock& data,
 }
 
 void CacheEpochChecker::onPerformAccess(Addr blk, bool isWrite) {
+  if (stopped_) return;
   auto it = cet_.find(blk);
   if (it == cet_.end()) {
     if (sink_ != nullptr) {
@@ -219,6 +222,7 @@ void CacheEpochChecker::flush(std::uint64_t ltime) {
   }
   scrubFifo_.clear();
   gOpenEpochs_.set(0);
+  stopped_ = true;
 }
 
 bool CacheEpochChecker::injectEntryCorruption(std::uint64_t rand) {

@@ -47,8 +47,9 @@ class CacheEpochChecker final : public EpochObserver {
                   std::uint64_t ltime) override;
   void onPerformAccess(Addr blk, bool isWrite) override;
 
-  /// Closes every open epoch (drain at end of measurement / before BER
-  /// recovery resets the checker).
+  /// Closes every open epoch (drain at end of measurement) and stops the
+  /// checker: the drain is terminal, so later epoch and perform events are
+  /// ignored until reset().
   void flush(std::uint64_t ltime);
 
   /// Clears all state without sending informs (BER recovery).
@@ -99,7 +100,7 @@ class CacheEpochChecker final : public EpochObserver {
   RingQueue<ScrubRecord> scrubFifo_;
   std::uint64_t nextEpochId_ = 1;
   std::uint64_t lastLtime_ = 0;  // latest logical time observed
-  bool stopped_ = false;
+  bool stopped_ = false;  // set by flush()
 
   // Metric registry: registered once here, plain slot increments on the
   // hot path (stats_ must precede the handles — initialization order).

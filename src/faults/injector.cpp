@@ -79,13 +79,7 @@ bool FaultInjector::injectNow(FaultType t) {
   switch (t) {
     case FaultType::kCacheDataMultiBit: {
       // Two flips in the same line defeat the single-error-correcting code.
-      CacheArray& array = sys_.config().protocol == Protocol::kDirectory
-                              ? static_cast<DirectoryCacheController&>(
-                                    sys_.l2(node))
-                                    .array()
-                              : static_cast<SnoopCacheController&>(
-                                    sys_.l2(node))
-                                    .array();
+      CacheArray& array = sys_.l2(node).array();
       const std::uint64_t r = rng_.next();
       auto first = array.injectBitFlip(r, &sys_.sink(), node,
                                        sys_.sim().now());
@@ -99,13 +93,7 @@ bool FaultInjector::injectNow(FaultType t) {
       return true;
     }
     case FaultType::kCacheStateFlip: {
-      CacheArray& array = sys_.config().protocol == Protocol::kDirectory
-                              ? static_cast<DirectoryCacheController&>(
-                                    sys_.l2(node))
-                                    .array()
-                              : static_cast<SnoopCacheController&>(
-                                    sys_.l2(node))
-                                    .array();
+      CacheArray& array = sys_.l2(node).array();
       // Only the permission-granting direction constitutes a detectable
       // coherence violation; retry until a non-M line gets promoted.
       for (int attempt = 0; attempt < 8; ++attempt) {
@@ -118,9 +106,7 @@ bool FaultInjector::injectNow(FaultType t) {
       // Modeled as a DRAM chip/row failure: every materialized block at
       // this home takes an uncorrectable double flip, so the next memory
       // read (any refill that reaches DRAM) trips the ECC detector.
-      MemoryStorage& mem = sys_.config().protocol == Protocol::kDirectory
-                               ? sys_.home(node)->memory()
-                               : sys_.snoopMem(node)->memory();
+      MemoryStorage& mem = sys_.homeController(node).memory();
       if (mem.materializedBlocks() == 0) return false;
       std::vector<Addr> targets;
       targets.reserve(mem.materializedBlocks());

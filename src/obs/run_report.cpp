@@ -116,13 +116,6 @@ void addObsFlags(CliParser& cli) {
            "atomically rewrite a live dvmc-status snapshot during the run");
 }
 
-int parseObsFlags(int argc, char** argv) {
-  CliParser cli("obs", "observability flags");
-  cli.lenient();
-  addObsFlags(cli);
-  return cli.parse(argc, argv);
-}
-
 EventTracer* activeTracer() {
   Collector& c = collector();
   if (options().traceFile.empty()) return nullptr;

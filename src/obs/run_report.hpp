@@ -95,16 +95,9 @@ ObsOptions& options();
 /// table stay identical across the fleet.
 void addObsFlags(CliParser& cli);
 
-/// Legacy strip-what-you-know entry point: parses ONLY the observability
-/// flags leniently (unknown arguments pass through for a later stage),
-/// validates them (exit(2) on a zero/non-numeric count or an unwritable
-/// path), and stores them in options(). Returns the new argc. New code
-/// should build a strict CliParser and call addObsFlags instead.
-int parseObsFlags(int argc, char** argv);
-
 /// Strict positive-count parser for flag values: accepts decimal digits
 /// only, rejects empty, non-numeric, zero, and overflowing input.
-/// (Exposed for tests; parseObsFlags uses it for every numeric flag.)
+/// CliParser::count applies the same contract to every count flag.
 bool parsePositiveCount(std::string_view s, std::uint64_t* out);
 
 /// Returns an empty string when `path` can be opened for writing (the

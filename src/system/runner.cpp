@@ -268,13 +268,6 @@ void addRunnerFlags(CliParser& cli) {
       .alias("-j");
 }
 
-int parseJobsFlag(int argc, char** argv) {
-  CliParser cli("runner", "runner flags");
-  cli.lenient();
-  addRunnerFlags(cli);
-  return cli.parse(argc, argv);
-}
-
 MultiRunResult runSeeds(SystemConfig cfg, int seedCount,
                         std::uint64_t seedBase) {
   // Fan the independent per-seed simulations out across workers; results

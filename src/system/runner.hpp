@@ -79,11 +79,6 @@ int resolveJobs(const SystemConfig& cfg);
 /// bench::addBenchFlags so every binary shares one flag surface.
 void addRunnerFlags(CliParser& cli);
 
-/// Legacy lenient form: strips a `--jobs N` (or `-j N` / `--jobs=N`) flag
-/// from argv, if present, and feeds it to setDefaultJobs. Returns the new
-/// argc. New code should build a strict CliParser and call addRunnerFlags.
-int parseJobsFlag(int argc, char** argv);
-
 // --- run-report serialization (the --report-json machinery) ---
 // runOnce/runSeeds feed these into the obs collector automatically while a
 // report file is armed; they are public so tools can build custom reports.

@@ -83,13 +83,8 @@ void printStatsReport(System& sys, std::ostream& os,
   Aggregate l2;
   Aggregate homes;
   for (NodeId n = 0; n < sys.numNodes(); ++n) {
-    if (cfg.protocol == Protocol::kDirectory) {
-      l2.add(static_cast<DirectoryCacheController&>(sys.l2(n)).stats());
-      homes.add(sys.home(n)->stats());
-    } else {
-      l2.add(static_cast<SnoopCacheController&>(sys.l2(n)).stats());
-      homes.add(sys.snoopMem(n)->stats());
-    }
+    l2.add(sys.l2(n).stats());
+    homes.add(sys.homeController(n).stats());
   }
   l2.print(os, "l2/", opts.includeZero);
   homes.print(os, "home/", opts.includeZero);

@@ -1,5 +1,7 @@
 #include "system/system.hpp"
 
+#include "coherence/directory_cache.hpp"
+#include "coherence/snoop_cache.hpp"
 #include "common/assert.hpp"
 #include "obs/trace.hpp"
 
@@ -190,23 +192,33 @@ std::unique_ptr<ThreadProgram> System::makeProgram(NodeId n) const {
 
 void System::buildNode(NodeId n) {
   Node& node = nodes_[n];
-  const Cycle skew = n % 4;  // below the minimum cross-node latency
-
+  // The protocol's controllers; their message routers are the only code
+  // outside the coherence layer that sees the protocol-specific types.
+  DirectoryCacheController* dirCache = nullptr;
+  DirectoryHome* dirHome = nullptr;
+  SnoopCacheController* snpCache = nullptr;
+  SnoopMemoryController* snpMem = nullptr;
   if (cfg_.protocol == Protocol::kDirectory) {
-    node.home = std::make_unique<DirectoryHome>(sim_, *torus_, n, map_,
+    const Cycle skew = n % 4;  // below the minimum cross-node latency
+    auto home = std::make_unique<DirectoryHome>(sim_, *torus_, n, map_,
                                                 cfg_.timings, &sink_);
     auto ctrl = std::make_unique<DirectoryCacheController>(
         sim_, *torus_, n, map_, cfg_.l2, cfg_.timings, &sink_,
         std::make_unique<PhysicalLogicalClock>(sim_, cfg_.dirClockDivisor,
                                                skew));
-    node.dirCache = ctrl.get();
+    dirHome = home.get();
+    dirCache = ctrl.get();
+    node.home = std::move(home);
     node.l2 = std::move(ctrl);
   } else {
-    node.snoopMem = std::make_unique<SnoopMemoryController>(
-        sim_, *torus_, n, map_, cfg_.timings, &sink_);
+    auto home = std::make_unique<SnoopMemoryController>(sim_, *torus_, n,
+                                                        map_, cfg_.timings,
+                                                        &sink_);
     auto ctrl = std::make_unique<SnoopCacheController>(
         sim_, *tree_, *torus_, n, map_, cfg_.l2, cfg_.timings, &sink_);
-    node.snpCache = ctrl.get();
+    snpMem = home.get();
+    snpCache = ctrl.get();
+    node.home = std::move(home);
     node.l2 = std::move(ctrl);
   }
 
@@ -222,28 +234,18 @@ void System::buildNode(NodeId n) {
           torus_->send(std::move(m));
         });
     node.l2->setEpochObserver(node.cet.get());
-
-    if (cfg_.protocol == Protocol::kDirectory) {
-      node.metClock = std::make_unique<PhysicalLogicalClock>(
-          sim_, cfg_.dirClockDivisor, skew);
-      node.met = std::make_unique<MemoryEpochChecker>(sim_, n, cfg_.dvmc,
-                                                      &sink_, *node.metClock);
-      node.home->setHomeObserver(node.met.get());
-    } else {
-      node.met = std::make_unique<MemoryEpochChecker>(
-          sim_, n, cfg_.dvmc, &sink_, node.snoopMem->clock());
-      node.snoopMem->setHomeObserver(node.met.get());
-    }
+    // The home shares its node's logical time base: the directory's
+    // loosely synchronized clock, or the snooping request count (every
+    // controller counts the same totally ordered broadcast stream).
+    node.met = std::make_unique<MemoryEpochChecker>(sim_, n, cfg_.dvmc,
+                                                    &sink_, node.l2->clock());
+    node.home->setHomeObserver(node.met.get());
   } else if (cfg_.dvmc.cacheCoherence) {
     // Cantin-style shadow-replay coherence checker: no inform traffic.
     node.shadowCache = std::make_unique<ShadowCacheChecker>(sim_, n, &sink_);
     node.l2->setEpochObserver(node.shadowCache.get());
     node.shadowHome = std::make_unique<ShadowHomeChecker>(sim_, n, &sink_);
-    if (cfg_.protocol == Protocol::kDirectory) {
-      node.home->setHomeObserver(node.shadowHome.get());
-    } else {
-      node.snoopMem->setHomeObserver(node.shadowHome.get());
-    }
+    node.home->setHomeObserver(node.shadowHome.get());
   }
 
   if (cfg_.dvmc.uniprocOrdering) {
@@ -283,18 +285,15 @@ void System::buildNode(NodeId n) {
                                      node.vc.get(), node.ar.get(), cfg_.dvmc);
   node.hierarchy->setCpuNotifier(node.core.get());
 
-  if (cfg_.protocol == Protocol::kDirectory) {
+  if (dirCache != nullptr) {
     node.dataRouter = std::make_unique<DirNodeRouter>(
-        node.home.get(), node.dirCache, node.met.get(),
-        &cCkptMsgsReceived_);
+        dirHome, dirCache, node.met.get(), &cCkptMsgsReceived_);
     torus_->attach(n, node.dataRouter.get());
   } else {
     node.dataRouter = std::make_unique<SnoopDataRouter>(
-        node.snpCache, node.snoopMem.get(), node.met.get(),
-        &cCkptMsgsReceived_);
+        snpCache, snpMem, node.met.get(), &cCkptMsgsReceived_);
     torus_->attach(n, node.dataRouter.get());
-    node.addrRouter = std::make_unique<SnoopAddrRouter>(node.snpCache,
-                                                        node.snoopMem.get());
+    node.addrRouter = std::make_unique<SnoopAddrRouter>(snpCache, snpMem);
     tree_->attach(n, node.addrRouter.get());
   }
 }
@@ -421,10 +420,8 @@ void System::buildSamplePlan() {
       for (const Node& n : nodes_) {
         add(n.core->stats());
         add(n.hierarchy->stats());
-        if (n.dirCache) add(n.dirCache->stats());
-        if (n.snpCache) add(n.snpCache->stats());
-        if (n.home) add(n.home->stats());
-        if (n.snoopMem) add(n.snoopMem->stats());
+        add(n.l2->stats());
+        add(n.home->stats());
         if (n.cet) add(n.cet->stats());
         if (n.met) add(n.met->stats());
         if (n.shadowCache) add(n.shadowCache->stats());
@@ -562,11 +559,7 @@ Json System::buildForensicsBundle(const Detection& d) {
     nd.hierarchy->l1().dumpForensics(l1, d.addr);
     entry.set("l1", std::move(l1));
     Json l2 = Json::object();
-    if (nd.dirCache != nullptr) {
-      nd.dirCache->array().dumpForensics(l2, d.addr);
-    } else if (nd.snpCache != nullptr) {
-      nd.snpCache->array().dumpForensics(l2, d.addr);
-    }
+    nd.l2->array().dumpForensics(l2, d.addr);
     entry.set("l2", std::move(l2));
     caches.push(std::move(entry));
   }
@@ -590,10 +583,8 @@ MetricSnapshot System::metricsSnapshot(bool perNode) const {
   auto collect = [&snap](const Node& n, const std::string& prefix) {
     n.core->stats().snapshotInto(snap, prefix);
     n.hierarchy->stats().snapshotInto(snap, prefix);
-    if (n.dirCache) n.dirCache->stats().snapshotInto(snap, prefix);
-    if (n.snpCache) n.snpCache->stats().snapshotInto(snap, prefix);
-    if (n.home) n.home->stats().snapshotInto(snap, prefix);
-    if (n.snoopMem) n.snoopMem->stats().snapshotInto(snap, prefix);
+    n.l2->stats().snapshotInto(snap, prefix);
+    n.home->stats().snapshotInto(snap, prefix);
     if (n.cet) n.cet->stats().snapshotInto(snap, prefix);
     if (n.met) n.met->stats().snapshotInto(snap, prefix);
     if (n.shadowCache) n.shadowCache->stats().snapshotInto(snap, prefix);
@@ -667,16 +658,9 @@ void System::restoreSnapshot(
   }
   for (NodeId n = 0; n < cfg_.numNodes; ++n) {
     Node& node = nodes_[n];
-    if (node.home) {
-      node.home->memory().restore(perHome[n]);
-      node.home->resetDirectory();
-    }
-    if (node.snoopMem) {
-      node.snoopMem->memory().restore(perHome[n]);
-      node.snoopMem->resetState();
-    }
-    if (node.dirCache) node.dirCache->invalidateAll();
-    if (node.snpCache) node.snpCache->invalidateAll();
+    node.home->memory().restore(perHome[n]);
+    node.home->reset();
+    node.l2->invalidateAll();
     node.hierarchy->invalidateL1();
     if (node.cet) node.cet->reset();
     if (node.met) node.met->reset();

@@ -9,10 +9,10 @@
 #include <vector>
 
 #include "ber/safety_net.hpp"
-#include "coherence/directory_cache.hpp"
+#include "coherence/coherent_cache.hpp"
 #include "coherence/directory_home.hpp"
 #include "coherence/hierarchy.hpp"
-#include "coherence/snoop_cache.hpp"
+#include "coherence/home_controller.hpp"
 #include "coherence/snoop_memory.hpp"
 #include "common/error_sink.hpp"
 #include "common/flat_map.hpp"
@@ -55,9 +55,10 @@ class System {
   /// End-of-run checker sweep: flushes every open epoch out of the CETs,
   /// lets the informs propagate, then drains the MET queues so epochs
   /// still open when the program ended get their data-propagation checks.
-  /// Terminal: the CET bookkeeping is gone afterwards, so the system must
-  /// not keep running — call only once, right before the final
-  /// collectResult().
+  /// Terminal: the flushed CETs stop checking, because cores that the
+  /// transaction target stopped keep running while the informs propagate
+  /// and their epoch events would hit emptied tables. Call only once,
+  /// right before the final collectResult().
   void drainCheckers();
 
   // --- measurement control ---
@@ -74,8 +75,14 @@ class System {
   Core& core(NodeId n) { return *nodes_[n].core; }
   CacheHierarchy& hierarchy(NodeId n) { return *nodes_[n].hierarchy; }
   CoherentCache& l2(NodeId n) { return *nodes_[n].l2; }
-  DirectoryHome* home(NodeId n) { return nodes_[n].home.get(); }
-  SnoopMemoryController* snoopMem(NodeId n) { return nodes_[n].snoopMem.get(); }
+  HomeController& homeController(NodeId n) { return *nodes_[n].home; }
+  /// The home as its protocol's type; nullptr under the other protocol.
+  DirectoryHome* home(NodeId n) {
+    return dynamic_cast<DirectoryHome*>(nodes_[n].home.get());
+  }
+  SnoopMemoryController* snoopMem(NodeId n) {
+    return dynamic_cast<SnoopMemoryController*>(nodes_[n].home.get());
+  }
   MemoryEpochChecker* met(NodeId n) { return nodes_[n].met.get(); }
   CacheEpochChecker* cet(NodeId n) { return nodes_[n].cet.get(); }
   ShadowCacheChecker* shadowCache(NodeId n) {
@@ -120,20 +127,13 @@ class System {
 
  private:
   struct Node {
-    // Directory flavor.
-    std::unique_ptr<DirectoryHome> home;
-    DirectoryCacheController* dirCache = nullptr;
-    // Snooping flavor.
-    std::unique_ptr<SnoopMemoryController> snoopMem;
-    SnoopCacheController* snpCache = nullptr;
-
+    std::unique_ptr<HomeController> home;
     std::unique_ptr<CoherentCache> l2;
     std::unique_ptr<CacheHierarchy> hierarchy;
     std::unique_ptr<CacheEpochChecker> cet;
     std::unique_ptr<MemoryEpochChecker> met;
     std::unique_ptr<ShadowCacheChecker> shadowCache;
     std::unique_ptr<ShadowHomeChecker> shadowHome;
-    std::unique_ptr<PhysicalLogicalClock> metClock;  // directory time base
     std::unique_ptr<VerificationCache> vc;
     std::unique_ptr<ReorderChecker> ar;
     std::unique_ptr<Core> core;

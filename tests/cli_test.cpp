@@ -2,7 +2,7 @@
 // tool, and example binary. These tests pin the parse contract the fleet
 // relies on — =/space value forms, short aliases, strip-and-compact argv,
 // eager validation with exit(2) semantics (exercised via exitOnError
-// test mode), lenient/passthrough escapes, and the generated help and
+// test mode), the passthrough escape, and the generated help and
 // markdown tables that docs/observability.md embeds.
 #include <gtest/gtest.h>
 
@@ -62,20 +62,6 @@ TEST(CliParser, UnknownFlagIsAnErrorUnderStrictMode) {
   std::vector<char*> argv = makeArgv(args);
   EXPECT_EQ(cli.parse(static_cast<int>(args.size()), argv.data()), -1);
   EXPECT_NE(cli.error().find("--nope"), std::string::npos);
-}
-
-TEST(CliParser, LenientModePassesUnknownFlagsThrough) {
-  CliParser cli("t", "test");
-  cli.lenient();
-  std::uint64_t n = 0;
-  cli.count("--known", &n, "N", "known");
-  std::vector<std::string> args = {"t", "--mystery=1", "--known", "3", "pos"};
-  std::vector<char*> argv = makeArgv(args);
-  const int argc = cli.parse(static_cast<int>(args.size()), argv.data());
-  ASSERT_EQ(argc, 3);
-  EXPECT_STREQ(argv[1], "--mystery=1");
-  EXPECT_STREQ(argv[2], "pos");
-  EXPECT_EQ(n, 3u);
 }
 
 TEST(CliParser, PassthroughPrefixKeepsMatchingFlagsInArgv) {

@@ -7,7 +7,6 @@
 #include <memory>
 #include <vector>
 
-#include "coherence/directory_cache.hpp"
 #include "system/system.hpp"
 #include "workload/scripted.hpp"
 
@@ -39,15 +38,11 @@ std::unique_ptr<System> makeSystem(
   return std::make_unique<System>(cfg);
 }
 
-DirectoryCacheController& cacheOf(System& sys, NodeId n) {
-  return static_cast<DirectoryCacheController&>(sys.l2(n));
-}
-
 TEST(DirectoryProtocol, LoadBringsBlockShared) {
   auto sys = makeSystem(baseConfig(), {{0, {Instr::load(kBlk, 1)}}});
   RunResult r = sys->run();
   ASSERT_TRUE(r.completed);
-  CacheLine* line = cacheOf(*sys, 0).array().find(kBlk);
+  CacheLine* line = sys->l2(0).array().find(kBlk);
   ASSERT_NE(line, nullptr);
   EXPECT_EQ(line->state, MosiState::kS);
   // Home directory: node 0 is a sharer, no owner.
@@ -71,7 +66,7 @@ TEST(DirectoryProtocol, StoreAcquiresM) {
   auto sys = makeSystem(baseConfig(), {{0, {Instr::store(kBlk, 77)}}});
   RunResult r = sys->run();
   ASSERT_TRUE(r.completed);
-  CacheLine* line = cacheOf(*sys, 0).array().find(kBlk);
+  CacheLine* line = sys->l2(0).array().find(kBlk);
   ASSERT_NE(line, nullptr);
   EXPECT_EQ(line->state, MosiState::kM);
   EXPECT_EQ(line->data.read(0, 8), 77u);
@@ -120,11 +115,11 @@ TEST(DirectoryProtocol, ProducerConsumerTransfersData) {
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.detections, 0u);
   // Writer was downgraded M -> O by the reader's GetS.
-  CacheLine* w = cacheOf(sys, 0).array().find(kBlk);
+  CacheLine* w = sys.l2(0).array().find(kBlk);
   if (w != nullptr && w->valid) {
     EXPECT_EQ(w->state, MosiState::kO);
   }
-  CacheLine* rd = cacheOf(sys, 1).array().find(kBlk);
+  CacheLine* rd = sys.l2(1).array().find(kBlk);
   ASSERT_NE(rd, nullptr);
   EXPECT_EQ(rd->state, MosiState::kS);
   EXPECT_EQ(rd->data.read(0, 8), 4242u);
@@ -144,10 +139,10 @@ TEST(DirectoryProtocol, WriterInvalidatesSharers) {
   ASSERT_TRUE(r.completed);
   EXPECT_EQ(r.detections, 0u);
   for (NodeId n = 1; n <= 3; ++n) {
-    CacheLine* line = cacheOf(*sys, n).array().find(kBlk);
+    CacheLine* line = sys->l2(n).array().find(kBlk);
     EXPECT_TRUE(line == nullptr || !line->valid) << "node " << n;
   }
-  EXPECT_EQ(cacheOf(*sys, 0).array().find(kBlk)->state, MosiState::kM);
+  EXPECT_EQ(sys->l2(0).array().find(kBlk)->state, MosiState::kM);
   EXPECT_EQ(sys->home(MemoryMap{4}.homeOf(kBlk))->ownerOf(kBlk), 0u);
 }
 
@@ -157,7 +152,7 @@ TEST(DirectoryProtocol, UpgradeFromSharedToModified) {
   RunResult r = sys->run();
   ASSERT_TRUE(r.completed);
   EXPECT_EQ(r.detections, 0u);
-  CacheLine* line = cacheOf(*sys, 0).array().find(kBlk);
+  CacheLine* line = sys->l2(0).array().find(kBlk);
   ASSERT_NE(line, nullptr);
   EXPECT_EQ(line->state, MosiState::kM);
   EXPECT_EQ(line->data.read(0, 8), 9u);
@@ -171,7 +166,7 @@ TEST(DirectoryProtocol, AtomicSwapReturnsOldValue) {
   EXPECT_EQ(prog.results()[0].first, 7u);
   EXPECT_EQ(prog.results()[0].second,
             MemoryStorage::initialPattern(kBlk).read(0, 8));
-  EXPECT_EQ(cacheOf(*sys, 0).array().find(kBlk)->data.read(0, 8), 123u);
+  EXPECT_EQ(sys->l2(0).array().find(kBlk)->data.read(0, 8), 123u);
 }
 
 TEST(DirectoryProtocol, EvictionWritesBackDirtyData) {
@@ -190,7 +185,7 @@ TEST(DirectoryProtocol, EvictionWritesBackDirtyData) {
   ASSERT_TRUE(r.completed);
   EXPECT_EQ(r.detections, 0u);
   // Block must be gone from node 0 and its data must be in home memory.
-  CacheLine* line = cacheOf(*sys, 0).array().find(kBlk);
+  CacheLine* line = sys->l2(0).array().find(kBlk);
   EXPECT_TRUE(line == nullptr || !line->valid);
   DirectoryHome* home = sys->home(MemoryMap{4}.homeOf(kBlk));
   ErrorSink scratch;
@@ -236,7 +231,7 @@ TEST(DirectoryProtocol, TwoWritersSerializeOnSameBlock) {
   DirectoryHome* home = sys->home(MemoryMap{4}.homeOf(kBlk));
   const NodeId owner = home->ownerOf(kBlk);
   ASSERT_NE(owner, kInvalidNode);
-  CacheLine* line = cacheOf(*sys, owner).array().find(kBlk);
+  CacheLine* line = sys->l2(owner).array().find(kBlk);
   ASSERT_NE(line, nullptr);
   EXPECT_EQ(line->data.read(0, 8), 1u);
   EXPECT_EQ(line->data.read(8, 8), 2u);
@@ -266,7 +261,7 @@ TEST(DirectoryProtocol, ManyBlocksManyNodesConverge) {
     const DataBlock* data = nullptr;
     ErrorSink scratch;
     if (owner != kInvalidNode) {
-      CacheLine* line = cacheOf(*sys, owner).array().find(blk);
+      CacheLine* line = sys->l2(owner).array().find(blk);
       ASSERT_NE(line, nullptr) << "owner without line, block " << b;
       data = &line->data;
     } else {
@@ -287,7 +282,7 @@ TEST(DirectoryProtocol, PrefetchWarmsWritePermission) {
                  Instr::store(kBlk2 + 8, 2)}}});
   RunResult r = sys->run();
   ASSERT_TRUE(r.completed);
-  EXPECT_EQ(cacheOf(*sys, 0).array().find(kBlk2)->state, MosiState::kM);
+  EXPECT_EQ(sys->l2(0).array().find(kBlk2)->state, MosiState::kM);
 }
 
 TEST(DirectoryProtocol, SilentSharerEvictionStillAcksInv) {
@@ -304,7 +299,7 @@ TEST(DirectoryProtocol, SilentSharerEvictionStillAcksInv) {
   RunResult r = sys->run();
   ASSERT_TRUE(r.completed) << "writer deadlocked waiting for InvAck";
   EXPECT_EQ(r.detections, 0u);
-  EXPECT_EQ(cacheOf(*sys, 0).array().find(kBlk)->data.read(0, 8), 6u);
+  EXPECT_EQ(sys->l2(0).array().find(kBlk)->data.read(0, 8), 6u);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "obs/forensics.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -113,7 +114,10 @@ TEST(MetricSet, HandlesStayValidAsRegistryGrows) {
   Counter first = set.counter("c0");
   std::vector<Counter> more;
   for (int i = 1; i < 200; ++i) {
-    more.push_back(set.counter("c" + std::to_string(i)));
+    // Built with += : GCC 12's -Wrestrict misfires on "c" + std::string.
+    std::string name = "c";
+    name += std::to_string(i);
+    more.push_back(set.counter(name));
   }
   first.inc(42);  // deque-backed slots: no reallocation invalidation
   EXPECT_EQ(set.get("c0"), 42u);
@@ -358,6 +362,14 @@ TEST(RunReport, RunResultSerializationIncludesMetrics) {
   EXPECT_NE(j.find("\"buckets\""), std::string::npos);
 }
 
+/// Parses argv with the observability flag group, as every binary does.
+int parseObsFlags(int argc, char** argv) {
+  CliParser cli("prog", "observability flags");
+  cli.exitOnError(false);
+  obs::addObsFlags(cli);
+  return cli.parse(argc, argv);
+}
+
 TEST(RunReport, ParseObsFlagsStripsAndStores) {
   obs::resetObs();
   const char* raw[] = {"prog",         "keep1", "--trace=/tmp/t.json",
@@ -365,7 +377,7 @@ TEST(RunReport, ParseObsFlagsStripsAndStores) {
                        "keep2",        nullptr};
   std::vector<char*> argv;
   for (const char* a : raw) argv.push_back(const_cast<char*>(a));
-  int argc = obs::parseObsFlags(7, argv.data());
+  int argc = parseObsFlags(7, argv.data());
   EXPECT_EQ(argc, 3);
   EXPECT_STREQ(argv[1], "keep1");
   EXPECT_STREQ(argv[2], "keep2");
@@ -388,7 +400,7 @@ TEST(RunReport, ParseObsFlagsStoresForensicsAndSampling) {
                        nullptr};
   std::vector<char*> argv;
   for (const char* a : raw) argv.push_back(const_cast<char*>(a));
-  int argc = obs::parseObsFlags(5, argv.data());
+  int argc = parseObsFlags(5, argv.data());
   EXPECT_EQ(argc, 1);
   EXPECT_EQ(obs::options().forensicsFile, "/tmp/f.json");
   EXPECT_EQ(obs::options().forensicsWindow, 32u);

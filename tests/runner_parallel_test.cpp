@@ -8,6 +8,7 @@
 #include <numeric>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/thread_pool.hpp"
 #include "system/runner.hpp"
 
@@ -85,9 +86,15 @@ TEST(JobsConfig, DefaultJobsOverridable) {
 
 TEST(JobsConfig, ParseJobsFlagStripsArgs) {
   const int saved = defaultJobs();
+  const auto parseJobs = [](int argc, char** argv) {
+    CliParser cli("bin", "runner flags");
+    cli.exitOnError(false);
+    addRunnerFlags(cli);
+    return cli.parse(argc, argv);
+  };
   char a0[] = "bin", a1[] = "--jobs", a2[] = "5", a3[] = "oltp";
   char* argv[] = {a0, a1, a2, a3, nullptr};
-  const int argc = parseJobsFlag(4, argv);
+  const int argc = parseJobs(4, argv);
   EXPECT_EQ(argc, 2);
   EXPECT_STREQ(argv[0], "bin");
   EXPECT_STREQ(argv[1], "oltp");
@@ -95,7 +102,7 @@ TEST(JobsConfig, ParseJobsFlagStripsArgs) {
 
   char b0[] = "bin", b1[] = "--jobs=2";
   char* argv2[] = {b0, b1, nullptr};
-  EXPECT_EQ(parseJobsFlag(2, argv2), 1);
+  EXPECT_EQ(parseJobs(2, argv2), 1);
   EXPECT_EQ(defaultJobs(), 2);
   setDefaultJobs(saved);
 }

@@ -7,7 +7,6 @@
 #include <memory>
 #include <vector>
 
-#include "coherence/snoop_cache.hpp"
 #include "system/system.hpp"
 #include "workload/scripted.hpp"
 
@@ -37,10 +36,6 @@ std::unique_ptr<System> makeSystem(
   return std::make_unique<System>(cfg);
 }
 
-SnoopCacheController& cacheOf(System& sys, NodeId n) {
-  return static_cast<SnoopCacheController&>(sys.l2(n));
-}
-
 TEST(SnoopingProtocol, MemorySuppliesUnownedBlock) {
   auto sys = makeSystem(baseConfig(), {{0, {Instr::load(kBlk, 1)}}});
   RunResult r = sys->run();
@@ -50,7 +45,7 @@ TEST(SnoopingProtocol, MemorySuppliesUnownedBlock) {
   ASSERT_EQ(prog.results().size(), 1u);
   EXPECT_EQ(prog.results()[0].second,
             MemoryStorage::initialPattern(kBlk).read(0, 8));
-  EXPECT_EQ(cacheOf(*sys, 0).array().find(kBlk)->state, MosiState::kS);
+  EXPECT_EQ(sys->l2(0).array().find(kBlk)->state, MosiState::kS);
 }
 
 TEST(SnoopingProtocol, StoreTakesOwnershipFromMemory) {
@@ -58,7 +53,7 @@ TEST(SnoopingProtocol, StoreTakesOwnershipFromMemory) {
   RunResult r = sys->run();
   ASSERT_TRUE(r.completed);
   EXPECT_EQ(r.detections, 0u);
-  EXPECT_EQ(cacheOf(*sys, 0).array().find(kBlk)->state, MosiState::kM);
+  EXPECT_EQ(sys->l2(0).array().find(kBlk)->state, MosiState::kM);
   // The home's owner tracking follows the snoop stream.
   NodeId home = MemoryMap{4}.homeOf(kBlk);
   EXPECT_EQ(sys->snoopMem(home)->cacheOwnerOf(kBlk), 0u);
@@ -77,7 +72,7 @@ TEST(SnoopingProtocol, OwnerSuppliesDataOnGetS) {
   ASSERT_EQ(prog.results().size(), 1u);
   EXPECT_EQ(prog.results()[0].second, 500u);
   // Writer downgraded M -> O (owner still supplies future readers).
-  EXPECT_EQ(cacheOf(*sys, 0).array().find(kBlk)->state, MosiState::kO);
+  EXPECT_EQ(sys->l2(0).array().find(kBlk)->state, MosiState::kO);
 }
 
 TEST(SnoopingProtocol, GetMInvalidatesAllOtherCopies) {
@@ -91,10 +86,10 @@ TEST(SnoopingProtocol, GetMInvalidatesAllOtherCopies) {
   ASSERT_TRUE(r.completed);
   EXPECT_EQ(r.detections, 0u);
   for (NodeId n = 1; n <= 2; ++n) {
-    CacheLine* line = cacheOf(*sys, n).array().find(kBlk);
+    CacheLine* line = sys->l2(n).array().find(kBlk);
     EXPECT_TRUE(line == nullptr || !line->valid) << "node " << n;
   }
-  EXPECT_EQ(cacheOf(*sys, 0).array().find(kBlk)->state, MosiState::kM);
+  EXPECT_EQ(sys->l2(0).array().find(kBlk)->state, MosiState::kM);
 }
 
 TEST(SnoopingProtocol, EvictionWritesBackThroughPutM) {
@@ -152,7 +147,7 @@ TEST(SnoopingProtocol, OUpgradeSelfSupplies) {
   RunResult r = sys->run();
   ASSERT_TRUE(r.completed);
   EXPECT_EQ(r.detections, 0u);
-  CacheLine* line = cacheOf(*sys, 0).array().find(kBlk);
+  CacheLine* line = sys->l2(0).array().find(kBlk);
   ASSERT_NE(line, nullptr);
   EXPECT_EQ(line->state, MosiState::kM);
   EXPECT_EQ(line->data.read(0, 8), 1u);
@@ -174,7 +169,7 @@ TEST(SnoopingProtocol, ContendedWritersConverge) {
   // Contention exercises the ordered-but-incomplete deferral path.
   std::uint64_t deferred = 0;
   for (NodeId n = 0; n < 4; ++n) {
-    deferred += cacheOf(*sys, n).stats().get("l2.deferredSnoop");
+    deferred += sys->l2(n).stats().get("l2.deferredSnoop");
   }
   EXPECT_GT(deferred, 0u) << "deferral path never exercised";
   // The final owner holds every node's last value.
@@ -183,7 +178,7 @@ TEST(SnoopingProtocol, ContendedWritersConverge) {
   const DataBlock* data = nullptr;
   ErrorSink scratch;
   if (owner != kInvalidNode) {
-    CacheLine* line = cacheOf(*sys, owner).array().find(kBlk);
+    CacheLine* line = sys->l2(owner).array().find(kBlk);
     ASSERT_NE(line, nullptr);
     data = &line->data;
   } else {
@@ -239,7 +234,7 @@ TEST(SnoopingProtocol, TotalOrderGivesCoherentFinalValue) {
   const NodeId owner = sys->snoopMem(home)->cacheOwnerOf(kBlk);
   ASSERT_NE(owner, kInvalidNode);
   const std::uint64_t v =
-      cacheOf(*sys, owner).array().find(kBlk)->data.read(0, 8);
+      sys->l2(owner).array().find(kBlk)->data.read(0, 8);
   EXPECT_GE(v, 1000u);
   EXPECT_LE(v, 1003u);
 }

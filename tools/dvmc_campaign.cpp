@@ -5,8 +5,9 @@
 // cross-checks the runtime DVMC checkers against the offline oracle:
 //
 //   clean case    no fault injected. The checkers must stay silent AND the
-//                 oracle must accept the trace — an oracle violation here
-//                 is an oracle false positive and fails the campaign.
+//                 oracle must accept the trace — a checker detection here
+//                 is a false alarm, an oracle violation an oracle false
+//                 positive, and either fails the campaign.
 //   faulted case  a randomly drawn applicable fault type is injected
 //                 (re-injected until it manifests, like the paper's §6.1
 //                 campaign). If the oracle proves the committed execution
@@ -14,9 +15,9 @@
 //                 checker escape: the trace and a JSON description are
 //                 written to --escape-dir and the campaign fails.
 //
-// Checker detections without an oracle violation are expected (checkers
-// catch errors before they corrupt the committed history; masked faults
-// harm nothing), so they do not fail the campaign.
+// In a faulted case, checker detections without an oracle violation are
+// expected (checkers catch errors before they corrupt the committed
+// history; masked faults harm nothing), so they do not fail the campaign.
 //
 // Each case keeps its capture in memory, judges it once with
 // verify::checkTrace, and hands the same trace to its escape bundle when
@@ -49,8 +50,8 @@
 // with pid and attempt, peak RSS, ETA); `dvmc_inspect watch FILE` tails
 // it and detects a dead producer via --stale-after.
 //
-// Exit codes: 0 = full agreement, 1 = escape, false positive, or a config
-// lost to retry exhaustion, 2 = usage.
+// Exit codes: 0 = full agreement, 1 = escape, false positive, false alarm,
+// or a config lost to retry exhaustion, 2 = usage.
 #include <unistd.h>
 
 #include <atomic>
@@ -118,6 +119,7 @@ struct CaseOutcome {
   bool oracleViolation = false;
   bool escape = false;         // oracle flagged, checkers silent (faulted)
   bool falsePositive = false;  // oracle flagged a clean run
+  bool falseAlarm = false;     // a checker flagged a clean run
   FaultType fault = FaultType::kCacheDataMultiBit;
   int injections = 0;
   std::string detail;
@@ -162,9 +164,8 @@ CaseOutcome runClean(int param) {
     out.falsePositive = true;
     out.detail = o.violations.empty() ? "?" : o.violations[0].message;
   } else if (r.detections > 0) {
-    // A clean-run checker detection is covered by fuzz_test/tier-1; the
-    // campaign only tracks oracle agreement, but surface it anyway.
-    out.detail = "checker detection on a fault-free run";
+    out.falseAlarm = true;
+    out.detail = sys.sink().first().what;
   }
   return out;
 }
@@ -294,6 +295,7 @@ Json caseJson(const CaseOutcome& o) {
   j.set("oracleViolation", Json::boolean(o.oracleViolation));
   j.set("escape", Json::boolean(o.escape));
   j.set("falsePositive", Json::boolean(o.falsePositive));
+  j.set("falseAlarm", Json::boolean(o.falseAlarm));
   j.set("fault", Json::str(faultTypeName(o.fault)));
   j.set("injections", Json::num(std::int64_t{o.injections}));
   j.set("detail", Json::str(o.detail));
@@ -307,6 +309,7 @@ void runConfig(const CampaignOptions& opt, int param, Json& rec) {
   if (opt.clean) {
     const CaseOutcome c = runClean(param);
     if (c.falsePositive) dumpEscape(opt, param, "false_positive", c);
+    if (c.falseAlarm) dumpEscape(opt, param, "false_alarm", c);
     rec.set("clean", caseJson(c));
   }
   if (opt.faulted) {
@@ -319,10 +322,10 @@ void runConfig(const CampaignOptions& opt, int param, Json& rec) {
 // ---------------------------------------------------------------------------
 // Worker mode: `dvmc_campaign --worker <spec-json>` runs exactly one
 // config in this process and reports its verdict as the last stdout line
-// ({"schema":"dvmc-campaign-result",...}). Escape/false-positive bundles
-// are written by the worker (it holds the trace); the parent only
-// aggregates. Exit 0 = the case ran to a verdict (even an escape — the
-// parent judges), 2 = bad spec.
+// ({"schema":"dvmc-campaign-result",...}). Escape, false-alarm and
+// false-positive bundles are written by the worker (it holds the trace);
+// the parent only aggregates. Exit 0 = the case ran to a verdict (even an
+// escape — the parent judges), 2 = bad spec.
 
 /// CI chaos hook: DVMC_TEST_CRASH_AT="<param>[=<mode>],..." makes the
 /// matching worker die on its FIRST attempt (mode abort|segv|hang,
@@ -527,8 +530,8 @@ int main(int argc, char** argv) {
   cli.flag("--clean-only", &cleanOnly, "run only the fault-free cases");
   cli.flag("--faulted", &faultedOnly, "run only the fault-injected cases");
   cli.option("--escape-dir", &opt.escapeDir, "DIR",
-             "where escape/false-positive bundles are written "
-             "(default campaign-escapes)");
+             "where escape, false-alarm and false-positive bundles are "
+             "written (default campaign-escapes)");
   cli.path("--sample-trace", &opt.sampleTrace, "FILE",
            "also write the first case's capture as a dvmc-trace file");
   cli.flag("--in-process", &opt.inProcess,
@@ -915,8 +918,8 @@ int main(int argc, char** argv) {
   // Merged summary, derived ONLY from the per-config records so a resumed
   // campaign prints bit-identical output to an uninterrupted one.
   // Supervision/retry chatter goes through the logger (stderr) instead.
-  std::size_t falsePositives = 0, escapes = 0, detections = 0, masked = 0,
-              agreements = 0, lost = 0;
+  std::size_t falsePositives = 0, falseAlarms = 0, escapes = 0,
+              detections = 0, masked = 0, agreements = 0, lost = 0;
   for (std::size_t s = 0; s < n; ++s) {
     const int param = opt.paramBase + static_cast<int>(s);
     if (!recordValid[s]) {
@@ -928,6 +931,11 @@ int main(int argc, char** argv) {
     if (opt.clean && c != nullptr && jBool(*c, "falsePositive")) {
       ++falsePositives;
       std::printf("FALSE-POSITIVE param=%d: %s\n", param,
+                  jStr(*c, "detail").c_str());
+    }
+    if (opt.clean && c != nullptr && jBool(*c, "falseAlarm")) {
+      ++falseAlarms;
+      std::printf("FALSE-ALARM param=%d: %s\n", param,
                   jStr(*c, "detail").c_str());
     }
     if (!opt.faulted) continue;
@@ -962,20 +970,21 @@ int main(int argc, char** argv) {
 
   std::printf(
       "campaign: %d config(s)%s%s | detections=%zu (oracle agreed on %zu) "
-      "masked=%zu false-positives=%zu escapes=%zu\n",
+      "masked=%zu false-alarms=%zu false-positives=%zu escapes=%zu\n",
       opt.configs, opt.clean ? " +clean" : "", opt.faulted ? " +faulted" : "",
-      detections, agreements, masked, falsePositives, escapes);
+      detections, agreements, masked, falseAlarms, falsePositives, escapes);
   if (lost > 0) {
     std::printf("campaign: %zu config(s) lost to retry exhaustion — see %s/\n",
                 lost, opt.quarantineDir.c_str());
   }
-  const bool failed = falsePositives + escapes + lost > 0;
+  const bool failed = falseAlarms + falsePositives + escapes + lost > 0;
   publishStatus(failed ? "failed" : "done", /*force=*/true);
   const int obsRc = obs::finalizeObs();
   if (failed) {
     std::printf("campaign: FAILED — see %s/\n",
-                falsePositives + escapes > 0 ? opt.escapeDir.c_str()
-                                             : opt.quarantineDir.c_str());
+                falseAlarms + falsePositives + escapes > 0
+                    ? opt.escapeDir.c_str()
+                    : opt.quarantineDir.c_str());
     return 1;
   }
   std::printf("campaign: checkers and oracle agree on every case\n");

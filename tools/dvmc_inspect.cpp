@@ -416,13 +416,18 @@ void summarizeJournal(const Artifact& a) {
   const Json* records = arrField(a.root, "records");
   const std::size_t n = records ? records->size() : 0;
   const Json* meta = objField(a.root, "meta");
-  std::size_t escapes = 0, falsePositives = 0, retried = 0;
+  std::size_t escapes = 0, falsePositives = 0, falseAlarms = 0, retried = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const Json& rec = records->at(i);
-    if (const Json* c = objField(rec, "clean");
-        c != nullptr && c->find("falsePositive") != nullptr &&
-        c->find("falsePositive")->asBool()) {
-      ++falsePositives;
+    if (const Json* c = objField(rec, "clean")) {
+      if (c->find("falsePositive") != nullptr &&
+          c->find("falsePositive")->asBool()) {
+        ++falsePositives;
+      }
+      if (c->find("falseAlarm") != nullptr &&
+          c->find("falseAlarm")->asBool()) {
+        ++falseAlarms;
+      }
     }
     if (const Json* f = objField(rec, "faulted");
         f != nullptr && f->find("escape") != nullptr &&
@@ -434,8 +439,9 @@ void summarizeJournal(const Artifact& a) {
   std::printf("%s: campaign journal, %zu completed config%s (%s)\n",
               a.path.c_str(), n, n == 1 ? "" : "s",
               meta != nullptr ? strField(*meta, "generator").c_str() : "?");
-  std::printf("  escapes=%zu false-positives=%zu retried=%zu\n", escapes,
-              falsePositives, retried);
+  std::printf("  escapes=%zu false-positives=%zu false-alarms=%zu "
+              "retried=%zu\n",
+              escapes, falsePositives, falseAlarms, retried);
 }
 
 void summarizeProfile(const Artifact& a) {
