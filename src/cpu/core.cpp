@@ -1,28 +1,10 @@
 #include "cpu/core.hpp"
 
+#include <cstdio>
 #include <optional>
 
 #include "common/assert.hpp"
 #include "verify/trace.hpp"
-
-#include <cstdio>
-#include <cstdlib>
-
-namespace {
-dvmc::Addr traceWord() {
-  static const dvmc::Addr a = [] {
-    const char* env = std::getenv("DVMC_TRACE_WORD");
-    return env ? std::strtoull(env, nullptr, 0) : 0ULL;
-  }();
-  return a;
-}
-#define TRACEW(addr, fmt, ...)                                            \
-  do {                                                                    \
-    if (traceWord() != 0 && ((addr) & ~dvmc::Addr{7}) == traceWord()) {   \
-      std::fprintf(stderr, fmt "\n", __VA_ARGS__);                       \
-    }                                                                     \
-  } while (0)
-}  // namespace
 
 namespace dvmc {
 
@@ -340,9 +322,6 @@ void Core::executeLoad(RobEntry& e) {
   if (auto fwd = forwardFromPipeline(e)) {
     e.st = St::kIssued;
     e.execValue = *fwd;
-    TRACEW(e.inst.addr, "[%llu] n%u load fwd seq=%llu val=%llx",
-           (unsigned long long)sim_.now(), node_,
-           (unsigned long long)e.seq, (unsigned long long)*fwd);
     if (loadFaultArmed_) {
       loadFaultArmed_ = false;
       e.execValue ^= 0x80;  // injected LSQ forwarding corruption
@@ -379,9 +358,6 @@ void Core::executeLoad(RobEntry& e) {
       return;
     }
     e2->execValue = r.value;
-    TRACEW(e2->inst.addr, "[%llu] n%u load exec seq=%llu val=%llx",
-           (unsigned long long)sim_.now(), node_,
-           (unsigned long long)e2->seq, (unsigned long long)r.value);
     if (loadFaultArmed_) {
       loadFaultArmed_ = false;
       e2->execValue ^= 0x80;  // injected LSQ/forwarding corruption
@@ -513,9 +489,6 @@ void Core::gateEntry(RobEntry& e) {
         op.value = e.inst.value;
         op.countsAsPerform = true;
         cScStores_.inc();
-        TRACEW(e.inst.addr, "[%llu] n%u SC store issued seq=%llu val=%llx",
-               (unsigned long long)sim_.now(), node_,
-               (unsigned long long)e.seq, (unsigned long long)e.inst.value);
         mem_.access(op, [this, seq = e.seq, gen = e.gen, rgen = restartGen_](
                             const CacheOpResult&) {
           if (rgen != restartGen_) return;
@@ -525,9 +498,6 @@ void Core::gateEntry(RobEntry& e) {
           if (ar_ != nullptr) {
             ar_->onPerform(OpType::kStore, 0, e2->seq, tableFor(e2->model));
           }
-          TRACEW(e2->inst.addr, "[%llu] n%u SC store performed seq=%llu",
-                 (unsigned long long)sim_.now(), node_,
-                 (unsigned long long)e2->seq);
           e2->performedAt = sim_.now();
           e2->st = St::kGateDone;
           wake();
@@ -545,9 +515,6 @@ void Core::gateEntry(RobEntry& e) {
       }
       if (ar_ != nullptr) ar_->onCommit(OpType::kStore, e.seq);
       ++outstandingStores_;
-      TRACEW(e.inst.addr, "[%llu] n%u store committed seq=%llu val=%llx",
-             (unsigned long long)sim_.now(), node_,
-             (unsigned long long)e.seq, (unsigned long long)e.inst.value);
       e.st = St::kGateDone;
       return;
     }
@@ -604,9 +571,6 @@ void Core::replayLoad(RobEntry& e) {
   // bypassing the write buffer (§4.1).
   if (auto vcHit = vc_->lookupStoreOlderThan(e.inst.addr, 8, e.seq)) {
     cReplayVcHit_.inc();
-    TRACEW(e.inst.addr, "[%llu] n%u replay vc-hit seq=%llu val=%llx",
-           (unsigned long long)sim_.now(), node_,
-           (unsigned long long)e.seq, (unsigned long long)*vcHit);
     e.st = St::kGateIssued;
     onReplayDone(e, *vcHit, /*l1Hit=*/true);
     return;
@@ -617,9 +581,6 @@ void Core::replayLoad(RobEntry& e) {
   op.addr = e.inst.addr;
   op.countsAsPerform = true;  // ordered loads perform at verification
   cReplayIssued_.inc();
-  TRACEW(e.inst.addr, "[%llu] n%u replay issued seq=%llu",
-         (unsigned long long)sim_.now(), node_,
-         (unsigned long long)e.seq);
   mem_.access(op, [this, seq = e.seq, gen = e.gen,
                    rgen = restartGen_](const CacheOpResult& r) {
     if (rgen != restartGen_) return;
@@ -885,10 +846,6 @@ void Core::drainWriteBuffer() {
       if (rgen != restartGen_) return;
       for (auto it = wb_.begin(); it != wb_.end(); ++it) {
         if (it->seq == seq) {
-          TRACEW(it->addr, "[%llu] n%u store performed seq=%llu val=%llx",
-                 (unsigned long long)sim_.now(), node_,
-                 (unsigned long long)it->seq,
-                 (unsigned long long)it->value);
           if (vc_ != nullptr) {
             vc_->storePerformed(it->addr, 8, it->value, sim_.now());
           }
@@ -945,9 +902,6 @@ void Core::onReadPermissionLost(Addr blk, bool remoteWrite) {
           ++e.gen;
           e.st = St::kDispatched;
           cSquashes_.inc();
-          TRACEW(e.inst.addr, "[%llu] n%u squash-exec seq=%llu",
-                 (unsigned long long)sim_.now(), node_,
-                 (unsigned long long)e.seq);
           break;
         case St::kGateDone:
           // Replayed but not yet promoted. If an older load is still
@@ -960,9 +914,6 @@ void Core::onReadPermissionLost(Addr blk, bool remoteWrite) {
             ++e.gen;
             e.st = St::kDispatched;
             cSquashes_.inc();
-            TRACEW(e.inst.addr, "[%llu] n%u squash-gatedone seq=%llu",
-                   (unsigned long long)sim_.now(), node_,
-                   (unsigned long long)e.seq);
           }
           break;
         default:

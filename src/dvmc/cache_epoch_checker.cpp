@@ -4,19 +4,6 @@
 #include "common/crc16.hpp"
 #include "obs/trace.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-
-namespace {
-dvmc::Addr traceBlock() {
-  static const dvmc::Addr blk = [] {
-    const char* env = std::getenv("DVMC_TRACE_BLOCK");
-    return env ? std::strtoull(env, nullptr, 0) : 0ULL;
-  }();
-  return blk;
-}
-}  // namespace
-
 namespace dvmc {
 
 CacheEpochChecker::CacheEpochChecker(Simulator& sim, NodeId node,
@@ -40,12 +27,6 @@ void CacheEpochChecker::onEpochBegin(Addr blk, bool readWrite,
                      "epoch begin while epoch open"});
     }
     cDoubleBegin_.inc();
-  }
-  if (blk == traceBlock() && traceBlock() != 0) {
-    std::fprintf(stderr, "[%llu] CET n%u begin %s ltime=%llu hash=%04x\n",
-                 (unsigned long long)sim_.now(), node_,
-                 readWrite ? "RW" : "RO", (unsigned long long)ltime,
-                 hashBlock(data));
   }
   CetEntry& e = it->second;
   e.readWrite = readWrite;
@@ -127,11 +108,6 @@ void CacheEpochChecker::onEpochEnd(Addr blk, const DataBlock& data,
     }
     cEndWithoutBegin_.inc();
     return;
-  }
-  if (blk == traceBlock() && traceBlock() != 0) {
-    std::fprintf(stderr, "[%llu] CET n%u end ltime=%llu hash=%04x\n",
-                 (unsigned long long)sim_.now(), node_,
-                 (unsigned long long)ltime, hashBlock(data));
   }
   CetEntry& e = it->second;
   Message m;

@@ -5,19 +5,6 @@
 #include "common/assert.hpp"
 #include "obs/trace.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-
-namespace {
-dvmc::Addr traceBlock() {
-  static const dvmc::Addr blk = [] {
-    const char* env = std::getenv("DVMC_TRACE_BLOCK");
-    return env ? std::strtoull(env, nullptr, 0) : 0ULL;
-  }();
-  return blk;
-}
-}  // namespace
-
 namespace dvmc {
 
 MemoryEpochChecker::MemoryEpochChecker(Simulator& sim, NodeId node,
@@ -100,49 +87,54 @@ void MemoryEpochChecker::onInform(const Message& msg) {
   }
 }
 
+bool MemoryEpochChecker::beginsLater(const QueuedInform& a,
+                                     const QueuedInform& b) {
+  // Largest-on-top heap: "a < b" when a begins later.
+  if (a.msg.epoch.begin != b.msg.epoch.begin) {
+    return ltimeBefore(b.msg.epoch.begin, a.msg.epoch.begin);
+  }
+  return a.arrival > b.arrival;
+}
+
+bool MemoryEpochChecker::topRested() const {
+  return sim_.now() - queue_.front().arrivalCycle >= cfg_.informSortDelay;
+}
+
 void MemoryEpochChecker::enqueue(const Message& msg) {
   queue_.push_back(QueuedInform{msg, arrivalCounter_++, sim_.now()});
-  std::push_heap(queue_.begin(), queue_.end(),
-                 [](const QueuedInform& a, const QueuedInform& b) {
-                   // Largest-on-top heap: "a < b" when a begins later.
-                   if (a.msg.epoch.begin != b.msg.epoch.begin) {
-                     return ltimeBefore(b.msg.epoch.begin, a.msg.epoch.begin);
-                   }
-                   return a.arrival > b.arrival;
-                 });
+  std::push_heap(queue_.begin(), queue_.end(), beginsLater);
   cInformsQueued_.inc();
   while (queue_.size() > cfg_.informQueueCapacity) {
+    if (!topRested()) cInformOverflow_.inc();
     processOldest();
   }
   // Each inform rests in the queue for a bounded sorting delay before the
   // oldest (earliest-begin) entry may be processed; the residence window
   // absorbs network-latency skew between informs from different nodes so
   // that begin-time order is (almost) always restored before processing.
-  sim_.schedule(cfg_.informSortDelay, [this] { popTick(); });
+  // One timer per MET enforces it. The timer is unarmed only while the
+  // queue is empty, so this inform is the top and sets the deadline.
+  if (!timerArmed_) {
+    timerArmed_ = true;
+    sim_.schedule(cfg_.informSortDelay, [this] { popTick(); });
+  }
 }
 
 void MemoryEpochChecker::popTick() {
-  if (queue_.empty()) return;
-  const QueuedInform& top = queue_.front();  // heap top = earliest begin
-  const Cycle rested = sim_.now() - top.arrivalCycle;
-  if (rested < cfg_.informSortDelay) {
-    // The earliest-begin inform arrived recently; give stragglers with
-    // even earlier begins a chance to show up before committing to it.
-    sim_.schedule(cfg_.informSortDelay - rested, [this] { popTick(); });
-    return;
+  // Process every top entry that has rested, then re-arm at the new top's
+  // rest deadline. A top that an overflow exposed may have been due before
+  // this firing; it waited for it.
+  while (!queue_.empty() && topRested()) processOldest();
+  timerArmed_ = !queue_.empty();
+  if (timerArmed_) {
+    sim_.scheduleAt(queue_.front().arrivalCycle + cfg_.informSortDelay,
+                    [this] { popTick(); });
   }
-  processOldest();
 }
 
 void MemoryEpochChecker::processOldest() {
   DVMC_ASSERT(!queue_.empty(), "processOldest on empty queue");
-  std::pop_heap(queue_.begin(), queue_.end(),
-                [](const QueuedInform& a, const QueuedInform& b) {
-                  if (a.msg.epoch.begin != b.msg.epoch.begin) {
-                    return ltimeBefore(b.msg.epoch.begin, a.msg.epoch.begin);
-                  }
-                  return a.arrival > b.arrival;
-                });
+  std::pop_heap(queue_.begin(), queue_.end(), beginsLater);
   hSortResidence_.add(sim_.now() - queue_.back().arrivalCycle);
   const Message msg = queue_.back().msg;
   queue_.pop_back();
@@ -172,17 +164,9 @@ void MemoryEpochChecker::processInform(const Message& msg) {
     e->lastROEnd = 0;
     e->lastRWEnd = 0;
     e->hashValid = false;
+    gEntries_.set(met_.size());
   }
   const EpochPayload& ep = msg.epoch;
-  if (blk == traceBlock() && traceBlock() != 0) {
-    std::fprintf(stderr,
-                 "[%llu] MET n%u proc %s src=%u begin=%u end=%u bh=%04x "
-                 "eh=%04x | lastRW=%u lastRO=%u rwHash=%04x hv=%d\n",
-                 (unsigned long long)sim_.now(), node_,
-                 ep.readWrite ? "RW" : "RO", msg.src, ep.begin, ep.end,
-                 ep.beginHash, ep.endHash, e->lastRWEnd, e->lastROEnd,
-                 e->lastRWEndHash, e->hashValid);
-  }
   cInformsProcessed_.inc();
   if (auto* t = sim_.tracer()) {
     t->instant(sim_.now(), TraceKind::kInform,

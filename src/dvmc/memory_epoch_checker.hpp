@@ -4,8 +4,11 @@
 // block: the latest end time of any Read-Only epoch, the latest end time of
 // any Read-Write epoch, and the CRC-16 of the block at the end of the
 // latest Read-Write epoch (48 bits per entry). Incoming Inform-Epochs are
-// sorted by epoch begin time in a fixed-capacity priority queue; when an
-// entry is processed the checker verifies
+// sorted by epoch begin time in a fixed-capacity priority queue. The
+// earliest-begin entry is processed once it has rested `informSortDelay`
+// cycles (one deadline timer per MET, armed at the top's deadline) or when
+// the capacity bound pushes it out; when an entry is processed the
+// checker verifies
 //   (a) no illegal overlap — a Read-Only epoch must not begin before the
 //       latest Read-Write end; a Read-Write epoch must not begin before
 //       either latest end;
@@ -84,6 +87,8 @@ class MemoryEpochChecker final : public HomeObserver {
     Cycle arrivalCycle = 0;  // enforces the minimum sorting residence
   };
 
+  static bool beginsLater(const QueuedInform& a, const QueuedInform& b);
+  bool topRested() const;
   void enqueue(const Message& msg);
   void popTick();
   void maybeEvict(Addr blk, MetEntry& e);
@@ -101,6 +106,7 @@ class MemoryEpochChecker final : public HomeObserver {
   FlatMap<Addr, MetEntry> met_;
   std::vector<QueuedInform> queue_;  // heap ordered by wrapping begin time
   std::uint64_t arrivalCounter_ = 0;
+  bool timerArmed_ = false;  // one pending popTick at most
 
   // Metric registry (stats_ must precede the handles).
   MetricSet stats_;
@@ -109,6 +115,8 @@ class MemoryEpochChecker final : public HomeObserver {
   Counter cEvictDeferred_ = stats_.counter("met.evictDeferred");
   Counter cInformsQueued_ = stats_.counter("met.informsQueued");
   Counter cInformsProcessed_ = stats_.counter("met.informsProcessed");
+  // Informs the capacity bound pushed out before they rested.
+  Counter cInformOverflow_ = stats_.counter("met.informOverflow");
   Counter cInformWithoutEntry_ = stats_.counter("met.informWithoutEntry");
   Counter cViolations_ = stats_.counter("met.violations");
   Counter cOpenEpochs_ = stats_.counter("met.openEpochs");

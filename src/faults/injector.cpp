@@ -2,9 +2,6 @@
 
 #include "common/assert.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-
 namespace dvmc {
 
 const char* faultTypeName(FaultType t) {
@@ -183,10 +180,6 @@ void FaultInjector::armNetworkFault(FaultType t) {
       case FaultType::kMsgReorder:
         return NetFaultAction::kDelay;
       case FaultType::kMsgDataCorrupt:
-        if (std::getenv("DVMC_FAULT_DEBUG") != nullptr) {
-          std::fprintf(stderr, "FAULT corrupt msg type=%d src=%u dest=%u addr=%llx hasData=%d\n",
-                       (int)m.type, m.src, m.dest, (unsigned long long)m.addr, (int)m.hasData);
-        }
         if (m.hasData) {
           m.data.flipBit(rng_.below(kBlockSizeBytes * 8));
         } else {

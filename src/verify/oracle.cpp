@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "coherence/memory_storage.hpp"
 #include "common/flat_map.hpp"
@@ -154,7 +153,8 @@ class Oracle {
 
  private:
   void addViolation(OracleViolation::Kind kind, std::size_t a, std::size_t b,
-                    std::string msg) {
+                    std::string msg,
+                    std::vector<OracleViolation::CycleStep> cycle = {}) {
     if (res_.violations.size() >= o_.maxViolations) return;
     OracleViolation v;
     v.kind = kind;
@@ -163,6 +163,7 @@ class Oracle {
     v.byteA = CapturedTrace::byteOffset(a);
     v.byteB = CapturedTrace::byteOffset(b);
     v.message = std::move(msg);
+    v.cycle = std::move(cycle);
     res_.violations.push_back(std::move(v));
   }
 
@@ -558,15 +559,11 @@ class Oracle {
         bestKind = viaKind[k];
       }
     }
-    if (std::getenv("DVMC_ORACLE_DEBUG") != nullptr) {
-      std::fprintf(stderr, "cycle of %zu:\n", path.size());
-      for (std::uint32_t k = 0; k < path.size(); ++k) {
-        const std::uint32_t a = realOf(path[k]);
-        std::fprintf(stderr, "  %s %s  --%s-->\n",
-                     path[k] >= t_.records.size() ? "(virt)" : "      ",
-                     describeRecord(t_, a).c_str(),
-                     edgeKindName(viaKind[k]));
-      }
+    std::vector<OracleViolation::CycleStep> steps;
+    steps.reserve(path.size());
+    for (std::uint32_t k = 0; k < path.size(); ++k) {
+      steps.push_back({realOf(path[k]), path[k] >= t_.records.size(),
+                       edgeKindName(viaKind[k])});
     }
     const std::size_t len = path.size();
     std::string msg =
@@ -575,7 +572,7 @@ class Oracle {
         edgeKindName(bestKind) + " edge " + describeRecord(t_, bestA) +
         " -> " + describeRecord(t_, bestB) + " closes it";
     addViolation(OracleViolation::Kind::kCycle, bestA, bestB,
-                 std::move(msg));
+                 std::move(msg), std::move(steps));
   }
 
   const CapturedTrace& t_;

@@ -51,6 +51,15 @@ struct OracleViolation {
   std::size_t byteA = 0;
   std::size_t byteB = 0;
   std::string message;
+  // kCycle only: the cycle in forward order. Each step names a record and
+  // the kind of the edge leaving it ("po", "rf", ...); a step through a
+  // membar or drain barrier node names the record that placed it.
+  struct CycleStep {
+    std::size_t record = 0;
+    bool barrier = false;
+    const char* edge = "";
+  };
+  std::vector<CycleStep> cycle;
 };
 
 const char* violationKindName(OracleViolation::Kind k);

@@ -1,7 +1,8 @@
 // Unit tests for the Cache Coherence checker: CET rule-1 checks, the
 // Inform-Epoch pipeline into the MET, the three epoch rules (appropriate
-// epochs, no illegal overlap, correct data propagation), open-epoch
-// wraparound scrubbing, and 16-bit timestamp wrap behavior.
+// epochs, no illegal overlap, correct data propagation), the sorting
+// queue's one deadline timer and overflow count, open-epoch wraparound
+// scrubbing, and 16-bit timestamp wrap behavior.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -257,6 +258,114 @@ TEST_F(CheckerFixture, SortingQueueReordersInforms) {
   met.onInform(early);
   met.drain();
   EXPECT_FALSE(sink.any());
+}
+
+// ---------------------------------------------------------------------------
+// Sorting queue timing: one deadline timer per MET
+// ---------------------------------------------------------------------------
+
+/// An Inform-Epoch for block 0x1000 from node 2.
+Message inform(bool rw, LTime16 begin, LTime16 end, std::uint16_t beginHash,
+               std::uint16_t endHash) {
+  Message m;
+  m.type = MsgType::kInformEpoch;
+  m.src = 2;
+  m.addr = 0x1000;
+  m.epoch.readWrite = rw;
+  m.epoch.begin = begin;
+  m.epoch.end = end;
+  m.epoch.beginHash = beginHash;
+  m.epoch.endHash = endHash;
+  return m;
+}
+
+TEST_F(CheckerFixture, OverflowCountsInformsPushedOutBeforeResting) {
+  DvmcConfig small = cfg;
+  small.informQueueCapacity = 16;
+  MemoryEpochChecker q(sim, /*node=*/1, small, &sink, clock);
+  q.onHomeRequest(0x1000, block(0));
+  const auto h = hashBlock(block(0));
+  for (LTime16 i = 0; i < 17; ++i) {
+    q.onInform(inform(false, static_cast<LTime16>(10 + i), 100, h, h));
+  }
+  EXPECT_EQ(q.stats().get("met.informOverflow"), 1u);
+  EXPECT_EQ(q.stats().get("met.informsProcessed"), 1u);
+  EXPECT_EQ(q.queuedInforms(), 16u);
+  EXPECT_FALSE(sink.any());
+}
+
+TEST_F(CheckerFixture, OrphanInformKeepsEntriesGaugeInStep) {
+  // No onHomeRequest: the inform creates the block's row itself.
+  met.onInform(inform(false, 10, 20, 0, 0));
+  met.drain();
+  EXPECT_EQ(met.stats().get("met.informWithoutEntry"), 1u);
+  EXPECT_EQ(met.metEntries(), 1u);
+  EXPECT_EQ(met.stats().get("met.entries"), met.metEntries());
+  EXPECT_EQ(met.peakMetEntries(), met.metEntries());
+}
+
+TEST_F(CheckerFixture, ThousandInformsHoldOneTimer) {
+  DvmcConfig small = cfg;
+  small.informQueueCapacity = 16;
+  MemoryEpochChecker q(sim, /*node=*/1, small, &sink, clock);
+  q.onHomeRequest(0x1000, block(0));
+  const auto h = hashBlock(block(0));
+  for (LTime16 i = 0; i < 1000; ++i) {
+    q.onInform(inform(false, i, static_cast<LTime16>(i + 5), h, h));
+  }
+  EXPECT_EQ(sim.pendingEvents(), 1u);
+  EXPECT_EQ(q.queuedInforms(), 16u);
+  // The timer alone empties the queue once its entries have rested.
+  sim.run();
+  EXPECT_EQ(q.queuedInforms(), 0u);
+  EXPECT_EQ(q.stats().get("met.informsProcessed"), 1000u);
+  EXPECT_EQ(sim.now(), small.informSortDelay);
+  EXPECT_FALSE(sink.any());
+}
+
+TEST_F(CheckerFixture, InformRestsTheFullSortDelay) {
+  met.onHomeRequest(0x1000, block(0));
+  const auto h = hashBlock(block(0));
+  met.onInform(inform(false, 10, 20, h, h));  // cycle 0, empty queue
+  const Cycle delay = cfg.informSortDelay;
+  std::size_t justBefore = 0;
+  std::size_t atDeadline = 0;
+  sim.scheduleAt(delay - 1, [&] { justBefore = met.queuedInforms(); });
+  sim.scheduleAt(delay, [&] { atDeadline = met.queuedInforms(); });
+  sim.run();
+  EXPECT_EQ(justBefore, 1u);
+  EXPECT_EQ(atDeadline, 0u);
+  EXPECT_EQ(met.stats().get("met.informsProcessed"), 1u);
+}
+
+TEST_F(CheckerFixture, LaterArrivalWithEarlierBeginWaitsItsOwnRest) {
+  clock.value = 0;
+  met.onHomeRequest(0x1000, block(0));
+  const auto h0 = hashBlock(block(0));
+  const auto h1 = hashBlock(block(1));
+  const auto h2 = hashBlock(block(2));
+  // RW [10,20] then RW [30,50]: processed the other way round, the second
+  // epoch would overlap the first.
+  const Message first = inform(true, 10, 20, h0, h1);
+  const Message second = inform(true, 30, 50, h1, h2);
+  met.onInform(second);  // cycle 0
+  sim.scheduleAt(100, [&] { met.onInform(first); });
+  const Cycle delay = cfg.informSortDelay;
+  std::size_t atFirstDeadline = 0;
+  std::size_t beforeSecondDeadline = 0;
+  sim.scheduleAt(delay, [&] { atFirstDeadline = met.queuedInforms(); });
+  sim.scheduleAt(delay + 99,
+                 [&] { beforeSecondDeadline = met.queuedInforms(); });
+  sim.run();
+  // The earlier-begin top arrived at 100, so nothing leaves before it has
+  // rested; then both leave together in the timer's last firing, earlier
+  // begin first.
+  EXPECT_EQ(atFirstDeadline, 2u);
+  EXPECT_EQ(beforeSecondDeadline, 2u);
+  EXPECT_EQ(sim.now(), delay + 100);
+  EXPECT_EQ(met.queuedInforms(), 0u);
+  EXPECT_EQ(met.stats().get("met.informsProcessed"), 2u);
+  EXPECT_FALSE(sink.any()) << sink.first().what;
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@
 // must not cost a single result), quarantine triage classification,
 // journal durability with torn-line recovery, --resume bit-identity
 // against an uninterrupted run, the dvmc_inspect stale-heartbeat
-// watchdog, and the fatal-signal crash handler's "crashed" finalization.
+// watchdog, the fatal-signal crash handler's "crashed" finalization, and
+// `dvmc_inspect timeline` ordering a detection's block by cycle.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -18,8 +19,11 @@
 #include <vector>
 
 #include "common/subprocess.hpp"
+#include "faults/injector.hpp"
 #include "obs/journal.hpp"
 #include "obs/json.hpp"
+#include "obs/trace.hpp"
+#include "system/system.hpp"
 
 namespace dvmc {
 namespace {
@@ -476,6 +480,65 @@ TEST(CampaignSupervision, WatchDetectsDeadProducer) {
   EXPECT_EQ(r.status.reason, ExitReason::kNonZeroExit);
   EXPECT_EQ(r.status.exitCode, 3);
   EXPECT_NE(r.stderrTail.find("producer appears dead"), std::string::npos);
+}
+
+// `dvmc_inspect timeline` lists a detection's block in cycle order, with
+// each span's end, although spans enter the trace when they end.
+TEST(InspectTimeline, DetectionBlockInCycleOrder) {
+  TempDir tmp("timeline");
+  EventTracer tracer;
+  SystemConfig cfg =
+      SystemConfig::withDvmc(Protocol::kDirectory, ConsistencyModel::kTSO);
+  cfg.numNodes = 4;
+  cfg.workload = WorkloadKind::kOltp;
+  cfg.seed = 11;
+  cfg.targetTransactions = 120;
+  cfg.maxCycles = 2'000'000;
+  cfg.tracer = &tracer;
+  System sys(cfg);
+  FaultInjector inj(sys, /*seed=*/3);
+  sys.runUntil([&] { return sys.sim().now() >= 4'000; });
+  ASSERT_TRUE(inj.inject(FaultType::kCacheStateFlip));
+  sys.run();
+  ASSERT_TRUE(sys.sink().any());
+  const Detection det = sys.sink().first();
+  ASSERT_NE(det.addr, 0u);
+  {
+    std::ofstream out(tmp.str("trace.json"));
+    tracer.writeChromeJson(out);
+  }
+
+  SubprocessOptions o;
+  o.argv = {DVMC_INSPECT_BIN, "timeline",
+            "--addr=" + std::to_string(det.addr), tmp.str("trace.json")};
+  o.deadlineMs = 30'000;
+  o.maxCapturedBytes = 4 * 1024 * 1024;
+  const SubprocessResult r = runSubprocess(o);
+  ASSERT_TRUE(r.status.clean()) << r.status.describe() << "\n"
+                                << r.stderrTail;
+
+  std::istringstream lines(r.stdoutTail);
+  std::string line;
+  std::size_t events = 0;
+  std::size_t spans = 0;
+  bool sawDetection = false;
+  std::uint64_t last = 0;
+  while (std::getline(lines, line)) {
+    std::istringstream fields(line);
+    std::string word;
+    std::uint64_t cycle = 0;
+    if (!(fields >> word >> cycle) || word != "cycle") continue;
+    EXPECT_GE(cycle, last) << line;
+    last = cycle;
+    ++events;
+    if (line.find(" ends ") != std::string::npos) ++spans;
+    if (cycle == det.cycle && line.find("detection") != std::string::npos) {
+      sawDetection = true;
+    }
+  }
+  EXPECT_GE(events, 2u);
+  EXPECT_GE(spans, 1u);
+  EXPECT_TRUE(sawDetection) << r.stdoutTail;
 }
 
 #endif  // DVMC_CAMPAIGN_BIN && DVMC_INSPECT_BIN

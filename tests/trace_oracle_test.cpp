@@ -7,6 +7,7 @@
 // (exactly what `dvmc_oracle check` does with a CI escape artifact).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -215,6 +216,35 @@ TEST(LitmusConformance, StoreBufferingWithMembarForbiddenUnderTSO) {
   const verify::OracleResult res = verify::checkTrace(t);
   ASSERT_FALSE(res.clean);
   EXPECT_EQ(res.violations[0].kind, verify::OracleViolation::Kind::kCycle);
+  // The cycle runs through a membar's barrier node, named by the membar.
+  bool viaBarrier = false;
+  for (const auto& step : res.violations[0].cycle) {
+    if (!step.barrier) continue;
+    viaBarrier = true;
+    EXPECT_EQ(t.records[step.record].op, TraceOp::kMembar);
+  }
+  EXPECT_TRUE(viaBarrier);
+}
+
+// The violation lists the whole cycle for `dvmc_oracle explain`: SB is
+// store -po-> load -fr-> remote store -po-> remote load -fr-> back.
+TEST(LitmusConformance, CycleViolationListsEveryNodeAndEdge) {
+  const verify::OracleResult res = verify::checkTrace(
+      storeBuffering(ConsistencyModel::kSC));
+  ASSERT_FALSE(res.clean);
+  const auto& cycle = res.violations[0].cycle;
+  ASSERT_EQ(cycle.size(), 4u);
+  std::vector<std::size_t> records;
+  for (std::size_t k = 0; k < cycle.size(); ++k) {
+    EXPECT_FALSE(cycle[k].barrier);
+    records.push_back(cycle[k].record);
+    const std::string edge = cycle[k].edge;
+    const std::string next = cycle[(k + 1) % cycle.size()].edge;
+    EXPECT_TRUE(edge == "po" || edge == "fr") << edge;
+    EXPECT_NE(edge, next);
+  }
+  std::sort(records.begin(), records.end());
+  EXPECT_EQ(records, (std::vector<std::size_t>{0, 1, 2, 3}));
 }
 
 // Message passing (MP): n0 publishes data then sets a flag; n1 sees the

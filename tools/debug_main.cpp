@@ -1,12 +1,17 @@
 // Developer tool: run one {protocol, model, workload} configuration on a
 // small DVMC-protected system and print completion/detection details plus
-// core dumps on hangs. Block-level checker tracing via DVMC_TRACE_BLOCK /
-// DVMC_TRACE_WORD environment variables.
+// core dumps on hangs. For one block's history, record an event trace and
+// list the block with `dvmc_inspect timeline`; for committed values, record
+// the commit trace:
 //
 //   ./dvmc_debug [dir|snoop] [sc|tso|pso|rmo] [workload]
+//   ./dvmc_debug dir sc oltp --trace t.json
+//   ./dvmc_inspect timeline --addr=0x200180 t.json
+//   ./dvmc_debug dir sc oltp --capture-trace run.trace
 #include <cstdio>
 
 #include "obs/run_report.hpp"
+#include "system/runner.hpp"
 #include "system/system.hpp"
 
 using namespace dvmc;
@@ -37,8 +42,10 @@ int main(int argc, char** argv) {
   cfg.forensics = obs::activeForensics();
   cfg.sampleEvery = obs::options().sampleEvery;
   cfg.sampleCapacity = obs::options().sampleCapacity;
+  armCaptureFromObs(cfg);
   System sys(cfg);
   RunResult r = sys.run();
+  writeCaptureFileOnce(r.trace);
   printf("completed=%d cycles=%llu txns=%llu detections=%llu\n",
          r.completed, (unsigned long long)r.cycles,
          (unsigned long long)r.transactions, (unsigned long long)r.detections);

@@ -10,7 +10,8 @@
 //   dvmc_inspect summary FILE...            what is in this artifact?
 //   dvmc_inspect detections FILE...         every detection, with the
 //                                           firing checker's state dump
-//   dvmc_inspect timeline --addr=A FILE...  events touching a block
+//   dvmc_inspect timeline --addr=A FILE...  events touching a block, in
+//                                           cycle order, with span ends
 //   dvmc_inspect series --metric=M FILE...  one sampled telemetry column
 //   dvmc_inspect watch FILE                 tail a live --status-file
 //                                           snapshot until the run ends
@@ -21,6 +22,7 @@
 // collapsed stacks). Exit codes: 0 on success, 1 on a parse/schema error
 // or a failed/crashed run, 2 on a usage error, 3 when watch --stale-after
 // declares the producer dead.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -64,7 +66,8 @@ int usage() {
       "usage: dvmc_inspect <command> [options] FILE...\n"
       "  summary FILE...              what each artifact contains\n"
       "  detections FILE...           every detection with checker state\n"
-      "  timeline --addr=A FILE...    events touching block A (hex ok)\n"
+      "  timeline --addr=A FILE...    events touching block A in cycle "
+      "order (hex ok)\n"
       "  series --metric=M FILE...    sampled values of telemetry column M\n"
       "  watch FILE                   tail a live status snapshot "
       "(--once: render and exit;\n"
@@ -653,18 +656,21 @@ int detectionsReport(const Artifact& a) {
 
 // --- timeline --------------------------------------------------------------
 
-void printTraceEventLine(std::uint64_t ts, const std::string& cat,
-                         const std::string& name, std::uint64_t node,
-                         std::uint64_t addr) {
-  std::printf("cycle %-10llu node %-3llu %-10s %-24s addr 0x%llx\n",
-              static_cast<unsigned long long>(ts),
-              static_cast<unsigned long long>(node), cat.c_str(),
-              name.c_str(), static_cast<unsigned long long>(addr));
-}
+// Spans are recorded when they end but carry their begin cycle, so record
+// order is not time order; the timeline sorts by cycle and shows each
+// span's end.
+struct TimelineEvent {
+  std::uint64_t ts = 0;
+  std::uint64_t dur = 0;  // 0 = instant
+  std::string cat;
+  std::string name;
+  std::uint64_t node = 0;
+  Addr addr = 0;
+};
 
 int timeline(const Artifact& a, Addr addr) {
   const Addr blk = dvmc::blockAddr(addr);
-  std::size_t n = 0;
+  std::vector<TimelineEvent> out;
   if (a.kind == ArtifactKind::kTrace) {
     const Json* events = arrField(a.root, "traceEvents");
     for (std::size_t i = 0; events != nullptr && i < events->size(); ++i) {
@@ -672,9 +678,9 @@ int timeline(const Artifact& a, Addr addr) {
       const Json* args = objField(e, "args");
       const Addr ea = args != nullptr ? uintField(*args, "addr") : 0;
       if (ea == 0 || dvmc::blockAddr(ea) != blk) continue;
-      printTraceEventLine(uintField(e, "ts"), strField(e, "cat"),
-                          strField(e, "name"), uintField(e, "tid"), ea);
-      ++n;
+      out.push_back({uintField(e, "ts"), uintField(e, "dur"),
+                     strField(e, "cat"), strField(e, "name"),
+                     uintField(e, "tid"), ea});
     }
   } else if (a.kind == ArtifactKind::kForensics) {
     const Json* bundles = arrField(a.root, "bundles");
@@ -685,9 +691,9 @@ int timeline(const Artifact& a, Addr addr) {
         const Json& e = events->at(j);
         const Addr ea = uintField(e, "addr");
         if (ea == 0 || dvmc::blockAddr(ea) != blk) continue;
-        printTraceEventLine(uintField(e, "ts"), strField(e, "kind"),
-                            strField(e, "name"), uintField(e, "node"), ea);
-        ++n;
+        out.push_back({uintField(e, "ts"), uintField(e, "dur"),
+                       strField(e, "kind"), strField(e, "name"),
+                       uintField(e, "node"), ea});
       }
     }
   } else {
@@ -697,8 +703,22 @@ int timeline(const Artifact& a, Addr addr) {
                  a.path.c_str(), kindName(a.kind));
     return 1;
   }
-  std::printf("%zu event%s on block 0x%llx\n", n, n == 1 ? "" : "s",
-              static_cast<unsigned long long>(blk));
+  std::stable_sort(out.begin(), out.end(),
+                   [](const TimelineEvent& x, const TimelineEvent& y) {
+                     return x.ts < y.ts;
+                   });
+  for (const TimelineEvent& e : out) {
+    std::printf("cycle %-10llu node %-3llu %-10s %-24s addr 0x%llx",
+                static_cast<unsigned long long>(e.ts),
+                static_cast<unsigned long long>(e.node), e.cat.c_str(),
+                e.name.c_str(), static_cast<unsigned long long>(e.addr));
+    if (e.dur != 0) {
+      std::printf("  ends %llu", static_cast<unsigned long long>(e.ts + e.dur));
+    }
+    std::printf("\n");
+  }
+  std::printf("%zu event%s on block 0x%llx\n", out.size(),
+              out.size() == 1 ? "" : "s", static_cast<unsigned long long>(blk));
   return 0;
 }
 

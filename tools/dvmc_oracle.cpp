@@ -2,7 +2,8 @@
 //
 //   dvmc_oracle check FILE    first violation (if any); exit 0 clean, 1 not
 //   dvmc_oracle explain FILE  every independent violation with the records
-//                             involved and their byte offsets in FILE
+//                             involved, their byte offsets in FILE and, for
+//                             an ordering cycle, every node and edge of it
 //   dvmc_oracle stats FILE    trace header + constraint-graph statistics
 //
 // Exit codes: 0 = trace is consistent, 1 = violation found, 2 = usage or
@@ -24,7 +25,8 @@ int usage() {
   std::fprintf(stderr,
                "usage: dvmc_oracle {check|explain|stats} FILE\n"
                "  check    report the first violation; exit 0 iff clean\n"
-               "  explain  report every independent violation in detail\n"
+               "  explain  report every independent violation in detail,\n"
+               "           with each ordering cycle's records and edges\n"
                "  stats    trace header and constraint-graph statistics\n"
                "try: dvmc_oracle --help\n");
   return 2;
@@ -43,7 +45,7 @@ void printHeader(const verify::CapturedTrace& t) {
 }
 
 void printViolation(const verify::CapturedTrace& t,
-                    const verify::OracleViolation& v) {
+                    const verify::OracleViolation& v, bool explain) {
   std::printf("violation [%s] %s\n", verify::violationKindName(v.kind),
               v.message.c_str());
   std::printf("  record A: %s (byte offset %zu)\n",
@@ -51,6 +53,12 @@ void printViolation(const verify::CapturedTrace& t,
   if (v.recordB != v.recordA) {
     std::printf("  record B: %s (byte offset %zu)\n",
                 verify::describeRecord(t, v.recordB).c_str(), v.byteB);
+  }
+  if (!explain || v.cycle.empty()) return;
+  std::printf("  cycle of %zu node(s):\n", v.cycle.size());
+  for (const verify::OracleViolation::CycleStep& s : v.cycle) {
+    std::printf("    %s %s  --%s-->\n", s.barrier ? "(barrier)" : "         ",
+                verify::describeRecord(t, s.record).c_str(), s.edge);
   }
 }
 
@@ -106,7 +114,7 @@ int runOracle(int argc, char** argv) {
     return 0;
   }
   for (const verify::OracleViolation& v : res.violations) {
-    printViolation(t, v);
+    printViolation(t, v, cmd == "explain");
   }
   std::printf("VIOLATION: %zu violation(s) found\n", res.violations.size());
   return 1;
