@@ -1,5 +1,6 @@
 #include "cpu/core.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <optional>
 
@@ -13,6 +14,10 @@ constexpr std::uint8_t kLoadFirstBits = membar::kLoadLoad | membar::kLoadStore;
 constexpr std::uint8_t kStoreFirstBits =
     membar::kStoreLoad | membar::kStoreStore;
 constexpr std::uint8_t kLoadAfterBits = membar::kLoadLoad | membar::kStoreLoad;
+
+bool isAtomic(const Instr& i) {
+  return i.kind == Instr::Kind::kSwap || i.kind == Instr::Kind::kCas;
+}
 }  // namespace
 
 Core::Core(Simulator& sim, NodeId node, ConsistencyModel model, CpuConfig cfg,
@@ -30,6 +35,7 @@ Core::Core(Simulator& sim, NodeId node, ConsistencyModel model, CpuConfig cfg,
       ar_(ar),
       dvmc_(dvmc),
       lastDispatchModel_(model) {
+  DVMC_ASSERT(cfg_.robSize <= 64, "the ROB state masks hold 64 entries");
   // Steady-state ring capacity: the window depths are configuration
   // bounds, so neither queue reallocates on the per-cycle path.
   rob_.reserve(cfg_.robSize);
@@ -89,6 +95,82 @@ bool Core::done() const {
          replayQueue_.empty() && outstandingStores_ == 0;
 }
 
+void Core::setProgressHook(ProgressHook h) {
+  progressHook_ = std::move(h);
+  reportedTxns_ = transactions();
+  reportedDone_ = done();
+  if (progressHook_) {
+    progressHook_(static_cast<std::int64_t>(reportedTxns_),
+                  reportedDone_ ? 1 : 0);
+  }
+}
+
+void Core::reportProgress() {
+  const std::uint64_t txns = transactions();
+  const bool isDone = done();
+  if (txns == reportedTxns_ && isDone == reportedDone_) return;
+  if (progressHook_) {
+    progressHook_(static_cast<std::int64_t>(txns - reportedTxns_),
+                  static_cast<int>(isDone) - static_cast<int>(reportedDone_));
+  }
+  reportedTxns_ = txns;
+  reportedDone_ = isDone;
+}
+
+void Core::setState(RobEntry& e, St s) {
+  const std::uint64_t bit = robBit(e);
+  stMask_[static_cast<int>(e.st)] &= ~bit;
+  stMask_[static_cast<int>(s)] |= bit;
+  e.st = s;
+}
+
+void Core::startLatency(RobEntry& e, Cycle latency) {
+  setState(e, St::kIssued);
+  e.readyAt = sim_.now() + latency;
+  timedMask_ |= robBit(e);
+  nextReadyAt_ = std::min(nextReadyAt_, e.readyAt);
+  wakeIn(latency);
+}
+
+void Core::checkBookkeeping() const {
+  std::array<std::uint64_t, kNumStates> masks{};
+  std::uint64_t atomics = 0;
+  std::uint64_t switches = 0;
+  std::uint64_t timed = 0;
+  Cycle nextReadyAt = kNoReadyAt;
+  bool gateStore = false;
+  for (std::size_t i = 0; i < rob_.size(); ++i) {
+    const RobEntry& e = rob_[i];
+    masks[static_cast<int>(e.st)] |= std::uint64_t{1} << i;
+    if (isAtomic(e.inst)) atomics |= std::uint64_t{1} << i;
+    if (e.modeSwitch) switches |= std::uint64_t{1} << i;
+    if (e.st == St::kIssued && e.readyAt != 0) {
+      timed |= std::uint64_t{1} << i;
+      nextReadyAt = std::min(nextReadyAt, e.readyAt);
+    }
+    gateStore = gateStore || (e.st == St::kGateIssued &&
+                              e.inst.kind == Instr::Kind::kStore);
+  }
+  DVMC_ASSERT(masks == stMask_, "ROB state masks disagree with the ROB");
+  const std::uint64_t verified = inState(St::kVerified);
+  DVMC_ASSERT((verified & (verified + 1)) == 0,
+              "verified entries do not form a ROB prefix");
+  DVMC_ASSERT(atomics == atomicMask_ && switches == switchMask_,
+              "atomic or model-switch mask disagrees with the ROB");
+  DVMC_ASSERT(timed == timedMask_, "timed-entry mask disagrees with the ROB");
+  DVMC_ASSERT(nextReadyAt == nextReadyAt_,
+              "earliest readyAt disagrees with the ROB");
+  DVMC_ASSERT(gateStore == gateStoreInFlight_,
+              "gate store flag disagrees with the ROB");
+  const auto inFlight = static_cast<std::size_t>(std::count_if(
+      wb_.begin(), wb_.end(), [](const WbEntry& w) { return w.inFlight; }));
+  DVMC_ASSERT(inFlight == wbInFlight_,
+              "write-buffer in-flight count disagrees with the buffer");
+  DVMC_ASSERT(wbHeadHolds_ == (!wb_.empty() && wb_.front().inFlight &&
+                               wb_.front().ordered),
+              "write-buffer head flag disagrees with the buffer");
+}
+
 void Core::wake() {
   if (tickArmed_) return;
   tickArmed_ = true;
@@ -122,28 +204,18 @@ void Core::tick() {
 
   // Re-arm when there is cycle-driven work left; callback-driven work
   // (cache ops in flight) wakes the core itself.
-  bool pollable = false;
-  for (const RobEntry& e : rob_) {
-    if (e.st == St::kDispatched || e.st == St::kExecuted ||
-        e.st == St::kGateDone || e.st == St::kVerified) {
-      pollable = true;
-      break;
-    }
-  }
-  if (!pollable && !wb_.empty()) {
-    for (const WbEntry& w : wb_) {
-      if (!w.inFlight) {
-        pollable = true;
-        break;
-      }
-    }
-  }
-  if (!pollable && rob_.size() < cfg_.robSize &&
-      (!replayQueue_.empty() ||
-       (!program_->finished() && !dispatchBlocked_))) {
-    pollable = true;
-  }
+  const bool pollable =
+      (inState(St::kDispatched) | inState(St::kExecuted) |
+       inState(St::kGateDone) | inState(St::kVerified)) != 0 ||
+      wb_.size() > wbInFlight_ ||
+      (rob_.size() < cfg_.robSize &&
+       (!replayQueue_.empty() ||
+        (!program_->finished() && !dispatchBlocked_)));
   if (pollable) wake();
+  reportProgress();
+#ifndef NDEBUG
+  checkBookkeeping();
+#endif
 }
 
 // --------------------------------------------------------------------------
@@ -177,6 +249,10 @@ void Core::phaseDispatch() {
     lastDispatchModel_ = e.model;
     if (inst->token != 0) ++pendingTokens_;
     rob_.push_back(e);
+    const std::uint64_t bit = robBit(rob_.back());
+    stMask_[static_cast<int>(St::kDispatched)] |= bit;
+    if (isAtomic(e.inst)) atomicMask_ |= bit;
+    if (e.modeSwitch) switchMask_ |= bit;
     cDispatched_.inc();
   }
 }
@@ -186,11 +262,7 @@ void Core::phaseDispatch() {
 // --------------------------------------------------------------------------
 
 bool Core::allOlderVerified(const RobEntry& e) const {
-  for (const RobEntry& o : rob_) {
-    if (o.seq >= e.seq) break;
-    if (o.st != St::kVerified) return false;
-  }
-  return true;
+  return e.seq - rob_.front().seq <= verifiedPrefix();
 }
 
 bool Core::atomicMayExecute(const RobEntry& e) const {
@@ -223,20 +295,29 @@ std::optional<std::uint64_t> Core::forwardFromPipeline(
 }
 
 void Core::phaseExecute() {
-  // Promote finished latency-based executions first.
-  for (RobEntry& e : rob_) {
-    if (e.st == St::kIssued && e.readyAt != 0 && sim_.now() >= e.readyAt) {
+  // Promote finished latency-based executions first. Only a cycle in which
+  // a latency expires visits the timed entries; the visit also finds the
+  // next expiry. Promoting one changes no other entry.
+  if (sim_.now() >= nextReadyAt_) {
+    nextReadyAt_ = kNoReadyAt;
+    for (std::uint64_t ts = timedMask_; ts != 0; ts &= ts - 1) {
+      RobEntry& e = rob_[static_cast<std::size_t>(std::countr_zero(ts))];
+      if (sim_.now() < e.readyAt) {
+        nextReadyAt_ = std::min(nextReadyAt_, e.readyAt);
+        continue;
+      }
       e.readyAt = 0;
+      timedMask_ &= ~robBit(e);
       if (e.squashPending) {
         // A remote write invalidated the block this (forwarded) load read
         // from while its execute latency elapsed: re-execute.
         e.squashPending = false;
         ++e.gen;
-        e.st = St::kDispatched;
+        setState(e, St::kDispatched);
         cLoadSquashRestart_.inc();
         continue;
       }
-      e.st = St::kExecuted;
+      setState(e, St::kExecuted);
       if (e.performedAtExec) {
         // Forwarded RMO load: it performs now.
         e.performedAt = sim_.now();
@@ -246,16 +327,30 @@ void Core::phaseExecute() {
     }
   }
 
+  // Issue, oldest first, visiting only dispatched entries. Issuing one
+  // changes no other entry, so the mask read up front stays exact. Atomics
+  // and model switches issue only into a drained pipeline, as the oldest
+  // unverified entry (mayGo), and a switch that cannot go holds back
+  // everything younger. So nothing issues when the oldest dispatched entry
+  // is a switch that cannot go, or when every one is an atomic that cannot.
+  const std::uint64_t dispatched = inState(St::kDispatched);
+  const std::uint64_t mayGo =
+      outstandingStores_ == 0 && wb_.empty() ? frontierBit() : 0;
+  const std::uint64_t oldest = dispatched & (~dispatched + 1);
+  if ((oldest & switchMask_ & ~mayGo) != 0 ||
+      (dispatched & ~(atomicMask_ & ~mayGo)) == 0) {
+    return;
+  }
   std::size_t issued = 0;
-  for (std::size_t i = 0; i < rob_.size() && issued < cfg_.width; ++i) {
-    RobEntry& e = rob_[i];
+  for (std::uint64_t ds = dispatched; ds != 0 && issued < cfg_.width;
+       ds &= ds - 1) {
+    RobEntry& e = rob_[static_cast<std::size_t>(std::countr_zero(ds))];
     // A pending consistency-model switch drains the pipeline: nothing
     // younger executes until the switch instruction itself may run.
-    if (e.modeSwitch && e.st == St::kDispatched &&
+    if (e.modeSwitch &&
         !(allOlderVerified(e) && outstandingStores_ == 0 && wb_.empty())) {
       return;
     }
-    if (e.st != St::kDispatched) continue;
     issueExecute(e);
     if (e.st != St::kDispatched) ++issued;
   }
@@ -264,17 +359,13 @@ void Core::phaseExecute() {
 void Core::issueExecute(RobEntry& e) {
   switch (e.inst.kind) {
     case Instr::Kind::kCompute:
-      e.st = St::kIssued;
-      e.readyAt = sim_.now() + e.inst.latency;
-      wakeIn(e.inst.latency);
+      startLatency(e, e.inst.latency);
       return;
     case Instr::Kind::kMembar:
-      e.st = St::kExecuted;
+      setState(e, St::kExecuted);
       return;
     case Instr::Kind::kStore:
-      e.st = St::kIssued;
-      e.readyAt = sim_.now() + 1;
-      wakeIn(1);
+      startLatency(e, 1);
       if (cfg_.storePrefetch && !e.prefetched) {
         e.prefetched = true;
         CacheOp pf;
@@ -320,21 +411,19 @@ void Core::executeLoad(RobEntry& e) {
     }
   }
   if (auto fwd = forwardFromPipeline(e)) {
-    e.st = St::kIssued;
     e.execValue = *fwd;
     if (loadFaultArmed_) {
       loadFaultArmed_ = false;
       e.execValue ^= 0x80;  // injected LSQ forwarding corruption
       cInjectedLoadFaults_.inc();
     }
-    e.readyAt = sim_.now() + 1;
     e.performedAtExec = rmoLoad;
     cLoadForwarded_.inc();
-    wakeIn(1);
+    startLatency(e, 1);
     return;
   }
 
-  e.st = St::kIssued;
+  setState(e, St::kIssued);
   e.readyAt = 0;
   CacheOp op;
   op.kind = CacheOp::Kind::kLoad;
@@ -352,7 +441,7 @@ void Core::executeLoad(RobEntry& e) {
     if (e2->squashPending) {
       e2->squashPending = false;
       ++e2->gen;
-      e2->st = St::kDispatched;  // re-execute
+      setState(*e2, St::kDispatched);  // re-execute
       cLoadSquashRestart_.inc();
       wake();
       return;
@@ -363,7 +452,7 @@ void Core::executeLoad(RobEntry& e) {
       e2->execValue ^= 0x80;  // injected LSQ/forwarding corruption
       cInjectedLoadFaults_.inc();
     }
-    e2->st = St::kExecuted;
+    setState(*e2, St::kExecuted);
     if (rmoLoad || vc_ == nullptr) {
       // The cache access just performed this load (countsAsPerform above);
       // ordered-load models with DVUO perform at the verification replay.
@@ -379,7 +468,7 @@ void Core::executeLoad(RobEntry& e) {
 }
 
 void Core::executeAtomic(RobEntry& e) {
-  e.st = St::kIssued;
+  setState(e, St::kIssued);
   CacheOp op;
   op.kind = e.inst.kind == Instr::Kind::kCas ? CacheOp::Kind::kAtomicCas
                                              : CacheOp::Kind::kAtomicSwap;
@@ -394,7 +483,7 @@ void Core::executeAtomic(RobEntry& e) {
     RobEntry* e2 = entryBySeq(seq);
     if (e2 == nullptr || e2->gen != gen) return;
     e2->execValue = r.value;
-    e2->st = St::kExecuted;
+    setState(*e2, St::kExecuted);
     e2->performedAtExec = true;
     e2->performedAt = sim_.now();
     if (vc_ != nullptr) vc_->parkLoadValue(e2->inst.addr, 8, r.value);
@@ -408,38 +497,34 @@ void Core::executeAtomic(RobEntry& e) {
 // --------------------------------------------------------------------------
 
 void Core::phaseGate() {
-  // Pass 1: promote in program order everything whose gate work finished.
-  while (!rob_.empty()) {
-    bool promoted = false;
-    for (RobEntry& e : rob_) {
-      if (e.st == St::kVerified) continue;
-      if (e.st == St::kGateDone) {
-        finishGate(e);
-        promoted = true;
-        continue;
-      }
-      break;  // first entry still working: stop promoting
-    }
-    if (!promoted) break;
+  // Pass 1: promote in program order everything whose gate work finished,
+  // starting right past the verified prefix; each promotion extends it.
+  while ((inState(St::kGateDone) & frontierBit()) != 0) {
+    finishGate(rob_[verifiedPrefix()]);
   }
 
   // Pass 2: admit executed entries into the gate, in order, allowing
   // parallel replays (different instructions verify concurrently as long
-  // as serializing operations wait for all older work).
+  // as serializing operations wait for all older work). While an SC store
+  // performs at the gate (right past the verified prefix), nothing younger
+  // may enter (Store -> Load ordering — a younger replay reading the cache
+  // before the store performs would observe the pre-store value).
+  if (gateStoreInFlight_) return;
+  // The walk ends at the oldest entry that has not executed, so it has
+  // work only when an executed entry comes before that one.
+  const std::uint64_t notExecuted =
+      inState(St::kDispatched) | inState(St::kIssued);
+  const std::uint64_t beforeNotExecuted =
+      (notExecuted & (~notExecuted + 1)) - 1;  // all ones when none
+  if ((inState(St::kExecuted) & beforeNotExecuted) == 0) return;
   std::size_t inGate = 0;
-  for (RobEntry& e : rob_) {
+  for (std::size_t i = verifiedPrefix(); i < rob_.size(); ++i) {
     if (inGate >= cfg_.width) break;
+    RobEntry& e = rob_[i];
     switch (e.st) {
-      case St::kVerified:
       case St::kGateDone:
         continue;
       case St::kGateIssued:
-        if (e.inst.kind == Instr::Kind::kStore) {
-          // An SC store performing at the gate: nothing younger may enter
-          // (Store -> Load ordering — a younger replay reading the cache
-          // before the store performs would observe the pre-store value).
-          return;
-        }
         ++inGate;
         continue;
       case St::kExecuted:
@@ -459,7 +544,7 @@ void Core::phaseGate() {
 void Core::gateEntry(RobEntry& e) {
   switch (e.inst.kind) {
     case Instr::Kind::kCompute:
-      e.st = St::kGateDone;
+      setState(e, St::kGateDone);
       return;
 
     case Instr::Kind::kMembar: {
@@ -472,7 +557,7 @@ void Core::gateEntry(RobEntry& e) {
         return;  // stall
       }
       if (!allOlderVerified(e)) return;
-      e.st = St::kGateDone;
+      setState(e, St::kGateDone);
       return;
     }
 
@@ -481,7 +566,8 @@ void Core::gateEntry(RobEntry& e) {
         // SC: no write buffer — the store performs right here, stalling
         // the gate until the write is globally visible.
         if (!allOlderVerified(e)) return;
-        e.st = St::kGateIssued;
+        setState(e, St::kGateIssued);
+        gateStoreInFlight_ = true;
         ++outstandingStores_;
         CacheOp op;
         op.kind = CacheOp::Kind::kStore;
@@ -493,13 +579,14 @@ void Core::gateEntry(RobEntry& e) {
                             const CacheOpResult&) {
           if (rgen != restartGen_) return;
           --outstandingStores_;
+          gateStoreInFlight_ = false;
           RobEntry* e2 = entryBySeq(seq);
           if (e2 == nullptr || e2->gen != gen) return;
           if (ar_ != nullptr) {
             ar_->onPerform(OpType::kStore, 0, e2->seq, tableFor(e2->model));
           }
           e2->performedAt = sim_.now();
-          e2->st = St::kGateDone;
+          setState(*e2, St::kGateDone);
           wake();
         });
         return;
@@ -515,7 +602,7 @@ void Core::gateEntry(RobEntry& e) {
       }
       if (ar_ != nullptr) ar_->onCommit(OpType::kStore, e.seq);
       ++outstandingStores_;
-      e.st = St::kGateDone;
+      setState(e, St::kGateDone);
       return;
     }
 
@@ -533,25 +620,25 @@ void Core::gateEntry(RobEntry& e) {
             if (*pending != e.execValue) {
               cUoFlushes_.inc();
               ++e.gen;
-              e.st = St::kDispatched;
+              setState(e, St::kDispatched);
               return;
             }
           } else if (parked && *parked != e.execValue) {
             // Same-word value churn between two unordered loads — legal
             // under RMO; resolved by a silent flush, not an error.
             ++e.gen;
-            e.st = St::kDispatched;
+            setState(e, St::kDispatched);
             cRmoReplayFlushes_.inc();
             return;
           } else if (!parked) {
             cRmoReplayNoPark_.inc();
           }
         }
-        e.st = St::kGateDone;
+        setState(e, St::kGateDone);
         return;
       }
       if (vc_ == nullptr) {
-        e.st = St::kGateDone;  // no replay; load performs at promotion
+        setState(e, St::kGateDone);  // no replay; load performs at promotion
         return;
       }
       if (ar_ != nullptr) ar_->onCommit(OpType::kLoad, e.seq);
@@ -561,7 +648,7 @@ void Core::gateEntry(RobEntry& e) {
 
     case Instr::Kind::kSwap:
     case Instr::Kind::kCas:
-      e.st = St::kGateDone;  // performed (serialized) at execute
+      setState(e, St::kGateDone);  // performed (serialized) at execute
       return;
   }
 }
@@ -571,11 +658,11 @@ void Core::replayLoad(RobEntry& e) {
   // bypassing the write buffer (§4.1).
   if (auto vcHit = vc_->lookupStoreOlderThan(e.inst.addr, 8, e.seq)) {
     cReplayVcHit_.inc();
-    e.st = St::kGateIssued;
+    setState(e, St::kGateIssued);
     onReplayDone(e, *vcHit, /*l1Hit=*/true);
     return;
   }
-  e.st = St::kGateIssued;
+  setState(e, St::kGateIssued);
   CacheOp op;
   op.kind = CacheOp::Kind::kReplayLoad;
   op.addr = e.inst.addr;
@@ -598,7 +685,7 @@ void Core::onReplayDone(RobEntry& e, std::uint64_t replayValue, bool l1Hit) {
     // verification: load-order mis-speculation, not an error.
     e.squashPending = false;
     ++e.gen;
-    e.st = St::kDispatched;
+    setState(e, St::kDispatched);
     cLoadSquashRestart_.inc();
     return;
   }
@@ -611,7 +698,7 @@ void Core::onReplayDone(RobEntry& e, std::uint64_t replayValue, bool l1Hit) {
     // the load path surface here as a flush; the §6.1 experiments count
     // the uoFlushes delta as the detection signal for those faults.
     ++e.gen;
-    e.st = St::kDispatched;
+    setState(e, St::kDispatched);
     cUoFlushes_.inc();
     return;
   }
@@ -620,7 +707,7 @@ void Core::onReplayDone(RobEntry& e, std::uint64_t replayValue, bool l1Hit) {
   // squashes the entry (onReadPermissionLost treats kGateDone as still
   // speculative), so the observed value is stable through promotion.
   e.performedAt = sim_.now();
-  e.st = St::kGateDone;
+  setState(e, St::kGateDone);
 }
 
 void Core::finishGate(RobEntry& e) {
@@ -656,7 +743,7 @@ void Core::finishGate(RobEntry& e) {
       break;
   }
   recordCommit(e);
-  e.st = St::kVerified;
+  setState(e, St::kVerified);
 }
 
 void Core::recordCommit(const RobEntry& e) {
@@ -725,9 +812,9 @@ void Core::reportUoViolation(const RobEntry& e, const char* what) {
 // --------------------------------------------------------------------------
 
 void Core::phaseRetire() {
-  for (std::size_t n = 0; n < cfg_.width && !rob_.empty(); ++n) {
+  for (std::size_t n = 0;
+       n < cfg_.width && (inState(St::kVerified) & 1) != 0; ++n) {
     RobEntry& e = rob_.front();
-    if (e.st != St::kVerified) return;
     if (e.inst.kind == Instr::Kind::kStore &&
         e.model != ConsistencyModel::kSC) {
       const bool ordered = (e.model == ConsistencyModel::kTSO ||
@@ -778,15 +865,18 @@ void Core::phaseRetire() {
     }
     ++retiredCount_;
     cRetired_.inc();
+    for (std::uint64_t& m : stMask_) m >>= 1;
+    atomicMask_ >>= 1;
+    switchMask_ >>= 1;
+    timedMask_ >>= 1;
     rob_.pop_front();
   }
 }
 
 void Core::drainWriteBuffer() {
-  std::size_t inFlight = 0;
-  for (const WbEntry& w : wb_) {
-    if (w.inFlight) ++inFlight;
-  }
+  // Nothing can issue when every entry already has, or when an ordered
+  // store in flight at the head holds back everything behind it.
+  if (wbInFlight_ == wb_.size() || wbHeadHolds_) return;
   std::size_t startIdx = 0;
   if (wbReorderArmed_ && wb_.size() >= 2 && !wb_[0].inFlight &&
       !wb_[1].inFlight) {
@@ -810,7 +900,7 @@ void Core::drainWriteBuffer() {
     // (bounded per round by the pipeline width instead).
     if (pass == 0) {
       if (ownedIssued >= cfg_.width) break;
-    } else if (inFlight >= cfg_.wbConcurrency) {
+    } else if (wbInFlight_ >= cfg_.wbConcurrency) {
       break;
     }
     WbEntry& w = wb_[i];
@@ -831,7 +921,8 @@ void Core::drainWriteBuffer() {
       ++ownedIssued;
     }
     w.inFlight = true;
-    ++inFlight;
+    ++wbInFlight_;
+    if (i == 0 && w.ordered) wbHeadHolds_ = true;
     if (w.ordered) olderOrderedPending = true;
 
     CacheOp op;
@@ -859,12 +950,18 @@ void Core::drainWriteBuffer() {
                            tableFor(it->ordered ? ConsistencyModel::kTSO
                                                 : model_));
           }
+          DVMC_ASSERT(it->inFlight && wbInFlight_ > 0,
+                      "write-buffer in-flight bookkeeping underflow");
+          --wbInFlight_;
           wb_.erase(it);
+          wbHeadHolds_ =
+              !wb_.empty() && wb_.front().inFlight && wb_.front().ordered;
           DVMC_ASSERT(outstandingStores_ > 0, "store bookkeeping underflow");
           --outstandingStores_;
           break;
         }
       }
+      reportProgress();
       wake();
     });
     if (faulted) return;  // only the reordered entry issues this round
@@ -900,7 +997,7 @@ void Core::onReadPermissionLost(Addr blk, bool remoteWrite) {
           break;
         case St::kExecuted:
           ++e.gen;
-          e.st = St::kDispatched;
+          setState(e, St::kDispatched);
           cSquashes_.inc();
           break;
         case St::kGateDone:
@@ -912,7 +1009,7 @@ void Core::onReadPermissionLost(Addr blk, bool remoteWrite) {
           // replay-time value is already correctly ordered — leave it.
           if (olderUnperformed) {
             ++e.gen;
-            e.st = St::kDispatched;
+            setState(e, St::kDispatched);
             cSquashes_.inc();
           }
           break;
@@ -951,7 +1048,15 @@ Core::ArchSnapshot Core::snapshotState() const {
 void Core::restoreState(const ArchSnapshot& snap) {
   ++restartGen_;
   rob_.clear();
+  stMask_ = {};
+  atomicMask_ = 0;
+  switchMask_ = 0;
+  timedMask_ = 0;
+  nextReadyAt_ = kNoReadyAt;
+  gateStoreInFlight_ = false;
   wb_.clear();
+  wbInFlight_ = 0;
+  wbHeadHolds_ = false;
   outstandingStores_ = 0;
   pendingTokens_ = 0;
   dispatchBlocked_ = false;
@@ -964,6 +1069,7 @@ void Core::restoreState(const ArchSnapshot& snap) {
   lastDispatchModel_ = model_;
   tickArmed_ = false;
   cRestarts_.inc();
+  reportProgress();
   wake();
 }
 

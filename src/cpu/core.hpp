@@ -20,7 +20,10 @@
 // switch drains the pipeline, as writing PSTATE.MM does on real SPARC.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <functional>
 #include <memory>
 
 #include "coherence/hierarchy.hpp"
@@ -66,6 +69,15 @@ class Core final : public CpuNotifier {
 
   /// All instructions retired and all stores performed.
   bool done() const;
+
+  /// Receives each change of transactions() (signed) and of done() (+1
+  /// when it becomes true, -1 when a BER restore makes it false again).
+  using ProgressHook =
+      std::function<void(std::int64_t txnDelta, int doneDelta)>;
+  /// System sums the changes into run()'s stop condition. The hook runs in
+  /// the event that made the change; the current state is reported at
+  /// once, as a change from zero.
+  void setProgressHook(ProgressHook h);
 
   // --- CpuNotifier (invalidation hints for load-order speculation) ---
   void onReadPermissionLost(Addr blk, bool remoteWrite) override;
@@ -140,6 +152,9 @@ class Core final : public CpuNotifier {
     kGateDone,     // gate work finished, awaiting in-order promotion
     kVerified,     // passed the gate, ready to retire
   };
+  static constexpr std::size_t kNumStates =
+      static_cast<std::size_t>(St::kVerified) + 1;
+  static constexpr Cycle kNoReadyAt = ~Cycle{0};
 
   struct RobEntry {
     Instr inst;
@@ -167,6 +182,24 @@ class Core final : public CpuNotifier {
   void tick();
   void wake();
   void wakeIn(Cycle d);
+  std::uint64_t robBit(const RobEntry& e) const {
+    return std::uint64_t{1} << (e.seq - rob_.front().seq);
+  }
+  void setState(RobEntry& e, St s);
+  std::uint64_t inState(St s) const { return stMask_[static_cast<int>(s)]; }
+  std::size_t verifiedPrefix() const {
+    return static_cast<std::size_t>(std::popcount(inState(St::kVerified)));
+  }
+  /// Bit of the oldest unverified entry; 0 when every entry is verified.
+  std::uint64_t frontierBit() const { return inState(St::kVerified) + 1; }
+  /// Issues `e` into a fixed execute latency (compute, a store's address
+  /// phase, a forwarded load); phaseExecute promotes it when that expires.
+  void startLatency(RobEntry& e, Cycle latency);
+  /// Calls the progress hook if transactions() or done() changed since the
+  /// last report.
+  void reportProgress();
+  /// Asserts the readiness bookkeeping against a full scan.
+  void checkBookkeeping() const;
   void injectTick();
   void phaseRetire();
   void phaseGate();
@@ -208,6 +241,30 @@ class Core final : public CpuNotifier {
   RingQueue<RobEntry> rob_;
   RingQueue<WbEntry> wb_;
   RingQueue<Instr> replayQueue_;  // re-injected in-flight work (recovery)
+
+  // Readiness bookkeeping, so a tick visits only entries that can move.
+  // Bit i of each mask stands for rob_[i], counting from the head:
+  // retirement shifts every mask right by one, and the ROB holds at most
+  // 64 entries. stMask_[s] holds the entries in state s; every state
+  // change goes through setState(). Verified entries always form a ROB
+  // prefix (the gate promotes in program order and nothing leaves
+  // kVerified but retirement), so verifiedPrefix() is the index of the
+  // oldest unverified entry. In builds without NDEBUG each tick ends by
+  // checking all of it against a full scan (checkBookkeeping).
+  std::array<std::uint64_t, kNumStates> stMask_{};
+  std::uint64_t atomicMask_ = 0;    // swaps and CASes
+  std::uint64_t switchMask_ = 0;    // consistency-model switches
+  std::uint64_t timedMask_ = 0;     // kIssued entries whose latency runs
+  Cycle nextReadyAt_ = kNoReadyAt;  // earliest readyAt among them
+  std::size_t wbInFlight_ = 0;      // write-buffer entries issued to L2
+  bool wbHeadHolds_ = false;        // the head is an ordered store in flight
+  bool gateStoreInFlight_ = false;  // an SC store performs at the gate
+
+  // What the progress hook last reported.
+  ProgressHook progressHook_;
+  std::uint64_t reportedTxns_ = 0;
+  bool reportedDone_ = false;
+
   SeqNum nextSeq_ = 1;
   ConsistencyModel lastDispatchModel_;
   std::uint64_t outstandingStores_ = 0;  // in WB or performing (SC)

@@ -183,15 +183,24 @@ std::uint64_t Simulator::run(Cycle limit) {
   return n;
 }
 
-bool Simulator::runUntil(const std::function<bool()>& pred, Cycle limit) {
-  if (pred()) return true;
+template <class Stopped>
+bool Simulator::runUntilStopped(const Stopped& stopped, Cycle limit) {
+  if (stopped()) return true;
   while (size_ != 0) {
     const Cycle t = peekWhen();
     if (t > limit) break;
     dispatch(t);
-    if (pred()) return true;
+    if (stopped()) return true;
   }
   return false;
+}
+
+bool Simulator::runUntil(const std::function<bool()>& pred, Cycle limit) {
+  return runUntilStopped(pred, limit);
+}
+
+bool Simulator::runUntilFlag(const bool& stop, Cycle limit) {
+  return runUntilStopped([&stop] { return stop; }, limit);
 }
 
 }  // namespace dvmc

@@ -67,6 +67,10 @@ class Simulator {
   /// drains, or `limit` is reached. Returns true if pred was satisfied.
   bool runUntil(const std::function<bool()>& pred, Cycle limit = ~Cycle{0});
 
+  /// runUntil() on a flag that events set: the loop reads `stop` before
+  /// the first event and after each one, and calls nothing per event.
+  bool runUntilFlag(const bool& stop, Cycle limit = ~Cycle{0});
+
   /// Destroys every pending event without running it. Owners call this
   /// before tearing down components whose resources pending actions still
   /// hold (pooled message handles release into their pool).
@@ -100,6 +104,10 @@ class Simulator {
   static constexpr Cycle kNearWindow = 64;
   static constexpr std::size_t kSlabEvents = 256;
 
+  /// The loop behind runUntil() and runUntilFlag(): reads `stopped()`
+  /// before the first event and after each one.
+  template <class Stopped>
+  bool runUntilStopped(const Stopped& stopped, Cycle limit);
   Event* allocEvent(Cycle when, Action fn);
   void releaseEvent(Event* e);
   /// Executes the earliest pending event; `t` must equal peekWhen().

@@ -144,6 +144,12 @@ System::System(SystemConfig cfg) : cfg_(std::move(cfg)) {
     });
   }
 
+  // Barrier workloads (barnes) run every thread's phases to completion;
+  // the transaction target never stops them.
+  const WorkloadParams wp = cfg_.workloadOverride
+                                ? *cfg_.workloadOverride
+                                : workloadPreset(cfg_.workload);
+  targetStops_ = wp.barrierEveryTx == 0;
   nodes_.resize(cfg_.numNodes);
   for (NodeId n = 0; n < cfg_.numNodes; ++n) buildNode(n);
 
@@ -284,6 +290,13 @@ void System::buildNode(NodeId n) {
                                      *node.hierarchy, makeProgram(n), &sink_,
                                      node.vc.get(), node.ar.get(), cfg_.dvmc);
   node.hierarchy->setCpuNotifier(node.core.get());
+  node.core->setProgressHook([this](std::int64_t txnDelta, int doneDelta) {
+    // Unsigned sums wrap, so negative deltas (BER restore) subtract.
+    transactions_ += static_cast<std::uint64_t>(txnDelta);
+    coresDone_ += static_cast<std::size_t>(doneDelta);
+    stop_ = coresDone_ == cfg_.numNodes ||
+            (targetStops_ && transactions_ >= cfg_.targetTransactions);
+  });
 
   if (dirCache != nullptr) {
     node.dataRouter = std::make_unique<DirNodeRouter>(
@@ -299,20 +312,25 @@ void System::buildNode(NodeId n) {
 }
 
 std::uint64_t System::totalTransactions() const {
+#ifndef NDEBUG
   std::uint64_t total = 0;
   for (const Node& n : nodes_) total += n.core->transactions();
-  return total;
+  DVMC_ASSERT(total == transactions_, "transaction count missed a core");
+#endif
+  return transactions_;
 }
 
 bool System::allCoresDone() const {
-  for (const Node& n : nodes_) {
-    if (!n.core->done()) return false;
-  }
-  return true;
+#ifndef NDEBUG
+  std::size_t done = 0;
+  for (const Node& n : nodes_) done += n.core->done() ? 1 : 0;
+  DVMC_ASSERT(done == coresDone_, "done-core count missed a core");
+#endif
+  return coresDone_ == nodes_.size();
 }
 
 RunResult System::run() {
-  RunResult r = runUntil([] { return false; });
+  RunResult r = runUntil({});
   // run() is the whole-run entry point: the capture is complete, so close
   // the chunk stream (flushing the unsettled tail to any attached sink).
   // Callers driving runUntil/collectResult by hand own this call.
@@ -337,19 +355,11 @@ RunResult System::runUntil(const std::function<bool()>& extraPred) {
       scheduleSampleTick();
     }
   }
-  const WorkloadParams p = cfg_.workloadOverride
-                               ? *cfg_.workloadOverride
-                               : workloadPreset(cfg_.workload);
-  const bool barrierWorkload = p.barrierEveryTx != 0;
   const Cycle startCycle = sim_.now();
-
-  auto pred = [this, barrierWorkload, &extraPred] {
-    if (extraPred()) return true;
-    if (allCoresDone()) return true;  // finite programs ran to completion
-    if (barrierWorkload) return false;
-    return totalTransactions() >= cfg_.targetTransactions;
-  };
-  const bool reached = sim_.runUntil(pred, startCycle + cfg_.maxCycles);
+  const Cycle limit = startCycle + cfg_.maxCycles;
+  const bool reached =
+      extraPred ? sim_.runUntil([&] { return extraPred() || stop_; }, limit)
+                : sim_.runUntilFlag(stop_, limit);
   return collectResult(reached, sim_.now() - startCycle);
 }
 

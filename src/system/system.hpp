@@ -40,10 +40,14 @@ class System {
   System& operator=(const System&) = delete;
 
   /// Runs until the transaction target is reached (barnes: all cores
-  /// finish) or maxCycles elapse; fills and returns the result.
+  /// finish) or maxCycles elapse; fills and returns the result. The stop
+  /// condition is a flag the cores' progress keeps current, so the kernel
+  /// tests one bool per event whatever the node count.
   RunResult run();
 
-  /// Runs until `extraPred` becomes true as well (fault experiments).
+  /// Runs until `extraPred` becomes true as well (fault experiments); it
+  /// is called after every event. With an empty `extraPred` the kernel
+  /// tests only run()'s flag.
   RunResult runUntil(const std::function<bool()>& extraPred);
 
   /// Closes the commit-trace capture: flushes the unsettled chunk tail to
@@ -63,6 +67,8 @@ class System {
 
   // --- measurement control ---
   void resetNetStats();
+  /// Sum of the cores' transactions(), and whether every core is done();
+  /// both read counters the cores keep current.
   std::uint64_t totalTransactions() const;
   bool allCoresDone() const;
 
@@ -195,6 +201,12 @@ class System {
   std::uint64_t unrecoverable_ = 0;
   bool recoveryPending_ = false;  // a burst-consuming check is scheduled
   bool started_ = false;
+
+  // run()'s stop condition, summed from the cores' progress hooks.
+  std::uint64_t transactions_ = 0;  // sum of Core::transactions()
+  std::size_t coresDone_ = 0;       // cores whose done() holds
+  bool targetStops_ = true;  // false for barrier workloads (barnes)
+  bool stop_ = false;        // every core done, or the target reached
 };
 
 }  // namespace dvmc

@@ -3,9 +3,9 @@
 // Each cell is a fixed-seed, 4-node oltp run with the full DVMC checker
 // set, SafetyNet and commit-trace capture. The cell hashes (FNV-1a 64)
 // only integers and strings, into two halves:
-//   * machine: the serialized dvmc-trace, the integer RunResult fields
-//     except `detections`, and every counter and histogram of the per-node
-//     metric snapshot that does not belong to a checker;
+//   * machine: the serialized dvmc-trace (when captured), the integer
+//     RunResult fields except `detections`, and every counter and histogram
+//     of the per-node metric snapshot that does not belong to a checker;
 //   * checker: the checker metrics (names starting `ar.`, `cet.`, `met.`,
 //     `shadow.` or `vc.` after any `nodeN/` prefix), `detections` and the
 //     detection list.
@@ -18,8 +18,12 @@
 // Beyond the protocol x model matrix, the cells reach the paths a default
 // run never takes: the shadow checker, a tiny L2 whose sets fill with
 // in-flight transactions (directory writeback stalls, snooping deferred
-// snoops), and one injected fault per protocol that lands in a
-// controller's fault handling.
+// snoops), one injected fault per protocol that lands in a controller's
+// fault handling, and one injected fault per protocol that a checker
+// detects and SafetyNet recovers from. Recovery re-executes in-flight work
+// under fresh sequence numbers, which trace capture cannot record, so the
+// recovery cells run without a trace and are the only cells that reach
+// Core::snapshotState and Core::restoreState.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -59,7 +63,7 @@ class Fnv1a {
   std::uint64_t h_ = 0xcbf29ce484222325ull;
 };
 
-enum class Variant { kBase, kShadow, kSmallL2, kFaulted };
+enum class Variant { kBase, kShadow, kSmallL2, kFaulted, kRecovered };
 
 struct Cell {
   const char* name;
@@ -83,7 +87,8 @@ SystemConfig cellConfig(const Cell& c) {
   cfg.seed = kSeed;
   cfg.targetTransactions = kTargetTransactions;
   cfg.maxCycles = 2'000'000;
-  cfg.trace.capture = true;
+  cfg.trace.capture = c.variant != Variant::kRecovered;
+  cfg.autoRecover = c.variant == Variant::kRecovered;
   if (c.variant == Variant::kShadow) {
     cfg.coherenceChecker = SystemConfig::CoherenceCheckerKind::kShadow;
   }
@@ -95,6 +100,7 @@ SystemConfig cellConfig(const Cell& c) {
 }
 
 FaultType cellFault(const Cell& c) {
+  if (c.variant == Variant::kRecovered) return FaultType::kCacheStateFlip;
   return c.protocol == Protocol::kDirectory ? FaultType::kCacheStateFlip
                                             : FaultType::kMsgDuplicate;
 }
@@ -118,9 +124,11 @@ bool isCheckerMetric(const std::string& name) {
 Fingerprint fingerprint(System& sys, const RunResult& r) {
   Fnv1a machine;
   Fnv1a checker;
-  const std::vector<std::uint8_t> trace = r.trace->serialize();
-  machine.u64(trace.size());
-  machine.bytes(trace.data(), trace.size());
+  if (r.trace != nullptr) {
+    const std::vector<std::uint8_t> trace = r.trace->serialize();
+    machine.u64(trace.size());
+    machine.bytes(trace.data(), trace.size());
+  }
   for (std::uint64_t v :
        {std::uint64_t{r.completed}, std::uint64_t{r.cycles}, r.transactions,
         r.retiredInstructions, r.memOps, r.memOps32, r.totalNetBytes,
@@ -169,7 +177,7 @@ TEST_P(GoldenFingerprint, MatchesBaseline) {
   const Cell& c = GetParam();
   System sys(cellConfig(c));
   RunResult r;
-  if (c.variant == Variant::kFaulted) {
+  if (c.variant == Variant::kFaulted || c.variant == Variant::kRecovered) {
     FaultInjector inj(sys, kInjectorSeed);
     sys.runUntil([&] { return sys.sim().now() >= kInjectAt; });
     ASSERT_TRUE(inj.inject(cellFault(c)));
@@ -179,7 +187,7 @@ TEST_P(GoldenFingerprint, MatchesBaseline) {
     EXPECT_TRUE(r.completed);
     EXPECT_EQ(r.detections, 0u) << sys.sink().first().what;
   }
-  ASSERT_NE(r.trace, nullptr);
+  ASSERT_EQ(r.trace != nullptr, c.variant != Variant::kRecovered);
 
   // Each special cell must still reach the path it exists for.
   const MetricSnapshot snap = sys.metricsSnapshot();
@@ -196,6 +204,11 @@ TEST_P(GoldenFingerprint, MatchesBaseline) {
     } else {
       EXPECT_GT(snap.value("l2.strayData"), 0u);
     }
+  }
+  if (c.variant == Variant::kRecovered) {
+    EXPECT_GE(r.recoveries, 1u);
+    EXPECT_GT(snap.value("cpu.restarts"), 0u);
+    EXPECT_TRUE(r.completed);
   }
 
   const Fingerprint got = fingerprint(sys, r);
@@ -243,7 +256,11 @@ INSTANTIATE_TEST_SUITE_P(
         Cell{"dir_TSO_faulted", kDir, CM::kTSO, Variant::kFaulted,
              0x96d4ff183a88f5d4ull, 0x71c90c8fda74ecb7ull},
         Cell{"snoop_TSO_faulted", kSnp, CM::kTSO, Variant::kFaulted,
-             0x06e215c8e493d6e0ull, 0x7ad4752ca5d30294ull}),
+             0x06e215c8e493d6e0ull, 0x7ad4752ca5d30294ull},
+        Cell{"dir_TSO_recovered", kDir, CM::kTSO, Variant::kRecovered,
+             0xf8e12b94aa5aa35full, 0x9f010397676b6e73ull},
+        Cell{"snoop_TSO_recovered", kSnp, CM::kTSO, Variant::kRecovered,
+             0x72a8d038589bfb00ull, 0x5db5a9626935d17aull}),
     cellName);
 
 }  // namespace

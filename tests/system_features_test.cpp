@@ -1,8 +1,9 @@
-// Feature tests for the system layer: mid-run teardown, automatic recovery,
-// write-buffer coalescing, MET entry eviction, traffic classification,
-// logical clocks, and L1 inclusion.
+// Feature tests for the system layer: mid-run teardown, the run's stop
+// condition, automatic recovery, write-buffer coalescing, MET entry
+// eviction, traffic classification, logical clocks, and L1 inclusion.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -33,6 +34,154 @@ TEST(Teardown, DestroysMidRunSystemOnBothProtocols) {
     EXPECT_FALSE(sys->sim().empty()) << protocolName(p);
     sys.reset();
   }
+}
+
+// ---------------------------------------------------------------------------
+// Stop condition
+// ---------------------------------------------------------------------------
+
+// The predicate System::run() evaluated after every event before the cores
+// kept counters: every core done, or, outside barrier workloads, the
+// transaction target reached. Recomputed from every core on each call,
+// which also counts the events after which System's counters disagreed.
+struct ReferenceStop {
+  System& sys;
+  bool targetStops;
+  std::uint64_t counterMismatches = 0;
+
+  bool operator()() {
+    std::uint64_t txns = 0;
+    bool allDone = true;
+    for (NodeId n = 0; n < sys.numNodes(); ++n) {
+      txns += sys.core(n).transactions();
+      allDone = allDone && sys.core(n).done();
+    }
+    if (sys.totalTransactions() != txns || sys.allCoresDone() != allDone) {
+      ++counterMismatches;
+    }
+    return allDone ||
+           (targetStops && txns >= sys.config().targetTransactions);
+  }
+};
+
+// Runs `sys`'s config twice: through System::run(), and through a
+// reference loop that drives Simulator::runUntil with ReferenceStop. Both
+// must stop on the same event, and the reference System's counters must
+// agree with the cores after every event. With `injectAt` set, both first
+// run to that cycle and take the same cache-state flip; transactions have
+// completed by then, so a rollback to the cycle-0 checkpoint lowers the
+// count. Returns the System::run() result.
+RunResult expectSameStop(System& sys, bool targetStops, Cycle injectAt) {
+  const SystemConfig& cfg = sys.config();
+  System ref(cfg);
+  ref.runUntil([] { return true; });  // starts the machine, runs no event
+  ReferenceStop refStop{ref, targetStops};
+  if (injectAt != 0) {
+    sys.runUntil([&] { return sys.sim().now() >= injectAt; });
+    ref.sim().runUntil(
+        [&] { return refStop() || ref.sim().now() >= injectAt; });
+    EXPECT_EQ(sys.sim().eventsExecuted(), ref.sim().eventsExecuted());
+    EXPECT_GT(sys.totalTransactions(), 0u);
+    FaultInjector inj(sys, 3);
+    FaultInjector refInj(ref, 3);
+    EXPECT_TRUE(inj.inject(FaultType::kCacheStateFlip));
+    EXPECT_TRUE(refInj.inject(FaultType::kCacheStateFlip));
+  }
+  const RunResult r = sys.run();
+  const bool refStopped =
+      ref.sim().runUntil(std::ref(refStop), ref.sim().now() + cfg.maxCycles);
+  EXPECT_TRUE(r.completed);
+  EXPECT_TRUE(refStopped);
+  EXPECT_EQ(sys.sim().now(), ref.sim().now());
+  EXPECT_EQ(sys.sim().eventsExecuted(), ref.sim().eventsExecuted());
+  EXPECT_EQ(sys.totalTransactions(), ref.totalTransactions());
+  EXPECT_EQ(sys.allCoresDone(), ref.allCoresDone());
+  EXPECT_EQ(refStop.counterMismatches, 0u);
+  return r;
+}
+
+SystemConfig stopConfig(Protocol p, WorkloadKind w) {
+  SystemConfig cfg = SystemConfig::withDvmc(p, ConsistencyModel::kTSO);
+  cfg.numNodes = 4;
+  cfg.workload = w;
+  cfg.seed = 5;
+  cfg.maxCycles = 5'000'000;
+  return cfg;
+}
+
+TEST(StopCondition, TargetStopsOnTheReferenceEvent) {
+  SystemConfig cfg = stopConfig(Protocol::kDirectory, WorkloadKind::kOltp);
+  cfg.targetTransactions = 60;
+  System sys(cfg);
+  expectSameStop(sys, /*targetStops=*/true, /*injectAt=*/0);
+  EXPECT_GE(sys.totalTransactions(), 60u);
+  EXPECT_FALSE(sys.allCoresDone());
+
+  // The target still holds, so a second run() returns before any event.
+  const std::uint64_t events = sys.sim().eventsExecuted();
+  EXPECT_TRUE(sys.run().completed);
+  EXPECT_EQ(sys.sim().eventsExecuted(), events);
+
+  // The drain ignores run()'s stop condition: it runs its whole window
+  // while the still-running cores tick every cycle.
+  const Cycle before = sys.sim().now();
+  sys.drainCheckers();
+  EXPECT_EQ(sys.sim().now(), before + 5'000);
+}
+
+TEST(StopCondition, ZeroTargetStopsBeforeTheFirstEvent) {
+  SystemConfig cfg = stopConfig(Protocol::kDirectory, WorkloadKind::kOltp);
+  cfg.targetTransactions = 0;
+  System sys(cfg);
+  EXPECT_TRUE(sys.run().completed);
+  EXPECT_EQ(sys.sim().eventsExecuted(), 0u);
+}
+
+TEST(StopCondition, FiniteProgramsStopWhenEveryCoreIsDone) {
+  SystemConfig cfg = stopConfig(Protocol::kSnooping, WorkloadKind::kOltp);
+  WorkloadParams p = workloadPreset(WorkloadKind::kOltp);
+  p.maxTransactions = 6;
+  cfg.workloadOverride = p;
+  cfg.targetTransactions = 1'000'000;  // never reached
+  System sys(cfg);
+  expectSameStop(sys, /*targetStops=*/true, /*injectAt=*/0);
+  EXPECT_TRUE(sys.allCoresDone());
+  EXPECT_EQ(sys.totalTransactions(), 4u * 6u);
+}
+
+// A program ending in buffered stores becomes done in the write buffer's
+// drain callback, not in a tick.
+TEST(StopCondition, LastDrainedStoreStopsTheRun) {
+  SystemConfig cfg = stopConfig(Protocol::kDirectory, WorkloadKind::kOltp);
+  cfg.targetTransactions = 1'000'000;  // never reached
+  cfg.programFactory = [](NodeId n) -> std::unique_ptr<ThreadProgram> {
+    const Addr base = 0x400000 + Addr{n} * 0x10000;
+    return std::make_unique<ScriptedProgram>(std::vector<Instr>{
+        Instr::compute(3), Instr::store(base, 1), Instr::store(base + 0x40, 2),
+        Instr::store(base + 0x80, 3)});
+  };
+  System sys(cfg);
+  expectSameStop(sys, /*targetStops=*/true, /*injectAt=*/0);
+  EXPECT_TRUE(sys.allCoresDone());
+}
+
+TEST(StopCondition, BarnesStopsWhenEveryCoreIsDone) {
+  SystemConfig cfg = stopConfig(Protocol::kDirectory, WorkloadKind::kBarnes);
+  cfg.targetTransactions = 3;  // phases per thread
+  System sys(cfg);
+  expectSameStop(sys, /*targetStops=*/false, /*injectAt=*/0);
+  EXPECT_TRUE(sys.allCoresDone());
+}
+
+TEST(StopCondition, RecoveryLowersTheCountsAndStillStopsOnTheReferenceEvent) {
+  SystemConfig cfg = stopConfig(Protocol::kDirectory, WorkloadKind::kOltp);
+  cfg.targetTransactions = 120;
+  cfg.autoRecover = true;
+  cfg.seed = 11;
+  System sys(cfg);
+  const RunResult r = expectSameStop(sys, /*targetStops=*/true, 4'000);
+  EXPECT_GE(r.recoveries, 1u);
+  EXPECT_GT(r.metrics.value("cpu.restarts"), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 Usage:
   check_perf.py BASELINE CURRENT [--max-regression 0.30]
   check_perf.py --rss FILE --rss-ceiling-mb N
+  check_perf.py --counts WORKLOAD BASELINE RESULT [RESULT ...]
 
 Both files must follow the "dvmc-bench" schema written by the bench
 binaries' --json flag (see bench/bench_common.hpp). For every row name
@@ -29,6 +30,16 @@ gate fails when it exceeds --rss-ceiling-mb. This replaces the old
 shell-level getrusage(RUSAGE_CHILDREN) wrapper in CI, which charged every
 subprocess in the step to the same ceiling.
 
+The --counts mode gates perfbench's deterministic counts exactly. BASELINE
+is a "dvmc-perfbench-counts" document (bench/baseline/perfbench_counts.json)
+that maps each workload to metric values; each RESULT is the JSON line
+perfbench/run.py prints last. Every baseline metric of WORKLOAD must appear
+in some RESULT with exactly the baseline value, and every RESULT must be
+correct. The counts depend only on the seed, the program and the C++
+standard library it links, so on one toolchain any difference is a change
+in the simulated machine or in the host's allocations; a change that
+means to move them records the new values and says why.
+
 Exit status: 0 = within budget, 1 = regression/breach, 2 = bad input.
 """
 
@@ -37,12 +48,19 @@ import json
 import sys
 
 
-def check_rss(path, ceiling_mb):
+def read_json(path):
+    """The parsed document, or None after reporting why it is unreadable."""
     try:
         with open(path) as f:
-            doc = json.load(f)
+            return json.load(f)
     except (OSError, ValueError) as e:
         print(f"error: cannot read {path}: {e}", file=sys.stderr)
+        return None
+
+
+def check_rss(path, ceiling_mb):
+    doc = read_json(path)
+    if doc is None:
         return 2
     resource = doc.get("resource")
     # Accept both the nested v2 report/status layout and a bare
@@ -62,12 +80,53 @@ def check_rss(path, ceiling_mb):
     return 0
 
 
+def check_counts(workload, baseline_path, result_paths):
+    base = read_json(baseline_path)
+    if base is None:
+        return 2
+    if base.get("schema") != "dvmc-perfbench-counts":
+        print(f"error: {baseline_path}: schema is {base.get('schema')!r}, "
+              "expected 'dvmc-perfbench-counts'", file=sys.stderr)
+        return 2
+    expected = base.get("workloads", {}).get(workload)
+    if not isinstance(expected, dict) or not expected:
+        print(f"error: {baseline_path}: no counts for workload {workload!r}",
+              file=sys.stderr)
+        return 2
+    got = {}
+    for path in result_paths:
+        doc = read_json(path)
+        if doc is None:
+            return 2
+        if doc.get("correct") is not True:
+            print(f"FAIL: {path}: perfbench run is not correct "
+                  f"({doc.get('failed')} of {doc.get('attempted')} "
+                  "repetitions failed)", file=sys.stderr)
+            return 1
+        for name, metric in doc.get("metrics", {}).items():
+            got[name] = metric.get("value")
+    width = max(len(n) for n in expected)
+    mismatches = []
+    print(f"{workload}: {'metric':<{width}}  {'baseline':>22}  "
+          f"{'current':>22}")
+    for name in sorted(expected):
+        want, have = expected[name], got.get(name)
+        verdict = "" if have == want else "  MISMATCH"
+        if have != want:
+            mismatches.append(name)
+        print(f"{workload}: {name:<{width}}  {want!r:>22}  {have!r:>22}"
+              f"{verdict}")
+    if mismatches:
+        print(f"\nFAIL: {workload}: {len(mismatches)} count(s) differ from "
+              f"{baseline_path}: {', '.join(mismatches)}", file=sys.stderr)
+        return 1
+    print(f"\nOK: {workload}: all {len(expected)} counts match exactly")
+    return 0
+
+
 def load_rows(path):
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, ValueError) as e:
-        print(f"error: cannot read {path}: {e}", file=sys.stderr)
+    doc = read_json(path)
+    if doc is None:
         sys.exit(2)
     if doc.get("schema") != "dvmc-bench":
         print(f"error: {path}: schema is {doc.get('schema')!r}, "
@@ -105,7 +164,8 @@ def load_rows(path):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("baseline", nargs="?")
-    ap.add_argument("current", nargs="?")
+    ap.add_argument("current", nargs="*",
+                    help="one CURRENT file; with --counts, the RESULT files")
     ap.add_argument("--max-regression", type=float, default=0.30,
                     help="allowed fractional slowdown (default 0.30)")
     ap.add_argument("--max-alloc-growth", type=float, default=0.10,
@@ -117,17 +177,24 @@ def main():
                          "instead of comparing benchmarks")
     ap.add_argument("--rss-ceiling-mb", type=float, default=256,
                     help="peak-RSS ceiling for --rss mode (default 256)")
+    ap.add_argument("--counts", metavar="WORKLOAD",
+                    help="compare WORKLOAD's perfbench counts in the RESULT "
+                         "files exactly against the BASELINE counts file")
     args = ap.parse_args()
 
     if args.rss:
         if args.baseline or args.current:
             ap.error("--rss mode takes no baseline/current arguments")
         return check_rss(args.rss, args.rss_ceiling_mb)
-    if not args.baseline or not args.current:
-        ap.error("baseline and current are required without --rss")
+    if args.counts:
+        if not args.baseline or not args.current:
+            ap.error("--counts needs BASELINE and at least one RESULT")
+        return check_counts(args.counts, args.baseline, args.current)
+    if not args.baseline or len(args.current) != 1:
+        ap.error("baseline and one current file are required without --rss")
 
     base = load_rows(args.baseline)
-    cur = load_rows(args.current)
+    cur = load_rows(args.current[0])
     floor = 1.0 - args.max_regression
 
     failures = []
