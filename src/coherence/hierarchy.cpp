@@ -42,11 +42,6 @@ void CacheHierarchy::access(const CacheOp& op, CacheOpCallback cb) {
         return;
       }
       (isReplay ? cReplayMiss_ : cMiss_).inc();
-      if (isReplay) {
-        ++replayMisses_;
-      } else {
-        ++regularMisses_;
-      }
       forwardToL2(op, cb);
     });
     return;

@@ -38,8 +38,8 @@ class CacheHierarchy final : public CpuNotifier {
   CoherentCache& l2() { return l2_; }
   const MetricSet& stats() const { return stats_; }
 
-  std::uint64_t regularLoadL1Misses() const { return regularMisses_; }
-  std::uint64_t replayLoadL1Misses() const { return replayMisses_; }
+  std::uint64_t regularLoadL1Misses() const { return cMiss_.value(); }
+  std::uint64_t replayLoadL1Misses() const { return cReplayMiss_.value(); }
 
   /// BER recovery: drop every L1 line (the L2 was invalidated).
   void invalidateL1() {
@@ -64,8 +64,6 @@ class CacheHierarchy final : public CpuNotifier {
   Counter cMiss_ = stats_.counter("l1.miss");
   Counter cReplayHit_ = stats_.counter("l1.replayHit");
   Counter cReplayMiss_ = stats_.counter("l1.replayMiss");
-  std::uint64_t regularMisses_ = 0;
-  std::uint64_t replayMisses_ = 0;
 };
 
 }  // namespace dvmc

@@ -1,7 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
-
 namespace dvmc {
 
 Counter MetricSet::counter(std::string name) {
@@ -43,22 +41,6 @@ std::uint64_t MetricSet::get(std::string_view name) const {
     if (s.name == name) return s.hist.count();
   }
   return 0;
-}
-
-std::vector<std::pair<std::string, std::uint64_t>> MetricSet::all() const {
-  std::vector<std::pair<std::string, std::uint64_t>> out;
-  out.reserve(counters_.size() + 2 * gauges_.size() + 2 * histos_.size());
-  for (const CounterSlot& s : counters_) out.emplace_back(s.name, s.value);
-  for (const GaugeSlot& s : gauges_) {
-    out.emplace_back(s.name, s.value);
-    out.emplace_back(s.name + ".peak", s.peak);
-  }
-  for (const HistoSlot& s : histos_) {
-    out.emplace_back(s.name + ".count", s.hist.count());
-    out.emplace_back(s.name + ".max", s.hist.maxValue());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 const std::uint64_t* MetricSet::findScalar(std::string_view name) const {

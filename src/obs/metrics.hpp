@@ -118,11 +118,6 @@ class MetricSet {
   /// Unknown names read as 0, mirroring StatSet::get.
   std::uint64_t get(std::string_view name) const;
 
-  /// All scalar values, name-sorted. Built as one flat vector (a single
-  /// allocation plus a sort) rather than a per-call rb-tree; the
-  /// stats-report aggregator consumes this once per report.
-  std::vector<std::pair<std::string, std::uint64_t>> all() const;
-
   /// Pointer to the scalar slot backing `name` (counter value, gauge
   /// value, or "<name>.peak"); nullptr when unknown. Slot addresses are
   /// stable for the life of the set, so samplers can resolve names once

@@ -83,9 +83,6 @@ void addObsFlags(CliParser& cli) {
            "record the first run's commit-point memory-op trace (dvmc-trace)");
   cli.count("--capture-trace-limit", &opts.captureTraceLimit, "N",
             "max records before the capture is marked truncated");
-  cli.flag("--capture-trace-spill", &opts.captureTraceSpill,
-           "stream the capture to the --capture-trace file as settled v2 "
-           "chunks during the run (bounded resident memory)");
   cli.optionFn("--log-level", "LEVEL",
                "minimum structured-log level: debug, info, warn, error, or off "
                "(default: info)",

@@ -14,13 +14,11 @@
 //                         the run report's "series" section
 //   --sample-capacity=M   telemetry ring size in rows (default 4096)
 //   --capture-trace=FILE  record the commit-point memory-op trace of the
-//                         first run/seed ("dvmc-trace" binary, version 1)
-//                         for the offline consistency oracle (dvmc_oracle)
+//                         first run/seed ("dvmc-trace" binary, version 1),
+//                         written once that run ends, for the offline
+//                         consistency oracle (dvmc_oracle)
 //   --capture-trace-limit=N  max records before the capture is marked
 //                         truncated (default 4194304)
-//   --capture-trace-spill stream the capture to the --capture-trace file
-//                         as settled v2 chunks during the run instead of
-//                         holding the whole capture resident
 //   --log-level=LEVEL     minimum level for structured log records
 //                         (debug|info|warn|error|off; default info)
 //   --log-json=FILE       stream structured log records as JSONL
@@ -77,10 +75,6 @@ struct ObsOptions {
   Cycle sampleEvery = 0;               // 0 = time-series sampling off
   std::size_t sampleCapacity = 4096;   // telemetry ring rows
   std::size_t captureTraceLimit = std::size_t{1} << 22;  // records
-  /// With --capture-trace FILE: stream settled chunks to FILE during the
-  /// run as a chunked v2 container (keepInMemory off) instead of holding
-  /// the whole capture resident and writing a v1 file at the end.
-  bool captureTraceSpill = false;
   std::string logLevel = "info";  // minimum structured-log level
   std::string logJsonFile;        // empty = JSONL log sink off
   std::string profileOutFile;     // empty = collapsed-stack export off

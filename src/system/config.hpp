@@ -23,6 +23,10 @@
 
 namespace dvmc {
 
+namespace verify {
+class TraceSink;  // verify/trace_sink.hpp
+}
+
 enum class Protocol : std::uint8_t { kDirectory, kSnooping };
 
 inline const char* protocolName(Protocol p) {
@@ -107,14 +111,13 @@ struct SystemConfig {
     bool capture = false;
     std::size_t captureLimit = std::size_t{1} << 22;
 
-    /// Streaming delivery (non-owning; nullptr = off): settled chunks of
-    /// `chunkRecords` records stream to the sink *during* the run. Feed a
-    /// verify::ChunkedTraceFileSink to spill to disk, or a
-    /// verify::StreamingOracle to check the capture with checkTrace()
-    /// once the run ends. With keepInMemory off, RunResult::trace stays
-    /// null and the sink gets the only copy.
+    /// Optional consumer of the finished capture (non-owning; nullptr =
+    /// off), e.g. a verify::StreamingOracle that judges it with
+    /// checkTrace(). The recorder keeps the one in-memory capture; run()
+    /// replays it into the sink once the run ends
+    /// (System::finishTraceCapture). keepInMemory decides only whether
+    /// RunResult::trace carries the capture as well.
     verify::TraceSink* sink = nullptr;
-    std::size_t chunkRecords = 4096;
     bool keepInMemory = true;
 
     /// The single validation point: nullptr when consistent, else the
@@ -125,9 +128,6 @@ struct SystemConfig {
                                : nullptr;
       }
       if (captureLimit == 0) return "trace.captureLimit must be positive";
-      if (sink != nullptr && chunkRecords == 0) {
-        return "trace.chunkRecords must be positive";
-      }
       if (sink == nullptr && !keepInMemory) {
         return "trace capture with neither a sink nor keepInMemory would "
                "discard every record";

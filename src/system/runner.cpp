@@ -16,7 +16,6 @@
 #include "obs/spans.hpp"
 #include "system/system.hpp"
 #include "verify/trace.hpp"
-#include "verify/trace_sink.hpp"
 
 namespace dvmc {
 
@@ -34,28 +33,6 @@ std::uint64_t steadyMs() {
 /// eagerly — unlike the report, a crash later in the harness should not
 /// lose the trace that explains it.
 std::atomic<bool> g_captureTraceWritten{false};
-
-/// --capture-trace-spill: the chunked v2 sink streaming the first run's
-/// capture to disk during the run (keepInMemory off). Single-threaded like
-/// the tracer — only one run gets it.
-std::unique_ptr<verify::ChunkedTraceFileSink> g_spillSink;
-
-/// Prints the spill outcome once the armed run has finished and releases
-/// the sink (closing the file).
-void reportSpillOnce() {
-  if (!g_spillSink) return;
-  const obs::ObsOptions& opts = obs::options();
-  if (!g_spillSink->ok()) {
-    obs::logError("runner", "capture-trace spill failed",
-                  Json::object().set("error", Json::str(g_spillSink->error())));
-  } else {
-    obs::logInfo("runner", "streamed capture trace (chunked v2)",
-                 Json::object()
-                     .set("records", Json::num(g_spillSink->recordsWritten()))
-                     .set("file", Json::str(opts.captureTraceFile)));
-  }
-  g_spillSink.reset();
-}
 
 Json statJson(const RunningStat& s) {
   return Json::object()
@@ -167,22 +144,10 @@ void armCaptureFromObs(SystemConfig& cfg) {
   if (cfg.autoRecover) return;
   cfg.trace.capture = true;
   cfg.trace.captureLimit = opts.captureTraceLimit;
-  // Spill mode: the first armed run streams its capture straight to the
-  // file as settled chunks and keeps nothing resident. Claiming the
-  // written flag here keeps the v1 fallback writer off the same file.
-  if (opts.captureTraceSpill && !g_captureTraceWritten.exchange(true)) {
-    g_spillSink =
-        std::make_unique<verify::ChunkedTraceFileSink>(opts.captureTraceFile);
-    cfg.trace.sink = g_spillSink.get();
-    cfg.trace.keepInMemory = false;
-  }
 }
 
 void writeCaptureFileOnce(
     const std::shared_ptr<const verify::CapturedTrace>& trace) {
-  // Spill mode wrote the file during the run; report that outcome even
-  // for mains that drive a System directly and pass a null trace here.
-  reportSpillOnce();
   if (!trace) return;
   const obs::ObsOptions& opts = obs::options();
   if (opts.captureTraceFile.empty()) return;
@@ -216,7 +181,6 @@ RunResult runOnce(const SystemConfig& cfg) {
   {
     obs::ScopedSpan span("capture");
     writeCaptureFileOnce(r.trace);
-    reportSpillOnce();
   }
   if (obs::reportingActive()) {
     obs::ScopedSpan span("report");
@@ -296,8 +260,8 @@ MultiRunResult runSeeds(SystemConfig cfg, int seedCount,
         SystemConfig c = cfg;
         c.seed = seedBase + static_cast<std::uint64_t>(s);
         // A tracer is single-threaded state: only the first seed records.
-        // Same for a trace sink (the spill file): later seeds keep their
-        // captures in memory instead.
+        // Same for a trace sink: later seeds keep their captures in
+        // memory instead.
         if (s != 0) {
           c.tracer = nullptr;
           c.trace.sink = nullptr;
@@ -361,7 +325,6 @@ MultiRunResult runSeeds(SystemConfig cfg, int seedCount,
     for (const RunResult& r : results) out.traces.push_back(r.trace);
     // The file mirrors the first seed's capture, like the tracer/series.
     if (!results.empty()) writeCaptureFileOnce(results[0].trace);
-    reportSpillOnce();
   }
   for (const RunResult& r : results) {
     out.cycles.addTracked(static_cast<double>(r.cycles));

@@ -1,46 +1,61 @@
 #include "system/stats_report.hpp"
 
+#include <algorithm>
 #include <iomanip>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 
 namespace dvmc {
 
 namespace {
 
-void printMetricSet(std::ostream& os, const std::string& prefix,
-                    const MetricSet& stats, bool includeZero) {
-  for (const auto& [name, value] : stats.all()) {
-    if (value == 0 && !includeZero) continue;
-    os << "  " << std::left << std::setw(44) << (prefix + name) << " "
-       << value << "\n";
-  }
+template <typename T>
+void printLine(std::ostream& os, const std::string& name, const T& value) {
+  os << "  " << std::left << std::setw(44) << name << " " << value << "\n";
 }
 
-/// Sums same-named counters across nodes.
-class Aggregate {
- public:
-  void add(const MetricSet& s) {
-    for (const auto& [name, value] : s.all()) sums_[name] += value;
+/// Every scalar of a merged snapshot, name-sorted: counters and gauges as
+/// they are, each histogram as its count and max.
+std::map<std::string, std::uint64_t> scalarsOf(const MetricSnapshot& snap) {
+  std::map<std::string, std::uint64_t> out = snap.counters;
+  for (const auto& [name, h] : snap.histograms) {
+    out[name + ".count"] = h.count();
+    out[name + ".max"] = h.maxValue();
   }
-  void print(std::ostream& os, const std::string& prefix,
-             bool includeZero) const {
-    for (const auto& [name, value] : sums_) {
-      if (value == 0 && !includeZero) continue;
-      os << "  " << std::left << std::setw(44) << (prefix + name) << " "
-         << value << "\n";
-    }
-  }
+  return out;
+}
 
- private:
-  std::map<std::string, std::uint64_t> sums_;
-};
+/// Prints the scalars whose family (the name up to its first '.') is one
+/// of `families`, as "group/name value" lines.
+void printGroup(std::ostream& os,
+                const std::map<std::string, std::uint64_t>& scalars,
+                std::initializer_list<std::string_view> families,
+                const std::string& group, bool includeZero) {
+  for (const auto& [name, value] : scalars) {
+    if (value == 0 && !includeZero) continue;
+    const std::string_view family =
+        std::string_view(name).substr(0, name.find('.'));
+    if (std::find(families.begin(), families.end(), family) ==
+        families.end()) {
+      continue;
+    }
+    printLine(os, group + name, value);
+  }
+}
 
 }  // namespace
 
 void printStatsReport(System& sys, std::ostream& os,
                       const StatsReportOptions& opts) {
   const SystemConfig& cfg = sys.config();
+  const MetricSnapshot snap = sys.metricsSnapshot();
+  const std::map<std::string, std::uint64_t> scalars = scalarsOf(snap);
+  auto group = [&](std::initializer_list<std::string_view> families,
+                   const std::string& prefix) {
+    printGroup(os, scalars, families, prefix, opts.includeZero);
+  };
   os << "==================== system statistics ====================\n";
   os << "config: " << cfg.numNodes << "-node " << protocolName(cfg.protocol)
      << ", " << modelName(cfg.model) << ", workload "
@@ -50,105 +65,71 @@ void printStatsReport(System& sys, std::ostream& os,
 
   // --- cores ---
   os << "[cores]\n";
-  Aggregate cores;
-  for (NodeId n = 0; n < sys.numNodes(); ++n) {
-    cores.add(sys.core(n).stats());
-    if (opts.perNode) {
+  if (opts.perNode) {
+    for (NodeId n = 0; n < sys.numNodes(); ++n) {
       os << " node " << n << ": retired=" << sys.core(n).retired()
          << " transactions=" << sys.core(n).transactions() << "\n";
     }
   }
-  cores.print(os, "cpu/", opts.includeZero);
+  group({"cpu"}, "cpu/");
 
   // --- hierarchy (L1) ---
   os << "\n[cache hierarchy]\n";
-  Aggregate l1;
-  std::uint64_t replayMisses = 0;
-  std::uint64_t regularMisses = 0;
-  for (NodeId n = 0; n < sys.numNodes(); ++n) {
-    l1.add(sys.hierarchy(n).stats());
-    replayMisses += sys.hierarchy(n).replayLoadL1Misses();
-    regularMisses += sys.hierarchy(n).regularLoadL1Misses();
-  }
-  l1.print(os, "l1/", opts.includeZero);
+  group({"l1"}, "l1/");
+  const std::uint64_t regularMisses = snap.value("l1.miss");
   if (regularMisses > 0) {
-    os << "  " << std::left << std::setw(44) << "l1/replayMissRatio" << " "
-       << static_cast<double>(replayMisses) /
-              static_cast<double>(regularMisses)
-       << "\n";
+    printLine(os, "l1/replayMissRatio",
+              static_cast<double>(snap.value("l1.replayMiss")) /
+                  static_cast<double>(regularMisses));
   }
 
   // --- protocol controllers ---
   os << "\n[coherence]\n";
-  Aggregate l2;
-  Aggregate homes;
-  for (NodeId n = 0; n < sys.numNodes(); ++n) {
-    l2.add(sys.l2(n).stats());
-    homes.add(sys.homeController(n).stats());
-  }
-  l2.print(os, "l2/", opts.includeZero);
-  homes.print(os, "home/", opts.includeZero);
+  group({"l2", "protocol"}, "l2/");
+  group({"home", "mem"}, "home/");
 
   // --- interconnect ---
   os << "\n[interconnect]\n";
-  os << "  " << std::left << std::setw(44) << "net/totalBytes" << " "
-     << sys.dataNet().totalBytes() << "\n";
-  os << "  " << std::left << std::setw(44) << "net/maxLinkBytes" << " "
-     << sys.dataNet().maxLinkBytes() << "\n";
-  os << "  " << std::left << std::setw(44) << "net/peakLinkBytesPerCycle"
-     << " " << sys.dataNet().peakLinkUtilization() << "\n";
-  os << "  " << std::left << std::setw(44) << "net/coherenceBytes" << " "
-     << sys.dataNet().classBytes(TrafficClass::kCoherence) << "\n";
-  os << "  " << std::left << std::setw(44) << "net/informBytes" << " "
-     << sys.dataNet().classBytes(TrafficClass::kInform) << "\n";
-  os << "  " << std::left << std::setw(44) << "net/ckptBytes" << " "
-     << sys.dataNet().classBytes(TrafficClass::kCkpt) << "\n";
+  printLine(os, "net/totalBytes", sys.dataNet().totalBytes());
+  printLine(os, "net/maxLinkBytes", sys.dataNet().maxLinkBytes());
+  printLine(os, "net/peakLinkBytesPerCycle",
+            sys.dataNet().peakLinkUtilization());
+  printLine(os, "net/coherenceBytes",
+            sys.dataNet().classBytes(TrafficClass::kCoherence));
+  printLine(os, "net/informBytes",
+            sys.dataNet().classBytes(TrafficClass::kInform));
+  printLine(os, "net/ckptBytes", sys.dataNet().classBytes(TrafficClass::kCkpt));
   if (sys.addrNet() != nullptr) {
-    os << "  " << std::left << std::setw(44) << "addrnet/broadcasts" << " "
-       << sys.addrNet()->broadcastsIssued() << "\n";
-    os << "  " << std::left << std::setw(44) << "addrnet/totalBytes" << " "
-       << sys.addrNet()->totalBytes() << "\n";
+    printLine(os, "addrnet/broadcasts", sys.addrNet()->broadcastsIssued());
+    printLine(os, "addrnet/totalBytes", sys.addrNet()->totalBytes());
   }
 
   // --- checkers ---
   os << "\n[dvmc checkers]\n";
-  Aggregate cet;
-  Aggregate met;
-  Aggregate shadow;
+  group({"cet"}, "cet/");
+  group({"met"}, "met/");
+  group({"shadow"}, "shadow/");
+  group({"vc"}, "vc/");
+  group({"ar"}, "ar/");
   std::size_t metEntries = 0;
   std::size_t metPeak = 0;
   for (NodeId n = 0; n < sys.numNodes(); ++n) {
-    if (sys.cet(n) != nullptr) cet.add(sys.cet(n)->stats());
     if (sys.met(n) != nullptr) {
-      met.add(sys.met(n)->stats());
       metEntries += sys.met(n)->metEntries();
       metPeak += sys.met(n)->peakMetEntries();
     }
-    if (sys.shadowCache(n) != nullptr) {
-      shadow.add(sys.shadowCache(n)->stats());
-    }
-    if (sys.shadowHome(n) != nullptr) {
-      shadow.add(sys.shadowHome(n)->stats());
-    }
   }
-  cet.print(os, "cet/", opts.includeZero);
-  met.print(os, "met/", opts.includeZero);
-  shadow.print(os, "shadow/", opts.includeZero);
   if (metPeak > 0) {
-    os << "  " << std::left << std::setw(44) << "met/entries" << " "
-       << metEntries << "\n";
-    os << "  " << std::left << std::setw(44) << "met/peakEntries" << " "
-       << metPeak << "\n";
+    printLine(os, "met/entries", metEntries);
+    printLine(os, "met/peakEntries", metPeak);
   }
 
   // --- BER ---
   if (sys.ber() != nullptr) {
     os << "\n[safetynet]\n";
-    printMetricSet(os, "ber/", sys.ber()->stats(), opts.includeZero);
-    os << "  " << std::left << std::setw(44) << "ber/checkpointsHeld" << " "
-       << sys.ber()->checkpointCount() << "\n";
-    os << "  " << std::left << std::setw(44) << "ber/recoveryWindow" << " "
-       << sys.ber()->recoveryWindow() << "\n";
+    group({"ber"}, "ber/");
+    printLine(os, "ber/checkpointsHeld", sys.ber()->checkpointCount());
+    printLine(os, "ber/recoveryWindow", sys.ber()->recoveryWindow());
   }
 
   // --- detections ---

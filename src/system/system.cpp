@@ -4,6 +4,7 @@
 #include "coherence/snoop_cache.hpp"
 #include "common/assert.hpp"
 #include "obs/trace.hpp"
+#include "verify/trace_sink.hpp"
 
 namespace dvmc {
 
@@ -162,8 +163,7 @@ System::System(SystemConfig cfg) : cfg_(std::move(cfg)) {
     traceRecorder_ = std::make_unique<verify::TraceRecorder>(
         static_cast<std::uint32_t>(cfg_.numNodes), cfg_.model,
         static_cast<std::uint8_t>(cfg_.protocol), cfg_.seed,
-        cfg_.trace.captureLimit, cfg_.trace.sink, cfg_.trace.chunkRecords,
-        cfg_.trace.keepInMemory);
+        cfg_.trace.captureLimit);
     for (Node& n : nodes_) n.core->setTraceRecorder(traceRecorder_.get());
   }
 
@@ -331,15 +331,17 @@ bool System::allCoresDone() const {
 
 RunResult System::run() {
   RunResult r = runUntil({});
-  // run() is the whole-run entry point: the capture is complete, so close
-  // the chunk stream (flushing the unsettled tail to any attached sink).
-  // Callers driving runUntil/collectResult by hand own this call.
+  // run() is the whole-run entry point: the capture is complete, so hand
+  // it to any attached sink. Callers driving runUntil/collectResult by
+  // hand own this call.
   finishTraceCapture();
   return r;
 }
 
 void System::finishTraceCapture() {
-  if (traceRecorder_) traceRecorder_->finish();
+  if (!traceRecorder_ || cfg_.trace.sink == nullptr || traceSinkFed_) return;
+  traceSinkFed_ = true;
+  verify::streamCapturedTrace(*traceRecorder_->trace(), *cfg_.trace.sink);
 }
 
 RunResult System::runUntil(const std::function<bool()>& extraPred) {
@@ -403,7 +405,9 @@ RunResult System::collectResult(bool completed, Cycle cycles) const {
   }
   r.metrics = metricsSnapshot();
   r.series = series_;
-  if (traceRecorder_) r.trace = traceRecorder_->trace();
+  if (traceRecorder_ && cfg_.trace.keepInMemory) {
+    r.trace = traceRecorder_->trace();
+  }
   return r;
 }
 

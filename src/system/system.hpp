@@ -50,10 +50,10 @@ class System {
   /// tests only run()'s flag.
   RunResult runUntil(const std::function<bool()>& extraPred);
 
-  /// Closes the commit-trace capture: flushes the unsettled chunk tail to
-  /// any attached trace sink and ends the stream. run() calls this;
-  /// callers driving runUntil/collectResult by hand call it once the run
-  /// is really over. Idempotent; a no-op when capture is off.
+  /// Closes the commit-trace capture: replays the finished capture once
+  /// into cfg.trace.sink (begin, chunks, end). run() calls this; callers
+  /// driving runUntil/collectResult by hand call it once the run is really
+  /// over. Idempotent; a no-op when capture or the sink is off.
   void finishTraceCapture();
 
   /// End-of-run checker sweep: flushes every open epoch out of the CETs,
@@ -93,9 +93,6 @@ class System {
   CacheEpochChecker* cet(NodeId n) { return nodes_[n].cet.get(); }
   ShadowCacheChecker* shadowCache(NodeId n) {
     return nodes_[n].shadowCache.get();
-  }
-  ShadowHomeChecker* shadowHome(NodeId n) {
-    return nodes_[n].shadowHome.get();
   }
   SafetyNet* ber() { return ber_.get(); }
   std::size_t numNodes() const { return cfg_.numNodes; }
@@ -179,6 +176,7 @@ class System {
   std::shared_ptr<TimeSeries> series_;
   // Commit-point recorder (null unless cfg_.trace.capture).
   std::unique_ptr<verify::TraceRecorder> traceRecorder_;
+  bool traceSinkFed_ = false;  // finishTraceCapture() ran
   std::vector<SampleColumn> samplePlan_;
   std::unique_ptr<TorusNetwork> torus_;
   std::unique_ptr<BroadcastTree> tree_;

@@ -1,8 +1,10 @@
 // Checks a live capture: StreamingOracle is a TraceSink that buffers the
-// chunks a run streams (through MemoryTraceSink) and judges the whole
-// trace with checkTrace() when finish() is called. Attach it as
-// SystemConfig::trace.sink; the verdict, violations and statistics are
-// checkTrace()'s by construction. See docs/verification_oracle.md.
+// chunks of a capture (through MemoryTraceSink) and judges the whole trace
+// with checkTrace() when finish() is called. Attach it as
+// SystemConfig::trace.sink: the run streams its finished capture into it
+// when run() returns (System::finishTraceCapture). The verdict, violations
+// and statistics are checkTrace()'s by construction. See
+// docs/verification_oracle.md.
 #pragma once
 
 #include <cstddef>

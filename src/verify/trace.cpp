@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/assert.hpp"
-#include "verify/trace_sink.hpp"
 
 namespace dvmc::verify {
 namespace {
@@ -29,19 +28,7 @@ void putU64At(std::uint8_t* p, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) p[i] = std::uint8_t(v >> (8 * i));
 }
 
-}  // namespace
-
-const char* traceOpName(TraceOp op) {
-  switch (op) {
-    case TraceOp::kLoad: return "load";
-    case TraceOp::kStore: return "store";
-    case TraceOp::kSwap: return "swap";
-    case TraceOp::kCas: return "cas";
-    case TraceOp::kMembar: return "membar";
-  }
-  return "?";
-}
-
+// Fixed 48-byte little-endian record layout.
 void encodeTraceRecord(const TraceRecord& r, std::uint8_t* out) {
   out[0] = std::uint8_t(r.op);
   out[1] = r.node;
@@ -58,6 +45,8 @@ void encodeTraceRecord(const TraceRecord& r, std::uint8_t* out) {
   putU64At(out + 40, r.performCycle);
 }
 
+// Returns false on an invalid op code (the only per-record corruption a
+// fixed layout can detect).
 bool decodeTraceRecord(const std::uint8_t* p, TraceRecord* r) {
   if (p[0] > std::uint8_t(TraceOp::kMembar)) return false;
   r->op = TraceOp(p[0]);
@@ -71,6 +60,19 @@ bool decodeTraceRecord(const std::uint8_t* p, TraceRecord* r) {
   r->readValue = getU64(p + 32);
   r->performCycle = getU64(p + 40);
   return true;
+}
+
+}  // namespace
+
+const char* traceOpName(TraceOp op) {
+  switch (op) {
+    case TraceOp::kLoad: return "load";
+    case TraceOp::kStore: return "store";
+    case TraceOp::kSwap: return "swap";
+    case TraceOp::kCas: return "cas";
+    case TraceOp::kMembar: return "membar";
+  }
+  return "?";
 }
 
 std::vector<std::uint8_t> CapturedTrace::serialize() const {
@@ -164,19 +166,7 @@ bool readTraceFile(const std::string& path, CapturedTrace* t,
     if (err) *err = "cannot open " + path;
     return false;
   }
-  // Sniff the version: v1 parses from one flat buffer, v2 streams chunk
-  // by chunk through a memory sink (same result, different container).
-  std::uint8_t hdr[CapturedTrace::kHeaderBytes];
-  const std::size_t got = std::fread(hdr, 1, sizeof hdr, f);
-  if (got == sizeof hdr && std::memcmp(hdr, kTraceMagic, 8) == 0 &&
-      getU32(hdr + 8) == std::uint32_t(kTraceChunkedVersion)) {
-    std::fclose(f);
-    MemoryTraceSink sink;
-    if (!streamTraceFile(path, sink, err)) return false;
-    *t = *sink.trace();
-    return true;
-  }
-  std::vector<std::uint8_t> bytes(hdr, hdr + got);
+  std::vector<std::uint8_t> bytes;
   std::uint8_t buf[1 << 16];
   std::size_t n;
   while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
@@ -188,106 +178,38 @@ bool readTraceFile(const std::string& path, CapturedTrace* t,
 
 // --- TraceRecorder ---------------------------------------------------------
 
-struct TraceRecorder::OpenChunk {
-  TraceChunk chunk;
-  std::size_t unsettled = 0;  // buffered stores awaiting their fate
-};
-
 TraceRecorder::TraceRecorder(std::uint32_t numCores,
                              ConsistencyModel declared, std::uint8_t protocol,
-                             std::uint64_t seed, std::size_t limit,
-                             TraceSink* sink, std::size_t chunkRecords,
-                             bool keepInMemory)
-    : pending_(numCores),
-      limit_(limit),
-      sink_(sink),
-      chunkRecords_(chunkRecords == 0 ? 4096 : chunkRecords) {
-  DVMC_ASSERT(keepInMemory || sink != nullptr,
-              "a recorder needs at least one delivery mode");
-  if (keepInMemory) {
-    trace_ = std::make_shared<CapturedTrace>();
-    trace_->numCores = numCores;
-    trace_->declaredModel = std::uint8_t(declared);
-    trace_->protocol = protocol;
-    trace_->seed = seed;
-  }
-  if (sink_ != nullptr) {
-    TraceHeader h;
-    h.numCores = numCores;
-    h.declaredModel = std::uint8_t(declared);
-    h.protocol = protocol;
-    h.seed = seed;
-    sink_->begin(h);
-  }
-}
-
-TraceRecorder::~TraceRecorder() = default;
-
-std::size_t TraceRecorder::openChunkRecords() const {
-  std::size_t n = 0;
-  for (const OpenChunk& oc : open_) n += oc.chunk.records.size();
-  return n;
+                             std::uint64_t seed, std::size_t limit)
+    : trace_(std::make_shared<CapturedTrace>()),
+      pending_(numCores),
+      limit_(limit) {
+  trace_->numCores = numCores;
+  trace_->declaredModel = std::uint8_t(declared);
+  trace_->protocol = protocol;
+  trace_->seed = seed;
 }
 
 void TraceRecorder::onCommit(const TraceRecord& r) {
-  if (committed_ >= limit_) {
-    truncated_ = true;
-    if (trace_) trace_->truncated = true;
+  std::vector<TraceRecord>& records = trace_->records;
+  if (records.size() >= limit_) {
+    trace_->truncated = true;
     return;
   }
-  const std::size_t index = std::size_t(committed_++);
-  const bool pendingStore = r.writes() && !r.performed();
-  if (pendingStore) pending_[r.node].emplace(r.seq, index);
-  if (trace_) trace_->records.push_back(r);
-  if (sink_ != nullptr) {
-    if (open_.empty() ||
-        open_.back().chunk.records.size() >= chunkRecords_) {
-      OpenChunk oc;
-      oc.chunk.firstIndex = index;
-      oc.chunk.records.reserve(chunkRecords_);
-      open_.push_back(std::move(oc));
-    }
-    OpenChunk& oc = open_.back();
-    oc.chunk.records.push_back(r);
-    if (pendingStore) ++oc.unsettled;
-    if (r.performed() && r.performCycle > oc.chunk.closeCycle) {
-      oc.chunk.closeCycle = r.performCycle;
-    }
-    emitClosedChunks();
+  if (r.writes() && !r.performed()) {
+    pending_[r.node].emplace(r.seq, records.size());
   }
+  records.push_back(r);
 }
 
 void TraceRecorder::patchPending(NodeId node, SeqNum seq, Cycle now,
                                  std::uint8_t flag) {
   auto it = pending_[node].find(seq);
   if (it == pending_[node].end()) return;  // record was dropped at the limit
-  const std::size_t index = it->second;
+  TraceRecord& r = trace_->records[it->second];
   pending_[node].erase(seq);
-  if (trace_) {
-    TraceRecord& r = trace_->records[index];
-    r.performCycle = now;
-    r.flags |= flag;
-  }
-  if (sink_ != nullptr) {
-    // The record is in an open chunk: chunks with unsettled stores are
-    // never emitted, and pending entries are removed before emission.
-    for (OpenChunk& oc : open_) {
-      const std::uint64_t first = oc.chunk.firstIndex;
-      if (index < first || index >= first + oc.chunk.records.size()) {
-        continue;
-      }
-      TraceRecord& r = oc.chunk.records[index - first];
-      r.performCycle = now;
-      r.flags |= flag;
-      DVMC_ASSERT(oc.unsettled > 0, "chunk settle accounting");
-      --oc.unsettled;
-      if (flag == kFlagPerformed && now > oc.chunk.closeCycle) {
-        oc.chunk.closeCycle = now;
-      }
-      break;
-    }
-    emitClosedChunks();
-  }
+  r.performCycle = now;
+  r.flags |= flag;
 }
 
 void TraceRecorder::storePerformed(NodeId node, SeqNum seq, Cycle now) {
@@ -296,35 +218,6 @@ void TraceRecorder::storePerformed(NodeId node, SeqNum seq, Cycle now) {
 
 void TraceRecorder::storeSuperseded(NodeId node, SeqNum seq, Cycle now) {
   patchPending(node, seq, now, kFlagSuperseded);
-}
-
-void TraceRecorder::emitClosedChunks() {
-  // Only full AND settled chunks close, oldest first: a chunk whose
-  // stores are still buffered blocks everything behind it so the sink
-  // sees records in global order with final flags.
-  std::size_t emitted = 0;
-  for (OpenChunk& oc : open_) {
-    if (oc.chunk.records.size() < chunkRecords_ || oc.unsettled != 0) break;
-    sink_->chunk(std::move(oc.chunk));
-    ++emitted;
-  }
-  if (emitted > 0) {
-    open_.erase(open_.begin(), open_.begin() + std::ptrdiff_t(emitted));
-  }
-}
-
-void TraceRecorder::finish() {
-  if (finished_) return;
-  finished_ = true;
-  if (trace_) trace_->truncated = truncated_;
-  if (sink_ == nullptr) return;
-  // Flush the tail: stores still in a write buffer at end of run keep
-  // kNotPerformed, exactly like the batch capture.
-  for (OpenChunk& oc : open_) {
-    if (!oc.chunk.records.empty()) sink_->chunk(std::move(oc.chunk));
-  }
-  open_.clear();
-  sink_->end(truncated_);
 }
 
 }  // namespace dvmc::verify

@@ -11,11 +11,12 @@
 // of the write buffer (storePerformed), or it is marked superseded when
 // write-buffer coalescing merges it into a younger same-word store.
 //
-// The serialized form ("dvmc-trace", version 1) is a fixed-layout
-// little-endian binary: a 48-byte header followed by 48-byte records, so
-// record i lives at byte offset 48 + 48*i — the oracle reports violations
-// with byte offsets into this layout. The byte stream is deterministic:
-// the same seed produces a bit-identical trace regardless of --jobs.
+// The serialized form ("dvmc-trace", version 1, the only version) is a
+// fixed-layout little-endian binary: a 48-byte header followed by 48-byte
+// records, so record i lives at byte offset 48 + 48*i — the oracle reports
+// violations with byte offsets into this layout, which are offsets into
+// the file it read. The byte stream is deterministic: the same seed
+// produces a bit-identical trace regardless of --jobs.
 #pragma once
 
 #include <cstdint>
@@ -107,42 +108,23 @@ struct CapturedTrace {
                     CapturedTrace* out, std::string* err);
 };
 
-/// Fixed 48-byte little-endian record codec shared by the v1 flat layout
-/// and the v2 chunked container (trace_sink.hpp).
-void encodeTraceRecord(const TraceRecord& r, std::uint8_t* out);
-/// Returns false on an invalid op code (the only per-record corruption a
-/// fixed layout can detect).
-bool decodeTraceRecord(const std::uint8_t* p, TraceRecord* r);
-
-/// Writes a v1 trace file. readTraceFile accepts both v1 and the chunked
-/// v2 container (it streams v2 through a memory sink). Returns false and
-/// fills `err` on I/O or parse failure.
+/// Writes a trace file; readTraceFile reads one back through
+/// CapturedTrace::parse. Both return false and fill `err` on I/O or parse
+/// failure.
 bool writeTraceFile(const std::string& path, const CapturedTrace& t,
                     std::string* err);
 bool readTraceFile(const std::string& path, CapturedTrace* t,
                    std::string* err);
 
-class TraceSink;  // trace_sink.hpp
-
 /// Per-system commit-point recorder. Single-threaded like the simulator
-/// that feeds it; runSeeds gives each seed's System its own recorder.
-///
-/// Two delivery modes, combinable:
-///   * in-memory (keepInMemory, the default): the whole capture
-///     accumulates in one CapturedTrace, available via trace().
-///   * streaming (sink != nullptr): records accumulate in bounded open
-///     chunks; a chunk is emitted to the sink once it is full AND every
-///     buffered store in it has settled (performed/superseded), so the
-///     sink only ever sees final record flags. finish() flushes the tail
-///     (end-of-run pending stores keep kNotPerformed) and closes the
-///     stream.
+/// that feeds it; runSeeds gives each seed's System its own recorder. The
+/// whole capture accumulates in one CapturedTrace (trace()); at the end of
+/// a run System::finishTraceCapture() replays it into any attached
+/// TraceSink (trace_sink.hpp).
 class TraceRecorder {
  public:
   TraceRecorder(std::uint32_t numCores, ConsistencyModel declared,
-                std::uint8_t protocol, std::uint64_t seed, std::size_t limit,
-                TraceSink* sink = nullptr, std::size_t chunkRecords = 4096,
-                bool keepInMemory = true);
-  ~TraceRecorder();
+                std::uint8_t protocol, std::uint64_t seed, std::size_t limit);
 
   /// Appends a record as the operation passes the in-order gate. A store
   /// committed into the write buffer arrives without kFlagPerformed and is
@@ -156,38 +138,18 @@ class TraceRecorder {
   /// it could perform; only local forwarding may have observed its value.
   void storeSuperseded(NodeId node, SeqNum seq, Cycle now);
 
-  /// Flushes any open chunks to the sink and closes the stream. Must be
-  /// called once at end of run when a sink is attached; idempotent.
-  void finish();
-
   /// The capture so far (immutable once the run finishes, like
-  /// RunResult::series). Null when keepInMemory was disabled.
+  /// RunResult::series). Stores still in a write buffer keep
+  /// kNotPerformed.
   std::shared_ptr<const CapturedTrace> trace() const { return trace_; }
 
-  bool truncated() const { return truncated_; }
-
-  /// Records currently buffered in open (unsettled) chunks — the
-  /// recorder's contribution to resident trace memory in streaming mode.
-  std::size_t openChunkRecords() const;
-
  private:
-  struct OpenChunk;
-
   void patchPending(NodeId node, SeqNum seq, Cycle now, std::uint8_t flag);
-  void emitClosedChunks();
 
-  std::shared_ptr<CapturedTrace> trace_;  // null when !keepInMemory
+  std::shared_ptr<CapturedTrace> trace_;
   // Per-core map from a pending store's seq to its global record index.
   std::vector<FlatMap<SeqNum, std::size_t>> pending_;
   std::size_t limit_;
-
-  // Streaming state (unused when sink_ == nullptr).
-  TraceSink* sink_;
-  std::size_t chunkRecords_;
-  std::vector<OpenChunk> open_;  // oldest first
-  std::uint64_t committed_ = 0;  // global records accepted so far
-  bool truncated_ = false;
-  bool finished_ = false;
 };
 
 }  // namespace dvmc::verify

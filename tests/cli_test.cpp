@@ -195,12 +195,12 @@ TEST(CliParser, LayeredFlagGroupsComposeOnOneParser) {
   addRunnerFlags(cli);
   obs::addObsFlags(cli);
   std::vector<std::string> args = {"t", "--jobs=3", "--sample-every=128",
-                                   "--capture-trace-spill"};
+                                   "--capture-trace-limit=77"};
   std::vector<char*> argv = makeArgv(args);
   EXPECT_EQ(cli.parse(static_cast<int>(args.size()), argv.data()), 1);
   EXPECT_EQ(defaultJobs(), 3);
   EXPECT_EQ(obs::options().sampleEvery, 128u);
-  EXPECT_TRUE(obs::options().captureTraceSpill);
+  EXPECT_EQ(obs::options().captureTraceLimit, 77u);
   setDefaultJobs(savedJobs);
   obs::resetObs();
   obs::options() = obs::ObsOptions{};
@@ -212,9 +212,9 @@ TEST(CliParser, ObsGroupMarkdownCoversTheDocumentedFlags) {
   const std::string md = cli.markdownTable();
   for (const char* flag :
        {"`--trace`", "`--report-json`", "`--forensics`", "`--capture-trace`",
-        "`--capture-trace-limit`", "`--capture-trace-spill`",
-        "`--sample-every`", "`--sample-capacity`", "`--log-level`",
-        "`--log-json`", "`--profile-out`", "`--status-file`"}) {
+        "`--capture-trace-limit`", "`--sample-every`", "`--sample-capacity`",
+        "`--log-level`", "`--log-json`", "`--profile-out`",
+        "`--status-file`"}) {
     EXPECT_NE(md.find(flag), std::string::npos) << "missing " << flag;
   }
   obs::resetObs();

@@ -269,6 +269,24 @@ TEST_P(StatsReportSweep, PrintsEverySectionWithoutDetections) {
     EXPECT_NE(out.find("[safetynet]"), std::string::npos) << rc.name;
     EXPECT_NE(out.find("ber/recoveryWindow"), std::string::npos) << rc.name;
   }
+  if (rc.cfg.dvmc.uniprocOrdering) {
+    EXPECT_NE(out.find("vc/vc."), std::string::npos) << rc.name;
+  }
+  if (rc.cfg.dvmc.allowableReordering) {
+    EXPECT_NE(out.find("ar/ar."), std::string::npos) << rc.name;
+  }
+  // A histogram prints the max of the merged distribution, not the sum of
+  // the nodes' maxima.
+  const MetricSnapshot snap = sys.metricsSnapshot();
+  const auto residence = snap.histograms.find("met.informSortResidence");
+  if (residence != snap.histograms.end() && residence->second.maxValue() > 0) {
+    const std::string key = "met/met.informSortResidence.max";
+    const std::size_t at = out.find(key);
+    ASSERT_NE(at, std::string::npos) << rc.name;
+    std::uint64_t printed = 0;
+    std::istringstream(out.substr(at + key.size())) >> printed;
+    EXPECT_EQ(printed, residence->second.maxValue()) << rc.name;
+  }
 }
 
 std::string reportCaseName(const ::testing::TestParamInfo<int>& info) {

@@ -501,9 +501,6 @@ TEST(TraceOptions, ValidateRejectsInconsistentCombinations) {
   EXPECT_NE(t.validate(), nullptr);  // sink without capture
   t.capture = true;
   EXPECT_EQ(t.validate(), nullptr);
-  t.chunkRecords = 0;
-  EXPECT_NE(t.validate(), nullptr);
-  t.chunkRecords = 4096;
   t.sink = nullptr;
   t.keepInMemory = false;
   EXPECT_NE(t.validate(), nullptr);  // capture that discards every record
@@ -512,33 +509,25 @@ TEST(TraceOptions, ValidateRejectsInconsistentCombinations) {
   EXPECT_NE(t.validate(), nullptr);
 }
 
-// Spill-to-disk capture: the run streams settled chunks through a
-// ChunkedTraceFileSink with keepInMemory off, so no in-memory capture
-// exists, yet the file reassembles to the exact bytes of an in-memory
-// capture of the same seed.
-TEST(TraceOptions, SpillToDiskCaptureMatchesInMemoryCapture) {
+// A sink attached to a run receives the finished capture when run()
+// returns, byte-identical to an in-memory capture of the same seed; with
+// keepInMemory off the sink holds the only copy.
+TEST(TraceOptions, SinkReceivesTheFinishedCapture) {
   SystemConfig cfg = makeFuzzConfig(11);
   cfg.trace.capture = true;
   System mem(cfg);
   const RunResult rm = mem.run();
   ASSERT_NE(rm.trace, nullptr);
 
-  const std::string path = ::testing::TempDir() + "spill.trace";
-  {
-    verify::ChunkedTraceFileSink sink(path);
-    cfg.trace.sink = &sink;
-    cfg.trace.keepInMemory = false;
-    cfg.trace.chunkRecords = 256;
-    System spill(cfg);
-    const RunResult rs = spill.run();
-    EXPECT_EQ(rs.trace, nullptr);  // nothing resident
-    ASSERT_TRUE(sink.ok()) << sink.error();
-  }
-  CapturedTrace back;
-  std::string err;
-  ASSERT_TRUE(verify::readTraceFile(path, &back, &err)) << err;
-  EXPECT_EQ(back.serialize(), rm.trace->serialize());
-  std::remove(path.c_str());
+  verify::MemoryTraceSink sink;
+  cfg.trace.sink = &sink;
+  cfg.trace.keepInMemory = false;
+  System fed(cfg);
+  const RunResult rs = fed.run();
+  EXPECT_EQ(rs.trace, nullptr);  // only the sink got the capture
+  EXPECT_EQ(sink.trace()->serialize(), rm.trace->serialize());
+  fed.finishTraceCapture();  // idempotent: the sink is fed once
+  EXPECT_EQ(sink.trace()->records.size(), rm.trace->records.size());
 }
 
 // --- live-capture sink -------------------------------------------------------
@@ -655,44 +644,13 @@ TEST(StreamingOracleSink, ConformanceSuiteMatchesCheckTrace) {
   }
 }
 
-// --- chunked trace container (dvmc-trace v2) --------------------------------
+// --- recorder ----------------------------------------------------------------
 
-TEST(TraceSinkV2, ChunkedFileRoundTripsThroughBothReaders) {
-  CapturedTrace t = makeTrace(
-      ConsistencyModel::kPSO, 2,
-      {rec(TraceOp::kStore, 0, 1, ConsistencyModel::kPSO, kX, 7, 10),
-       membarRec(0, 2, ConsistencyModel::kPSO, membar::kStbar, 12),
-       rec(TraceOp::kSwap, 1, 1, ConsistencyModel::kTSO, kY, 9, 20),
-       rec(TraceOp::kLoad, 1, 2, ConsistencyModel::kTSO, kY, 9, 25),
-       rec(TraceOp::kStore, 0, 3, ConsistencyModel::kPSO, kX, 8, 30)});
-  t.records[2].readValue = 0;
-  const std::string path = ::testing::TempDir() + "chunked.trace";
-  {
-    verify::ChunkedTraceFileSink sink(path);
-    verify::streamCapturedTrace(t, sink, 2);  // odd tail chunk included
-    ASSERT_TRUE(sink.ok()) << sink.error();
-    EXPECT_EQ(sink.recordsWritten(), t.records.size());
-  }
-  CapturedTrace back;
-  std::string err;
-  ASSERT_TRUE(verify::readTraceFile(path, &back, &err)) << err;
-  EXPECT_EQ(back.serialize(), t.serialize());
-
-  verify::MemoryTraceSink mem;
-  ASSERT_TRUE(verify::streamTraceFile(path, mem, &err)) << err;
-  ASSERT_NE(mem.trace(), nullptr);
-  EXPECT_EQ(mem.trace()->serialize(), t.serialize());
-  std::remove(path.c_str());
-}
-
-TEST(TraceSinkV2, RecorderStreamingModeMatchesInMemoryCapture) {
-  // Drive a recorder by hand through the commit/patch lifecycle: the
-  // chunk stream reassembles to the exact in-memory capture, including a
-  // store that performs out of chunk order and one that never performs.
-  verify::MemoryTraceSink sink;
-  verify::TraceRecorder recorder(2, ConsistencyModel::kTSO, 1, 99, 1 << 20,
-                                 &sink, /*chunkRecords=*/2,
-                                 /*keepInMemory=*/true);
+TEST(TraceRecorder, PatchesBufferedStoresInPlace) {
+  // Drive a recorder by hand through the commit/patch lifecycle: a store
+  // coalesced away, one that performs after younger records committed,
+  // and one still buffered at the end of the run.
+  verify::TraceRecorder recorder(2, ConsistencyModel::kTSO, 1, 99, 1 << 20);
   auto commitStore = [&](NodeId n, SeqNum s, Addr a, std::uint64_t v) {
     TraceRecord r;
     r.op = TraceOp::kStore;
@@ -715,29 +673,79 @@ TEST(TraceSinkV2, RecorderStreamingModeMatchesInMemoryCapture) {
   recorder.storeSuperseded(0, 1, 11);  // coalesced into seq 2
   recorder.storePerformed(0, 2, 14);
   commitStore(1, 3, kY, 3);  // still pending at end of run
-  recorder.finish();
-  ASSERT_NE(sink.trace(), nullptr);
-  ASSERT_NE(recorder.trace(), nullptr);
-  EXPECT_EQ(sink.trace()->serialize(), recorder.trace()->serialize());
-  EXPECT_FALSE(sink.trace()->truncated);
-  // The pending tail store keeps kNotPerformed in both captures.
-  EXPECT_FALSE(sink.trace()->records.back().performed());
+
+  const CapturedTrace& t = *recorder.trace();
+  ASSERT_EQ(t.records.size(), 5u);
+  EXPECT_TRUE(t.records[0].superseded());
+  EXPECT_FALSE(t.records[0].performed());
+  EXPECT_TRUE(t.records[2].performed());
+  EXPECT_EQ(t.records[2].performCycle, 14u);
+  EXPECT_FALSE(t.records[4].performed());
+  EXPECT_EQ(t.records[4].performCycle, verify::kNotPerformed);
+  EXPECT_FALSE(t.truncated);
+
+  // A sink fed the capture reassembles it bit for bit.
+  verify::MemoryTraceSink sink;
+  verify::streamCapturedTrace(t, sink, 2);  // odd tail chunk included
+  EXPECT_EQ(sink.trace()->serialize(), t.serialize());
 }
 
-// I/O errors are sticky, not fatal: a sink pointed at an unwritable
-// directory keeps accepting the stream (the run must not die because its
-// spill target vanished) but reports the failure through ok()/error().
-TEST(TraceSinkV2, ChunkedSinkSurfacesUnwritableTargets) {
-  CapturedTrace t = makeTrace(
-      ConsistencyModel::kTSO, 1,
-      {rec(TraceOp::kStore, 0, 1, ConsistencyModel::kTSO, kX, 1, 10)});
-  verify::ChunkedTraceFileSink sink("/nonexistent-dvmc-dir/x/spill.trace");
-  verify::streamCapturedTrace(t, sink, 4);
-  EXPECT_FALSE(sink.ok());
-  EXPECT_NE(sink.error().find("/nonexistent-dvmc-dir/x/spill.trace"),
-            std::string::npos)
-      << sink.error();
-  EXPECT_EQ(sink.recordsWritten(), 0u);
+// The oracle's byte offsets point into the file it read, and the file
+// format has exactly one version.
+TEST(TraceSerialization, ViolationOffsetsAddressTheFile) {
+  const ConsistencyModel m = ConsistencyModel::kTSO;
+  const CapturedTrace t = makeTrace(
+      m, 2,
+      {rec(TraceOp::kStore, 0, 1, m, kX, 1, 100),
+       rec(TraceOp::kLoad, 1, 1, m, kX, 1, 110),
+       rec(TraceOp::kStore, 0, 2, m, kY, 2, 115),
+       rec(TraceOp::kLoad, 1, 2, m, kY, 0xDEAD, 120)});
+  const std::string path = ::testing::TempDir() + "offsets.trace";
+  std::string err;
+  ASSERT_TRUE(verify::writeTraceFile(path, t, &err)) << err;
+  CapturedTrace back;
+  ASSERT_TRUE(verify::readTraceFile(path, &back, &err)) << err;
+  const verify::OracleResult res = verify::checkTrace(back);
+  ASSERT_FALSE(res.clean);
+  const verify::OracleViolation& v = res.violations[0];
+  EXPECT_EQ(v.kind, verify::OracleViolation::Kind::kBadReadValue);
+  ASSERT_EQ(v.recordA, 3u);
+
+  std::vector<std::uint8_t> file;
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    int c;
+    while ((c = std::fgetc(f)) != EOF) file.push_back(std::uint8_t(c));
+    std::fclose(f);
+  }
+  ASSERT_LE(v.byteA + CapturedTrace::kRecordBytes, file.size());
+  // Decode the 48 bytes at byteA as a one-record trace under the file's
+  // own header.
+  std::vector<std::uint8_t> one(file.begin(),
+                                file.begin() + CapturedTrace::kHeaderBytes);
+  one[32] = 1;
+  for (int i = 33; i < 40; ++i) one[i] = 0;  // record count = 1
+  one.insert(one.end(), file.begin() + std::ptrdiff_t(v.byteA),
+             file.begin() + std::ptrdiff_t(v.byteA + CapturedTrace::kRecordBytes));
+  CapturedTrace decoded;
+  ASSERT_TRUE(CapturedTrace::parse(one.data(), one.size(), &decoded, &err))
+      << err;
+  CapturedTrace want = t;
+  want.records = {t.records[v.recordA]};
+  EXPECT_EQ(decoded.serialize(), want.serialize());
+
+  // A header that claims version 2 is refused, not re-interpreted.
+  file[8] = 2;
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(file.data(), 1, file.size(), f), file.size());
+    std::fclose(f);
+  }
+  EXPECT_FALSE(verify::readTraceFile(path, &back, &err));
+  EXPECT_EQ(err, "byte 8: unsupported dvmc-trace version");
+  std::remove(path.c_str());
 }
 
 }  // namespace
