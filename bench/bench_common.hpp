@@ -21,6 +21,7 @@
 #include <cstring>
 #include <fstream>
 #include <new>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -147,9 +148,9 @@ inline SystemConfig benchConfig(Protocol p, ConsistencyModel m,
   cfg.workload = wl;
   cfg.targetTransactions = targetFor(wl);
   cfg.maxCycles = 200'000'000;
-  // --trace=FILE arms a process-global tracer; runSeeds/runCyclesPerSeed
-  // hand it to the first seed's run only. The forensics recorder is
-  // mutex-guarded, so every seed shares it.
+  // --trace=FILE arms a process-global tracer; runSeeds (and so
+  // runCyclesPerSeed) hands it to the first seed's run only. The forensics
+  // recorder is mutex-guarded, so every seed shares it.
   cfg.tracer = obs::activeTracer();
   cfg.forensics = obs::activeForensics();
   cfg.sampleEvery = obs::options().sampleEvery;
@@ -206,28 +207,16 @@ inline std::string normCell(const RunningStat& s, double baseMean) {
 
 /// Per-seed runtimes for paired comparisons: runtime noise between seeds is
 /// much larger than between configurations, so ratios are taken seed by
-/// seed (the paper's perturbation pairs) before aggregating. Seeds run in
-/// parallel (resolveJobs, --jobs); results stay in seed order.
+/// seed (the paper's perturbation pairs) before aggregating. The seeds run
+/// through runSeeds (in parallel, --jobs), so the tracer, the trace sink and
+/// the --capture-trace file belong to seed 1, and the cycles come back in
+/// seed order.
 inline std::vector<double> runCyclesPerSeed(SystemConfig cfg, int seeds,
                                             std::uint64_t* detections = nullptr) {
   obs::ScopedSpan span("bench-config");
   const auto wallStart = std::chrono::steady_clock::now();
-  std::vector<RunResult> results(static_cast<std::size_t>(seeds));
-  parallelFor(static_cast<std::size_t>(seeds),
-              static_cast<unsigned>(resolveJobs(cfg)), [&](std::size_t s) {
-                SystemConfig c = cfg;
-                c.seed = 1 + s;
-                if (s != 0) c.tracer = nullptr;  // tracer is single-threaded
-                results[s] = runOnce(c);
-              });
-  std::vector<double> out;
-  out.reserve(results.size());
-  std::uint64_t simCycles = 0;
-  for (const RunResult& r : results) {
-    out.push_back(static_cast<double>(r.cycles));
-    simCycles += r.cycles;
-    if (detections != nullptr) *detections += r.detections;
-  }
+  const MultiRunResult r = runSeeds(cfg, seeds);
+  if (detections != nullptr) *detections += r.detections;
   if (!benchJsonPath().empty()) {
     const double wallMs =
         std::chrono::duration<double, std::milli>(
@@ -235,11 +224,13 @@ inline std::vector<double> runCyclesPerSeed(SystemConfig cfg, int seeds,
             .count();
     // "events" for a full-system sweep = simulated cycles across all
     // seeds; eventsPerSec is thus host simulation throughput.
+    const std::uint64_t simCycles = std::accumulate(
+        r.seedCycles.begin(), r.seedCycles.end(), std::uint64_t{0});
     const double eps =
         wallMs > 0 ? static_cast<double>(simCycles) * 1e3 / wallMs : 0;
     recordBenchResult(configLabel(cfg), eps, wallMs);
   }
-  return out;
+  return std::vector<double>(r.seedCycles.begin(), r.seedCycles.end());
 }
 
 inline RunningStat pairedRatio(const std::vector<double>& variant,

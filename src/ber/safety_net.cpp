@@ -32,7 +32,7 @@ void SafetyNet::checkpointTick() {
     t->instant(sim_.now(), TraceKind::kCheckpoint, "ber.checkpoint", 0, 0,
                cCheckpoints_.value());
   }
-  if (cfg_.modelTraffic && traffic_) traffic_();
+  if (traffic_) traffic_();
   sim_.schedule(cfg_.interval, [this] { checkpointTick(); });
 }
 

@@ -39,7 +39,6 @@ struct BerConfig {
   Cycle interval = 20'000;
   std::size_t maxCheckpoints = 6;
   Cycle restartDrainDelay = 2'000;  // message-drain gap before cores restart
-  bool modelTraffic = true;
 };
 
 class SafetyNet {

@@ -37,7 +37,7 @@ bool CoherentCache::peekWritable(Addr blk) {
   return line != nullptr && mosiCanWrite(line->state);
 }
 
-void CoherentCache::request(const CacheOp& op, CacheOpCallback cb) {
+void CoherentCache::request(const CacheOp& op) {
   // Loads pay the full L2 array access; stores and atomics drain through
   // the dedicated write port (writes to an already-owned line are cheap —
   // they would hit an L1-class writeback structure in a real hierarchy).
@@ -45,19 +45,19 @@ void CoherentCache::request(const CacheOp& op, CacheOpCallback cb) {
                          op.kind == CacheOp::Kind::kAtomicSwap ||
                          op.kind == CacheOp::Kind::kAtomicCas;
   const Cycle lat = writePath ? timings_.storeLatency : timings_.l2Latency;
-  sim_.schedule(lat, [this, op, cb = std::move(cb), g = gen_] {
+  sim_.schedule(lat, [this, op, g = gen_] {
     if (g != gen_) return;  // squashed by BER recovery
-    processOp(op, cb);
+    processOp(op);
   });
 }
 
-void CoherentCache::processOp(const CacheOp& op, CacheOpCallback cb) {
+void CoherentCache::processOp(const CacheOp& op) {
   const Addr blk = blockAddr(op.addr);
 
   // A transaction is already in flight: queue behind it.
   auto mit = mshrs_.find(blk);
   if (mit != mshrs_.end()) {
-    mit->second.ops.push_back(PendingOp{op, std::move(cb)});
+    mit->second.ops.push_back(op);
     return;
   }
 
@@ -72,36 +72,35 @@ void CoherentCache::processOp(const CacheOp& op, CacheOpCallback cb) {
     array_.touch(*line, sink_, node_, sim_.now());
     cHit_.inc();
     const std::size_t off = blockOffset(op.addr);
+    constexpr std::size_t n = CacheOp::kBytes;
     switch (op.kind) {
       case CacheOp::Kind::kLoad:
       case CacheOp::Kind::kReplayLoad:
-        completeOp(op, cb, line->data.read(off, op.size), op.countsAsPerform);
+        completeOp(op, line->data.read(off, n), op.countsAsPerform);
         return;
       case CacheOp::Kind::kStore:
-        line->data.write(off, op.size, op.value);
-        if (storeHook_) storeHook_(op.addr, op.size, op.value);
-        completeOp(op, cb, 0, true);
+        line->data.write(off, n, op.value);
+        if (storeHook_) storeHook_(op.addr, n, op.value);
+        completeOp(op, 0, true);
         return;
       case CacheOp::Kind::kAtomicSwap: {
-        const std::uint64_t old = line->data.read(off, op.size);
-        line->data.write(off, op.size, op.value);
-        if (storeHook_) storeHook_(op.addr, op.size, op.value);
-        completeOp(op, cb, old, true);
+        const std::uint64_t old = line->data.read(off, n);
+        line->data.write(off, n, op.value);
+        if (storeHook_) storeHook_(op.addr, n, op.value);
+        completeOp(op, old, true);
         return;
       }
       case CacheOp::Kind::kAtomicCas: {
-        const std::uint64_t old = line->data.read(off, op.size);
+        const std::uint64_t old = line->data.read(off, n);
         if (old == op.compare) {
-          line->data.write(off, op.size, op.value);
-          if (storeHook_) storeHook_(op.addr, op.size, op.value);
+          line->data.write(off, n, op.value);
+          if (storeHook_) storeHook_(op.addr, n, op.value);
         }
-        completeOp(op, cb, old, true);
+        completeOp(op, old, true);
         return;
       }
-      case CacheOp::Kind::kPrefetchS:
       case CacheOp::Kind::kPrefetchM:
-        completeOp(op, cb, 0, false);
-        return;
+        return;  // the permission was the point; nobody waits for it
     }
   }
 
@@ -110,30 +109,25 @@ void CoherentCache::processOp(const CacheOp& op, CacheOpCallback cb) {
     t->instant(sim_.now(), TraceKind::kCoherence,
                needsWrite ? "l2.missM" : "l2.missS", node_, blk, 0);
   }
-  startTransaction(blk, needsWrite, PendingOp{op, std::move(cb)});
+  startTransaction(blk, needsWrite, op);
 }
 
-void CoherentCache::completeOp(const CacheOp& op, const CacheOpCallback& cb,
-                               std::uint64_t value, bool performed) {
+void CoherentCache::completeOp(const CacheOp& op, std::uint64_t value,
+                               bool performed) {
   if (performed && epochs_ != nullptr) {
     const bool isWrite = op.kind == CacheOp::Kind::kStore ||
                          op.kind == CacheOp::Kind::kAtomicSwap ||
                          op.kind == CacheOp::Kind::kAtomicCas;
     epochs_->onPerformAccess(blockAddr(op.addr), isWrite);
   }
-  CacheOpResult r;
-  r.tag = op.tag;
-  r.value = value;
-  r.performLogical = clock_.now();
-  r.completedAt = sim_.now();
-  if (cb) cb(r);
+  if (client_ != nullptr) client_->onCacheOpDone(op, value);
 }
 
 void CoherentCache::startTransaction(Addr blk, bool wantM,
-                                     PendingOp pending) {
+                                     const CacheOp& op) {
   Mshr& m = mshrs_[blk];
   m.wantM = wantM;
-  m.ops.push_back(std::move(pending));
+  m.ops.push_back(op);
   issueRequest(blk, m);
 }
 
@@ -185,9 +179,7 @@ void CoherentCache::completeFill(Addr blk) {
 }
 
 void CoherentCache::replayOps(Mshr& m) {
-  for (auto& p : m.ops) {
-    processOp(p.op, std::move(p.cb));
-  }
+  for (const CacheOp& op : m.ops) processOp(op);
 }
 
 void CoherentCache::installWithEviction(Addr blk, MosiState st,

@@ -16,9 +16,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <optional>
+#include <vector>
 
 #include "coherence/cache_array.hpp"
 #include "coherence/interfaces.hpp"
@@ -38,9 +37,10 @@ class CoherentCache {
   CoherentCache(const CoherentCache&) = delete;
   CoherentCache& operator=(const CoherentCache&) = delete;
 
-  /// Issues a CPU operation; `cb` fires once it performed.
-  void request(const CacheOp& op, CacheOpCallback cb);
+  /// Issues a CPU operation; the client hears of it once it performed.
+  void request(const CacheOp& op);
 
+  void setClient(CacheClient* c) { client_ = c; }
   void setCpuNotifier(CpuNotifier* n) { cpu_ = n; }
   void setEpochObserver(EpochObserver* o) { epochs_ = o; }
   EpochObserver* epochObserver() const { return epochs_; }
@@ -70,11 +70,6 @@ class CoherentCache {
   void invalidateAll();
 
  protected:
-  struct PendingOp {
-    CacheOp op;
-    CacheOpCallback cb;
-  };
-
   /// One outstanding transaction per block. The fields after `ops` belong
   /// to one protocol half each.
   struct Mshr {
@@ -83,7 +78,7 @@ class CoherentCache {
     // copy was stashed when an Inv raced the upgrade.
     bool hasData = false;
     DataBlock data;
-    std::deque<PendingOp> ops;  // CPU operations queued behind the miss
+    std::vector<CacheOp> ops;  // CPU operations queued behind the miss
     // Directory.
     bool requestSent = false;   // false while stalled behind a writeback
     bool dataReceived = false;  // the Data response (maybe acks only) is in
@@ -93,10 +88,8 @@ class CoherentCache {
     bool ordered = false;
     std::uint64_t orderTime = 0;  // clock value at our request's snoop
     bool selfSupply = false;      // O -> M upgrade: our line has the data
-    // Snoops ordered after our request, applied once it completes. Only the
-    // snooping half engages it: libstdc++'s std::deque allocates even when
-    // empty, and directory MSHRs never defer anything.
-    std::optional<std::deque<Message>> deferredSnoops;
+    // Snoops ordered after our request, applied once it completes.
+    std::vector<Message> deferredSnoops;
   };
 
   struct WbEntry {
@@ -153,10 +146,9 @@ class CoherentCache {
   Counter cStrayData_ = stats_.counter("l2.strayData");
 
  private:
-  void processOp(const CacheOp& op, CacheOpCallback cb);
-  void completeOp(const CacheOp& op, const CacheOpCallback& cb,
-                  std::uint64_t value, bool performed);
-  void startTransaction(Addr blk, bool wantM, PendingOp pending);
+  void processOp(const CacheOp& op);
+  void completeOp(const CacheOp& op, std::uint64_t value, bool performed);
+  void startTransaction(Addr blk, bool wantM, const CacheOp& op);
   /// True when no transaction or writeback of the line's block is in
   /// flight, so the line may be evicted.
   bool evictable(const CacheLine& l) const;
@@ -166,6 +158,7 @@ class CoherentCache {
 
   CoherenceTimings timings_;
   LogicalClock& clock_;
+  CacheClient* client_ = nullptr;
   CpuNotifier* cpu_ = nullptr;
   StorePerformHook storeHook_;
   Counter cHit_ = stats_.counter("l2.hit");

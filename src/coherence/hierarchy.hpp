@@ -6,6 +6,10 @@
 // while L1 hits model the common fast path. The hierarchy separately counts
 // L1 misses for regular execution loads and for verification-stage replay
 // loads — the ratio is the paper's Figure 6 metric.
+//
+// An operation finishes in one call chain: the L2 hands it to the hierarchy
+// (its CacheClient), which refills or updates the L1 and hands it on to the
+// CPU's CacheClient in the same kernel event.
 #pragma once
 
 #include <cstdint>
@@ -19,13 +23,16 @@
 
 namespace dvmc {
 
-class CacheHierarchy final : public CpuNotifier {
+class CacheHierarchy final : public CpuNotifier, public CacheClient {
  public:
   CacheHierarchy(Simulator& sim, CoherentCache& l2, CacheGeometry l1Geom,
                  CoherenceTimings timings, ErrorSink* sink, NodeId node);
 
-  /// Issues an operation; the callback fires when it completes.
-  void access(const CacheOp& op, CacheOpCallback cb);
+  /// Issues an operation; the client hears of it when it completes.
+  void access(const CacheOp& op);
+
+  /// The CPU registers here for completions.
+  void setClient(CacheClient* c) { client_ = c; }
 
   /// The CPU registers here (the hierarchy filters L2 notifications through
   /// the L1 before forwarding them).
@@ -33,6 +40,9 @@ class CacheHierarchy final : public CpuNotifier {
 
   // --- CpuNotifier (wired to the L2 controller) ---
   void onReadPermissionLost(Addr blk, bool remoteWrite) override;
+
+  // --- CacheClient (wired to the L2 controller) ---
+  void onCacheOpDone(const CacheOp& op, std::uint64_t value) override;
 
   CacheArray& l1() { return l1_; }
   CoherentCache& l2() { return l2_; }
@@ -47,9 +57,7 @@ class CacheHierarchy final : public CpuNotifier {
   }
 
  private:
-  void finishLoadFromL1(const CacheOp& op, const CacheOpCallback& cb,
-                        CacheLine& line);
-  void forwardToL2(const CacheOp& op, CacheOpCallback cb);
+  void finishLoadFromL1(const CacheOp& op, CacheLine& line);
 
   Simulator& sim_;
   CoherentCache& l2_;
@@ -58,6 +66,7 @@ class CacheHierarchy final : public CpuNotifier {
   NodeId node_;
   CacheArray l1_;
   CpuNotifier* cpu_ = nullptr;
+  CacheClient* client_ = nullptr;
   // Metric registry (stats_ must precede the handles).
   MetricSet stats_;
   Counter cHit_ = stats_.counter("l1.hit");

@@ -1,18 +1,19 @@
 // Interfaces between the processor, the coherent cache hierarchy, and the
 // DVMC checkers.
 //
-// The processor issues asynchronous CacheOps and receives completion
-// callbacks carrying the value, hit/miss information, and the logical time
-// at which the operation performed. The DVMC Cache Coherence checker plugs
-// in as an EpochObserver: the protocol controllers report epoch begin/end
-// transitions and perform-time accesses; the checker maintains the CET and
-// emits Inform-Epoch messages. Keeping the observer abstract means the
-// protocols have no compile-time dependency on the checkers — mirroring the
-// paper's claim that any SWMR-verifying scheme can be swapped in.
+// The processor issues asynchronous CacheOps; each one finishes with a
+// single call to its issuer's CacheClient, which receives the op back
+// unchanged together with the value it read. The DVMC Cache Coherence
+// checker plugs in as an EpochObserver: the protocol controllers report
+// epoch begin/end transitions and perform-time accesses; the checker
+// maintains the CET and emits Inform-Epoch messages. Keeping the observer
+// abstract means the protocols have no compile-time dependency on the
+// checkers — mirroring the paper's claim that any SWMR-verifying scheme can
+// be swapped in.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 
 #include "common/data_block.hpp"
 #include "common/types.hpp"
@@ -25,37 +26,45 @@ struct CacheOp {
     kStore,       // store perform (write-buffer drain)
     kAtomicSwap,  // atomic exchange; returns old value
     kAtomicCas,   // compare-and-swap: writes only if old == compare
-    kPrefetchS,   // acquire read permission, no access
-    kPrefetchM,   // acquire write permission, no access
+    kPrefetchM,   // acquire write permission, no access; never completes
     kReplayLoad,  // verification-stage replay load (bypasses write buffer)
   };
+
+  /// Every op accesses one aligned 64-bit word.
+  static constexpr std::size_t kBytes = 8;
 
   Kind kind = Kind::kLoad;
 
   // True when this access is the operation's *perform* point, i.e. the CET
   // rule-1 check and the AR checker's perform event should fire. The CPU
   // sets this per the model: stores always; loads at replay for ordered-load
-  // models, at execution for RMO. (Declared beside `kind` so the two flags
-  // share one padding slot: CacheOp rides inside scheduled-event captures
-  // that must fit Simulator::kActionCapacityBytes.)
+  // models, at execution for RMO.
   bool countsAsPerform = false;
 
+  // The issuer's token, handed back unchanged at completion: the core puts
+  // the sequence number in `tag`, and the entry and restart generations
+  // that tell a stale completion from a live one in `gen` and `restartGen`
+  // (`gen` fills the padding after the two flags).
+  std::uint32_t gen = 0;
   Addr addr = 0;
-  std::size_t size = 8;
   std::uint64_t value = 0;    // store value / atomic new value
   std::uint64_t compare = 0;  // kAtomicCas: expected old value
-  std::uint64_t tag = 0;      // caller-owned token, echoed in the result
-};
-
-struct CacheOpResult {
   std::uint64_t tag = 0;
-  std::uint64_t value = 0;        // load result / atomic old value
-  bool l1Hit = false;             // for replay-miss statistics (Fig. 6)
-  std::uint64_t performLogical = 0;  // logical time at perform
-  Cycle completedAt = 0;
+  std::uint32_t restartGen = 0;
 };
 
-using CacheOpCallback = std::function<void(const CacheOpResult&)>;
+// CacheOp rides inside scheduled-event captures that must fit
+// Simulator::kActionCapacityBytes.
+static_assert(sizeof(CacheOp) <= 48, "CacheOp outgrew its event budget");
+
+/// Receives each completed operation exactly once, in the kernel event in
+/// which it performed. `value` is the load result or the atomic's old
+/// value (0 for stores). Prefetches never complete.
+class CacheClient {
+ public:
+  virtual ~CacheClient() = default;
+  virtual void onCacheOpDone(const CacheOp& op, std::uint64_t value) = 0;
+};
 
 /// Hints from the cache to the processor for load-order speculation.
 /// `remoteWrite` is true when the loss is another processor taking write

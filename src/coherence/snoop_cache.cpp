@@ -15,7 +15,6 @@ SnoopCacheController::SnoopCacheController(Simulator& sim,
       addrNet_(addrNet) {}
 
 void SnoopCacheController::issueRequest(Addr blk, Mshr& m) {
-  m.deferredSnoops.emplace();
   Message req;
   req.type = m.wantM ? MsgType::kSnpGetM : MsgType::kSnpGetS;
   req.src = node_;
@@ -74,7 +73,7 @@ void SnoopCacheController::onSnoop(const Message& msg) {
   // and must wait for our data.
   auto it = mshrs_.find(blk);
   if (it != mshrs_.end() && it->second.ordered) {
-    it->second.deferredSnoops->push_back(msg);
+    it->second.deferredSnoops.push_back(msg);
     cDeferredSnoop_.inc();
     return;
   }
@@ -160,7 +159,7 @@ void SnoopCacheController::finishFill(Addr, Mshr& m) {
   // Perform the queued CPU operations inside our epoch, then honor the
   // snoops that were ordered after our request.
   replayOps(m);
-  for (const Message& snoop : *m.deferredSnoops) {
+  for (const Message& snoop : m.deferredSnoops) {
     applySnoop(snoop, snoop.snoopOrder + 1);
   }
 }

@@ -93,7 +93,7 @@ void SnoopMemoryController::onMessage(const Message& msg) {
                                    /*accepted=*/true);
   }
   h.awaitingWb = false;
-  std::deque<Message> waiting;
+  std::vector<Message> waiting;
   waiting.swap(h.waiting);
   for (const Message& w : waiting) grant(blk, w, w.fromMemory);
   // Note: snooping homes do NOT raise onBlockUncached — they cannot see

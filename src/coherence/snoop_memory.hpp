@@ -7,7 +7,7 @@
 // between a PutM and the arrival of its writeback data.
 #pragma once
 
-#include <deque>
+#include <vector>
 
 #include "coherence/home_controller.hpp"
 #include "common/flat_map.hpp"
@@ -35,7 +35,7 @@ class SnoopMemoryController final : public HomeController {
     NodeId wbFrom = kInvalidNode;  // evictor whose WbData is in flight
     // Requests ordered while the writeback is pending, granted once its
     // data lands; `fromMemory` marks the ones memory answers.
-    std::deque<Message> waiting;
+    std::vector<Message> waiting;
   };
 
   void forgetBlocks() override { state_.clear(); }

@@ -44,6 +44,7 @@ Core::Core(Simulator& sim, NodeId node, ConsistencyModel model, CpuConfig cfg,
     tables_[m] = OrderingTable::forModel(static_cast<ConsistencyModel>(m));
   }
   mem_.setCpuNotifier(this);
+  mem_.setClient(this);
 }
 
 const OrderingTable& Core::tableFor(ConsistencyModel m) const {
@@ -195,6 +196,15 @@ Core::RobEntry* Core::entryBySeq(SeqNum seq) {
   return &rob_[static_cast<std::size_t>(seq - head)];
 }
 
+bool Core::restartIfSquashed(RobEntry& e) {
+  if (!e.squashPending) return false;
+  e.squashPending = false;
+  ++e.gen;
+  setState(e, St::kDispatched);
+  cLoadSquashRestart_.inc();
+  return true;
+}
+
 void Core::tick() {
   phaseRetire();
   phaseGate();
@@ -308,15 +318,9 @@ void Core::phaseExecute() {
       }
       e.readyAt = 0;
       timedMask_ &= ~robBit(e);
-      if (e.squashPending) {
-        // A remote write invalidated the block this (forwarded) load read
-        // from while its execute latency elapsed: re-execute.
-        e.squashPending = false;
-        ++e.gen;
-        setState(e, St::kDispatched);
-        cLoadSquashRestart_.inc();
-        continue;
-      }
+      // A remote write invalidated the block this (forwarded) load read
+      // from while its execute latency elapsed: re-execute.
+      if (restartIfSquashed(e)) continue;
       setState(e, St::kExecuted);
       if (e.performedAtExec) {
         // Forwarded RMO load: it performs now.
@@ -368,10 +372,7 @@ void Core::issueExecute(RobEntry& e) {
       startLatency(e, 1);
       if (cfg_.storePrefetch && !e.prefetched) {
         e.prefetched = true;
-        CacheOp pf;
-        pf.kind = CacheOp::Kind::kPrefetchM;
-        pf.addr = e.inst.addr;
-        mem_.access(pf, nullptr);
+        mem_.access(cacheOp(e, CacheOp::Kind::kPrefetchM));
         cStorePrefetch_.inc();
       }
       return;
@@ -425,71 +426,47 @@ void Core::executeLoad(RobEntry& e) {
 
   setState(e, St::kIssued);
   e.readyAt = 0;
-  CacheOp op;
-  op.kind = CacheOp::Kind::kLoad;
-  op.addr = e.inst.addr;
+  CacheOp op = cacheOp(e, CacheOp::Kind::kLoad);
   // Ordered-load models perform loads at the verification stage; RMO loads
   // perform here. Without DVUO there is no replay, so the CET rule-1 check
   // fires on the execution access.
   op.countsAsPerform = rmoLoad || vc_ == nullptr;
   cLoadIssued_.inc();
-  mem_.access(op, [this, seq = e.seq, gen = e.gen, rgen = restartGen_,
-                   rmoLoad](const CacheOpResult& r) {
-    if (rgen != restartGen_) return;
-    RobEntry* e2 = entryBySeq(seq);
-    if (e2 == nullptr || e2->gen != gen) return;
-    if (e2->squashPending) {
-      e2->squashPending = false;
-      ++e2->gen;
-      setState(*e2, St::kDispatched);  // re-execute
-      cLoadSquashRestart_.inc();
-      wake();
-      return;
-    }
-    e2->execValue = r.value;
-    if (loadFaultArmed_) {
-      loadFaultArmed_ = false;
-      e2->execValue ^= 0x80;  // injected LSQ/forwarding corruption
-      cInjectedLoadFaults_.inc();
-    }
-    setState(*e2, St::kExecuted);
-    if (rmoLoad || vc_ == nullptr) {
-      // The cache access just performed this load (countsAsPerform above);
-      // ordered-load models with DVUO perform at the verification replay.
-      e2->performedAt = sim_.now();
-    }
-    if (rmoLoad) {
-      e2->performedAtExec = true;
-      if (vc_ != nullptr) vc_->parkLoadValue(e2->inst.addr, 8, r.value);
-      performEvent(*e2);
-    }
-    wake();
-  });
+  mem_.access(op);
+}
+
+void Core::onLoadExecuted(RobEntry& e, std::uint64_t value) {
+  if (restartIfSquashed(e)) return;
+  e.execValue = value;
+  if (loadFaultArmed_) {
+    loadFaultArmed_ = false;
+    e.execValue ^= 0x80;  // injected LSQ/forwarding corruption
+    cInjectedLoadFaults_.inc();
+  }
+  setState(e, St::kExecuted);
+  const bool rmoLoad = e.model == ConsistencyModel::kRMO;
+  if (rmoLoad || vc_ == nullptr) {
+    // The cache access just performed this load (countsAsPerform above);
+    // ordered-load models with DVUO perform at the verification replay.
+    e.performedAt = sim_.now();
+  }
+  if (rmoLoad) {
+    e.performedAtExec = true;
+    if (vc_ != nullptr) vc_->parkLoadValue(e.inst.addr, 8, value);
+    performEvent(e);
+  }
 }
 
 void Core::executeAtomic(RobEntry& e) {
   setState(e, St::kIssued);
-  CacheOp op;
-  op.kind = e.inst.kind == Instr::Kind::kCas ? CacheOp::Kind::kAtomicCas
-                                             : CacheOp::Kind::kAtomicSwap;
-  op.addr = e.inst.addr;
+  CacheOp op = cacheOp(e, e.inst.kind == Instr::Kind::kCas
+                              ? CacheOp::Kind::kAtomicCas
+                              : CacheOp::Kind::kAtomicSwap);
   op.value = e.inst.value;
   op.compare = e.inst.compare;
   op.countsAsPerform = true;
   cAtomics_.inc();
-  mem_.access(op, [this, seq = e.seq, gen = e.gen,
-                   rgen = restartGen_](const CacheOpResult& r) {
-    if (rgen != restartGen_) return;
-    RobEntry* e2 = entryBySeq(seq);
-    if (e2 == nullptr || e2->gen != gen) return;
-    e2->execValue = r.value;
-    setState(*e2, St::kExecuted);
-    e2->performedAtExec = true;
-    e2->performedAt = sim_.now();
-    if (vc_ != nullptr) vc_->parkLoadValue(e2->inst.addr, 8, r.value);
-    performEvent(*e2);
-    wake();
-  });
+  mem_.access(op);
 }
 
 // --------------------------------------------------------------------------
@@ -569,26 +546,11 @@ void Core::gateEntry(RobEntry& e) {
         setState(e, St::kGateIssued);
         gateStoreInFlight_ = true;
         ++outstandingStores_;
-        CacheOp op;
-        op.kind = CacheOp::Kind::kStore;
-        op.addr = e.inst.addr;
+        CacheOp op = cacheOp(e, CacheOp::Kind::kStore);
         op.value = e.inst.value;
         op.countsAsPerform = true;
         cScStores_.inc();
-        mem_.access(op, [this, seq = e.seq, gen = e.gen, rgen = restartGen_](
-                            const CacheOpResult&) {
-          if (rgen != restartGen_) return;
-          --outstandingStores_;
-          gateStoreInFlight_ = false;
-          RobEntry* e2 = entryBySeq(seq);
-          if (e2 == nullptr || e2->gen != gen) return;
-          if (ar_ != nullptr) {
-            ar_->onPerform(OpType::kStore, 0, e2->seq, tableFor(e2->model));
-          }
-          e2->performedAt = sim_.now();
-          setState(*e2, St::kGateDone);
-          wake();
-        });
+        mem_.access(op);
         return;
       }
       // Buffered store: replay writes the Verification Cache; the entry
@@ -659,36 +621,20 @@ void Core::replayLoad(RobEntry& e) {
   if (auto vcHit = vc_->lookupStoreOlderThan(e.inst.addr, 8, e.seq)) {
     cReplayVcHit_.inc();
     setState(e, St::kGateIssued);
-    onReplayDone(e, *vcHit, /*l1Hit=*/true);
+    onReplayDone(e, *vcHit);
     return;
   }
   setState(e, St::kGateIssued);
-  CacheOp op;
-  op.kind = CacheOp::Kind::kReplayLoad;
-  op.addr = e.inst.addr;
+  CacheOp op = cacheOp(e, CacheOp::Kind::kReplayLoad);
   op.countsAsPerform = true;  // ordered loads perform at verification
   cReplayIssued_.inc();
-  mem_.access(op, [this, seq = e.seq, gen = e.gen,
-                   rgen = restartGen_](const CacheOpResult& r) {
-    if (rgen != restartGen_) return;
-    RobEntry* e2 = entryBySeq(seq);
-    if (e2 == nullptr || e2->gen != gen) return;
-    onReplayDone(*e2, r.value, r.l1Hit);
-    wake();
-  });
+  mem_.access(op);
 }
 
-void Core::onReplayDone(RobEntry& e, std::uint64_t replayValue, bool l1Hit) {
-  (void)l1Hit;
-  if (e.squashPending) {
-    // A remote write raced with this load between execution and
-    // verification: load-order mis-speculation, not an error.
-    e.squashPending = false;
-    ++e.gen;
-    setState(e, St::kDispatched);
-    cLoadSquashRestart_.inc();
-    return;
-  }
+void Core::onReplayDone(RobEntry& e, std::uint64_t replayValue) {
+  // A remote write raced with this load between execution and
+  // verification: load-order mis-speculation, not an error.
+  if (restartIfSquashed(e)) return;
   if (replayValue != e.execValue) {
     // A Uniprocessor Ordering violation signal: the speculative execution
     // value is stale relative to the (performing) replay. All operations
@@ -930,43 +876,96 @@ void Core::drainWriteBuffer() {
     op.addr = w.addr;
     op.value = w.value;
     op.countsAsPerform = true;
+    op.tag = w.seq;
+    op.restartGen = restartGen_;
     cWbDrains_.inc();
     const bool faulted = (startIdx == 1 && i == 1);
-    mem_.access(op, [this, seq = w.seq,
-                     rgen = restartGen_](const CacheOpResult&) {
-      if (rgen != restartGen_) return;
-      for (auto it = wb_.begin(); it != wb_.end(); ++it) {
-        if (it->seq == seq) {
-          if (vc_ != nullptr) {
-            vc_->storePerformed(it->addr, 8, it->value, sim_.now());
-          }
-          if (rec_ != nullptr) {
-            rec_->storePerformed(node_, it->seq, sim_.now());
-          }
-          if (ar_ != nullptr) {
-            // Mixed-mode note: the drain rules guarantee per-model order;
-            // the perform event uses the store's own model table.
-            ar_->onPerform(OpType::kStore, 0, it->seq,
-                           tableFor(it->ordered ? ConsistencyModel::kTSO
-                                                : model_));
-          }
-          DVMC_ASSERT(it->inFlight && wbInFlight_ > 0,
-                      "write-buffer in-flight bookkeeping underflow");
-          --wbInFlight_;
-          wb_.erase(it);
-          wbHeadHolds_ =
-              !wb_.empty() && wb_.front().inFlight && wb_.front().ordered;
-          DVMC_ASSERT(outstandingStores_ > 0, "store bookkeeping underflow");
-          --outstandingStores_;
-          break;
-        }
-      }
-      reportProgress();
-      wake();
-    });
+    mem_.access(op);
     if (faulted) return;  // only the reordered entry issues this round
   }
   }  // pass
+}
+
+// --------------------------------------------------------------------------
+// Cache-op completion
+// --------------------------------------------------------------------------
+
+CacheOp Core::cacheOp(const RobEntry& e, CacheOp::Kind kind) const {
+  CacheOp op;
+  op.kind = kind;
+  op.addr = e.inst.addr;
+  op.tag = e.seq;
+  op.gen = e.gen;
+  op.restartGen = restartGen_;
+  return op;
+}
+
+void Core::onCacheOpDone(const CacheOp& op, std::uint64_t value) {
+  // An op issued before a BER restart finds nothing of its own.
+  if (op.restartGen != restartGen_) return;
+  // A retired store left the ROB: a store older than the ROB head drained
+  // from the write buffer, a younger one performed at the SC gate.
+  if (op.kind == CacheOp::Kind::kStore &&
+      (rob_.empty() || op.tag < rob_.front().seq)) {
+    onStoreDrained(op.tag);
+    return;
+  }
+  // An entry squashed since its op issued re-executes under a new gen.
+  RobEntry* e = entryBySeq(op.tag);
+  if (e == nullptr || e->gen != op.gen) return;
+  switch (op.kind) {
+    case CacheOp::Kind::kLoad:
+      onLoadExecuted(*e, value);
+      break;
+    case CacheOp::Kind::kAtomicSwap:
+    case CacheOp::Kind::kAtomicCas:
+      e->execValue = value;
+      setState(*e, St::kExecuted);
+      e->performedAtExec = true;
+      e->performedAt = sim_.now();
+      if (vc_ != nullptr) vc_->parkLoadValue(e->inst.addr, 8, value);
+      performEvent(*e);
+      break;
+    case CacheOp::Kind::kStore:  // SC: the gate waited for this perform
+      --outstandingStores_;
+      gateStoreInFlight_ = false;
+      if (ar_ != nullptr) {
+        ar_->onPerform(OpType::kStore, 0, e->seq, tableFor(e->model));
+      }
+      e->performedAt = sim_.now();
+      setState(*e, St::kGateDone);
+      break;
+    case CacheOp::Kind::kReplayLoad:
+      onReplayDone(*e, value);
+      break;
+    case CacheOp::Kind::kPrefetchM:
+      return;  // never completes
+  }
+  wake();
+}
+
+void Core::onStoreDrained(SeqNum seq) {
+  auto it = std::find_if(wb_.begin(), wb_.end(),
+                         [seq](const WbEntry& w) { return w.seq == seq; });
+  if (it != wb_.end()) {
+    if (vc_ != nullptr) vc_->storePerformed(it->addr, 8, it->value, sim_.now());
+    if (rec_ != nullptr) rec_->storePerformed(node_, it->seq, sim_.now());
+    if (ar_ != nullptr) {
+      // Mixed-mode note: the drain rules guarantee per-model order; the
+      // perform event uses the store's own model table.
+      ar_->onPerform(OpType::kStore, 0, it->seq,
+                     tableFor(it->ordered ? ConsistencyModel::kTSO : model_));
+    }
+    DVMC_ASSERT(it->inFlight && wbInFlight_ > 0,
+                "write-buffer in-flight bookkeeping underflow");
+    --wbInFlight_;
+    wb_.erase(it);
+    wbHeadHolds_ = !wb_.empty() && wb_.front().inFlight && wb_.front().ordered;
+    DVMC_ASSERT(outstandingStores_ > 0, "store bookkeeping underflow");
+    --outstandingStores_;
+  }
+  reportProgress();
+  wake();
 }
 
 // --------------------------------------------------------------------------

@@ -57,7 +57,7 @@ struct CpuConfig {
   bool wbCoalescing = true;
 };
 
-class Core final : public CpuNotifier {
+class Core final : public CpuNotifier, public CacheClient {
  public:
   Core(Simulator& sim, NodeId node, ConsistencyModel model, CpuConfig cfg,
        CacheHierarchy& mem, std::unique_ptr<ThreadProgram> program,
@@ -81,6 +81,9 @@ class Core final : public CpuNotifier {
 
   // --- CpuNotifier (invalidation hints for load-order speculation) ---
   void onReadPermissionLost(Addr blk, bool remoteWrite) override;
+
+  // --- CacheClient: every cache op this core issued finishes here ---
+  void onCacheOpDone(const CacheOp& op, std::uint64_t value) override;
 
   const MetricSet& stats() const { return stats_; }
   void debugDump() const;
@@ -168,7 +171,7 @@ class Core final : public CpuNotifier {
     bool performedAtExec = false;  // RMO loads / atomics
     bool squashPending = false;
     bool modeSwitch = false;  // drains the pipeline before executing
-    std::uint32_t gen = 0;    // invalidates in-flight callbacks on squash
+    std::uint32_t gen = 0;    // invalidates in-flight cache ops on squash
   };
 
   struct WbEntry {
@@ -216,7 +219,14 @@ class Core final : public CpuNotifier {
   void gateEntry(RobEntry& e);
   void finishGate(RobEntry& e);
   void replayLoad(RobEntry& e);
-  void onReplayDone(RobEntry& e, std::uint64_t replayValue, bool l1Hit);
+  /// The op for `e`, carrying the token onCacheOpDone matches it by.
+  CacheOp cacheOp(const RobEntry& e, CacheOp::Kind kind) const;
+  void onLoadExecuted(RobEntry& e, std::uint64_t value);
+  void onReplayDone(RobEntry& e, std::uint64_t replayValue);
+  void onStoreDrained(SeqNum seq);
+  /// When a remote write squashed load `e` while it executed or replayed,
+  /// sends it back to dispatch and returns true.
+  bool restartIfSquashed(RobEntry& e);
   std::optional<std::uint64_t> forwardFromPipeline(const RobEntry& e) const;
   RobEntry* entryBySeq(SeqNum seq);
   const OrderingTable& tableFor(ConsistencyModel m) const;

@@ -34,12 +34,12 @@ class EventTracer;
 
 class Simulator {
  public:
-  /// Inline capture budget for scheduled actions. 96 bytes fits the widest
-  /// hot-path capture — a coherence controller's [this, CacheOp,
-  /// CacheOpCallback, generation] — and lands sizeof(Event) on exactly two
-  /// cache lines. Captures that exceed it fail to compile at the
-  /// schedule() call site: pool the payload (see MessagePool) instead of
-  /// raising the budget.
+  /// Inline capture budget for scheduled actions. 96 bytes holds every
+  /// hot-path capture with room to spare (a cache operation's largest, the
+  /// L2's [this, CacheOp, generation], is 64) and lands sizeof(Event) on
+  /// exactly two cache lines. Captures that exceed it fail to compile at
+  /// the schedule() call site: pool the payload (see MessagePool) instead
+  /// of raising the budget.
   static constexpr std::size_t kActionCapacityBytes = 96;
   using Action = InlineTask<kActionCapacityBytes>;
 

@@ -328,6 +328,7 @@ MultiRunResult runSeeds(SystemConfig cfg, int seedCount,
   }
   for (const RunResult& r : results) {
     out.cycles.addTracked(static_cast<double>(r.cycles));
+    out.seedCycles.push_back(r.cycles);
     out.peakLinkBytesPerCycle.addTracked(r.peakLinkBytesPerCycle);
     if (r.regularL1Misses > 0) {
       out.replayMissRatio.addTracked(static_cast<double>(r.replayL1Misses) /

@@ -22,6 +22,7 @@ namespace dvmc {
 
 struct MultiRunResult {
   RunningStat cycles;
+  std::vector<std::uint64_t> seedCycles;  // each seed's cycles, seed order
   RunningStat peakLinkBytesPerCycle;
   RunningStat replayMissRatio;   // replay L1 misses / regular L1 misses
   RunningStat frac32;            // measured 32-bit op fraction (Table 8)

@@ -143,6 +143,13 @@ TEST(RunSeedsParallel, MatchesSequentialBitForBit) {
   EXPECT_EQ(seq.allCompleted, par.allCompleted);
   EXPECT_TRUE(seq.allCompleted);
 
+  // Each seed's cycles, in seed order: the pairs the figure benches divide.
+  ASSERT_EQ(seq.seedCycles.size(), 4u);
+  EXPECT_EQ(seq.seedCycles, par.seedCycles);
+  SystemConfig second = smallConfig();
+  second.seed = 2;
+  EXPECT_EQ(par.seedCycles[1], runOnce(second).cycles);
+
   // The merged metric snapshot (typed registry) obeys the same contract:
   // seed-order merging makes the parallel fan-out bit-identical.
   EXPECT_FALSE(seq.metrics.counters.empty());

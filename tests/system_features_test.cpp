@@ -1,6 +1,7 @@
 // Feature tests for the system layer: mid-run teardown, the run's stop
 // condition, automatic recovery, write-buffer coalescing, MET entry
-// eviction, traffic classification, logical clocks, and L1 inclusion.
+// eviction, traffic classification, logical clocks, L1 inclusion, and how
+// a cache operation completes.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -525,6 +526,110 @@ TEST(L1Inclusion, L1HitsReduceL2Pressure) {
   EXPECT_GT(st.get("l1.hit"), 40u);
   EXPECT_LE(st.get("l1.miss"), 5u);
 }
+
+// ---------------------------------------------------------------------------
+// Cache-op completion
+// ---------------------------------------------------------------------------
+
+// Records every completion the hierarchy hands to its client.
+class RecordingClient final : public CacheClient {
+ public:
+  struct Done {
+    CacheOp op;
+    std::uint64_t value;
+  };
+  void onCacheOpDone(const CacheOp& op, std::uint64_t value) override {
+    done.push_back(Done{op, value});
+  }
+  std::vector<Done> done;
+};
+
+constexpr Addr kOpAddr = 0x400008;
+
+// Drives node 0's hierarchy directly, one op at a time, with the cores
+// never started: each op must come back exactly once with its token, and
+// the write-through L1 must serve the values the L2 holds.
+void checkCompletions(Protocol protocol) {
+  SystemConfig cfg =
+      SystemConfig::unprotected(protocol, ConsistencyModel::kTSO);
+  cfg.numNodes = 2;
+  cfg.programFactory = [](NodeId) -> std::unique_ptr<ThreadProgram> {
+    return std::make_unique<ScriptedProgram>(std::vector<Instr>{});
+  };
+  System sys(cfg);
+  CacheHierarchy& mem = sys.hierarchy(0);
+  RecordingClient client;
+  mem.setClient(&client);
+
+  std::uint64_t nextTag = 1;
+  // Issues one op with a fresh token, runs the kernel dry, and returns the
+  // op's value; a prefetch must not complete at all.
+  auto issue = [&](CacheOp::Kind kind, std::uint64_t value = 0,
+                   std::uint64_t compare = 0,
+                   Addr addr = kOpAddr) -> std::uint64_t {
+    CacheOp op;
+    op.kind = kind;
+    op.addr = addr;
+    op.value = value;
+    op.compare = compare;
+    op.tag = nextTag++;
+    op.gen = static_cast<std::uint32_t>(op.tag * 3);
+    op.restartGen = static_cast<std::uint32_t>(op.tag * 7);
+    const std::size_t before = client.done.size();
+    mem.access(op);
+    sys.sim().run();
+    EXPECT_TRUE(sys.sim().empty());
+    if (kind == CacheOp::Kind::kPrefetchM) {
+      EXPECT_EQ(client.done.size(), before) << "a prefetch completed";
+      return 0;
+    }
+    EXPECT_EQ(client.done.size(), before + 1) << "op " << op.tag;
+    if (client.done.size() != before + 1) return ~std::uint64_t{0};
+    const CacheOp& back = client.done.back().op;
+    EXPECT_EQ(back.kind, op.kind);
+    EXPECT_EQ(back.addr, op.addr);
+    EXPECT_EQ(back.value, op.value);
+    EXPECT_EQ(back.compare, op.compare);
+    EXPECT_EQ(back.tag, op.tag);
+    EXPECT_EQ(back.gen, op.gen);
+    EXPECT_EQ(back.restartGen, op.restartGen);
+    return client.done.back().value;
+  };
+  const MetricSet& st = mem.stats();
+  using K = CacheOp::Kind;
+
+  // A prefetch that misses in L2 completes silently.
+  issue(K::kPrefetchM, 0, 0, kOpAddr + kBlockSizeBytes);
+
+  // Stores write through; the first load misses in L1 and refills it.
+  issue(K::kStore, 0x11);
+  EXPECT_EQ(issue(K::kLoad), 0x11u);
+  EXPECT_EQ(st.get("l1.miss"), 1u);
+  EXPECT_EQ(issue(K::kLoad), 0x11u);
+  EXPECT_EQ(st.get("l1.hit"), 1u);
+  issue(K::kStore, 0x22);
+  EXPECT_EQ(issue(K::kReplayLoad), 0x22u);
+  EXPECT_EQ(st.get("l1.replayHit"), 1u);
+
+  // A failing CAS returns the old value and leaves the L1 copy alone.
+  EXPECT_EQ(issue(K::kAtomicCas, 0x33, /*compare=*/0x99), 0x22u);
+  EXPECT_EQ(issue(K::kLoad), 0x22u);
+  // A succeeding CAS and a swap update it.
+  EXPECT_EQ(issue(K::kAtomicCas, 0x44, /*compare=*/0x22), 0x22u);
+  EXPECT_EQ(issue(K::kLoad), 0x44u);
+  EXPECT_EQ(issue(K::kAtomicSwap, 0x55), 0x44u);
+  EXPECT_EQ(issue(K::kLoad), 0x55u);
+
+  // A prefetch that hits in L2 completes silently too.
+  issue(K::kPrefetchM);
+  EXPECT_EQ(st.get("l1.miss"), 1u);
+  EXPECT_EQ(st.get("l1.hit"), 4u);
+  EXPECT_EQ(client.done.size(), 11u);
+}
+
+TEST(CacheOpCompletion, Directory) { checkCompletions(Protocol::kDirectory); }
+
+TEST(CacheOpCompletion, Snooping) { checkCompletions(Protocol::kSnooping); }
 
 }  // namespace
 }  // namespace dvmc
