@@ -30,13 +30,12 @@ void ablateMembarPeriod() {
       cfg.dvmc.membarInjectionPeriod = period;
       System sys(cfg);
       FaultInjector inj(sys, 0xAB1 + trial);
-      sys.runUntil([&] { return sys.sim().now() >= 20'000; });
+      sys.runTo(20'000);
       Cycle injectedAt = 0;
       for (int round = 0; round < 40 && !sys.sink().any(); ++round) {
         if (inj.inject(FaultType::kMsgDrop)) injectedAt = sys.sim().now();
-        const Cycle until = sys.sim().now() + period;
-        sys.runUntil(
-            [&] { return sys.sink().any() || sys.sim().now() >= until; });
+        sys.runTo(sys.sim().now() + period,
+                  [&] { return sys.sink().any(); });
       }
       ++trials;
       if (sys.sink().any() && sys.sink().first().cycle >= injectedAt) {

@@ -45,7 +45,7 @@ int run() {
           cfg.ber.maxCheckpoints = 10;
           System sys(cfg);
           FaultInjector inj(sys, 0xC0FFEE + trial);
-          sys.runUntil([&] { return sys.sim().now() >= 30'000; });
+          sys.runTo(30'000);
 
           auto flushes = [&] {
             std::uint64_t t = 0;
@@ -68,9 +68,7 @@ int run() {
               lastInjection = sys.sim().now();
               ++injections;
             }
-            const Cycle until = sys.sim().now() + 25'000;
-            sys.runUntil(
-                [&] { return detected() || sys.sim().now() >= until; });
+            sys.runTo(sys.sim().now() + 25'000, detected);
           }
           ++row.trials;
           row.reinjections += injections > 0 ? injections - 1 : 0;

@@ -51,7 +51,7 @@ int runDemo(int argc, char** argv) {
   std::size_t storm_i = 0;
   while (injected < faultBudget && !sys.allCoresDone()) {
     const Cycle next = sys.sim().now() + 60'000;
-    sys.runUntil([&] { return sys.sim().now() >= next; });
+    sys.runTo(next);
     if (sys.allCoresDone()) break;
     FaultType f = storm[storm_i++ % (sizeof(storm) / sizeof(storm[0]))];
     if (!faultApplicable(f, cfg.model, cfg.protocol)) continue;

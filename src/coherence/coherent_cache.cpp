@@ -175,6 +175,7 @@ void CoherentCache::completeFill(Addr blk) {
     installWithEviction(blk, m.wantM ? MosiState::kM : MosiState::kS, m.data,
                         ltime);
   }
+  if (m.wantM && client_ != nullptr) client_->onWritePermission(blk);
   finishFill(blk, m);
 }
 
@@ -226,6 +227,15 @@ void CoherentCache::supplyData(MsgType type, NodeId dest, Addr blk,
 
 void CoherentCache::notifyCpuLost(Addr blk, bool remoteWrite) {
   if (cpu_ != nullptr) cpu_->onReadPermissionLost(blk, remoteWrite);
+}
+
+std::optional<std::pair<Addr, MosiState>> CoherentCache::injectStateFlip(
+    std::uint64_t rand) {
+  auto res = array_.injectStateFlip(rand);
+  if (res && mosiCanWrite(res->second) && client_ != nullptr) {
+    client_->onWritePermission(res->first);
+  }
+  return res;
 }
 
 void CoherentCache::invalidateAll() {

@@ -17,6 +17,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "coherence/cache_array.hpp"
@@ -68,6 +70,11 @@ class CoherentCache {
   /// BER support: invalidate everything (epochs are closed; no informs are
   /// sent because the checker is reset around a recovery).
   void invalidateAll();
+
+  /// Fault injection: CacheArray::injectStateFlip, telling the client when
+  /// the flip grants write permission.
+  std::optional<std::pair<Addr, MosiState>> injectStateFlip(
+      std::uint64_t rand);
 
  protected:
   /// One outstanding transaction per block. The fields after `ops` belong

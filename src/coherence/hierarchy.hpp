@@ -43,6 +43,9 @@ class CacheHierarchy final : public CpuNotifier, public CacheClient {
 
   // --- CacheClient (wired to the L2 controller) ---
   void onCacheOpDone(const CacheOp& op, std::uint64_t value) override;
+  void onWritePermission(Addr blk) override {
+    if (client_ != nullptr) client_->onWritePermission(blk);
+  }
 
   CacheArray& l1() { return l1_; }
   CoherentCache& l2() { return l2_; }

@@ -64,6 +64,10 @@ class CacheClient {
  public:
   virtual ~CacheClient() = default;
   virtual void onCacheOpDone(const CacheOp& op, std::uint64_t value) = 0;
+  /// The cache gained write permission (M) for `blk`: a fill granted it
+  /// (a store prefetch's fill completes no op), or an injected state flip
+  /// did.
+  virtual void onWritePermission(Addr blk) { (void)blk; }
 };
 
 /// Hints from the cache to the processor for load-order speculation.

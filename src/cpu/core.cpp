@@ -25,6 +25,7 @@ Core::Core(Simulator& sim, NodeId node, ConsistencyModel model, CpuConfig cfg,
            ErrorSink* sink, VerificationCache* vc, ReorderChecker* ar,
            const DvmcConfig& dvmc)
     : sim_(sim),
+      tickerId_(sim.addTicker(*this)),
       node_(node),
       model_(model),
       cfg_(cfg),
@@ -119,6 +120,7 @@ void Core::reportProgress() {
 }
 
 void Core::setState(RobEntry& e, St s) {
+  moved_ = true;
   const std::uint64_t bit = robBit(e);
   stMask_[static_cast<int>(e.st)] &= ~bit;
   stMask_[static_cast<int>(s)] |= bit;
@@ -173,20 +175,25 @@ void Core::checkBookkeeping() const {
 }
 
 void Core::wake() {
-  if (tickArmed_) return;
-  tickArmed_ = true;
-  sim_.schedule(1, [this, gen = restartGen_] {
-    tickArmed_ = false;
-    if (gen != restartGen_) return;
-    tick();
-  });
+#ifndef NDEBUG
+  asleep_ = false;
+#endif
+  sim_.armTick(tickerId_, sim_.now());
 }
 
-void Core::wakeIn(Cycle d) {
-  sim_.schedule(d == 0 ? 1 : d, [this, gen = restartGen_] {
-    if (gen != restartGen_) return;
-    wake();
-  });
+void Core::wakeIn(Cycle d) { sim_.armTick(tickerId_, sim_.now() + d); }
+
+void Core::updateStalls() {
+  const Cycle now = sim_.now();
+  for (int s = 0; s < kNumStalls; ++s) {
+    const std::uint8_t bit = static_cast<std::uint8_t>(1u << s);
+    if ((stalledNow_ & bit) != 0 && (stallOpen_ & bit) == 0) {
+      stallSince_[s] = now;
+    } else if ((stalledNow_ & bit) == 0 && (stallOpen_ & bit) != 0) {
+      cStalls_[s].inc(now - stallSince_[s]);
+    }
+  }
+  stallOpen_ = stalledNow_;
 }
 
 Core::RobEntry* Core::entryBySeq(SeqNum seq) {
@@ -205,23 +212,44 @@ bool Core::restartIfSquashed(RobEntry& e) {
   return true;
 }
 
+bool Core::pollable() const {
+  return (inState(St::kDispatched) | inState(St::kExecuted) |
+          inState(St::kGateDone) | inState(St::kVerified)) != 0 ||
+         wb_.size() > wbInFlight_ ||
+         (rob_.size() < cfg_.robSize &&
+          (!replayQueue_.empty() ||
+           (!program_->finished() && !dispatchBlocked_)));
+}
+
 void Core::tick() {
+#ifndef NDEBUG
+  // An expiring latency armed this cycle when it started.
+  if (sim_.now() >= nextReadyAt_) asleep_ = false;
+  const bool mustIdle = asleep_;
+#endif
+  moved_ = false;
   phaseRetire();
   phaseGate();
   drainWriteBuffer();
   phaseExecute();
   phaseDispatch();
+  if (stalledNow_ != stallOpen_) updateStalls();
+  stalledNow_ = 0;
 
-  // Re-arm when there is cycle-driven work left; callback-driven work
-  // (cache ops in flight) wakes the core itself.
-  const bool pollable =
-      (inState(St::kDispatched) | inState(St::kExecuted) |
-       inState(St::kGateDone) | inState(St::kVerified)) != 0 ||
-      wb_.size() > wbInFlight_ ||
-      (rob_.size() < cfg_.robSize &&
-       (!replayQueue_.empty() ||
-        (!program_->finished() && !dispatchBlocked_)));
-  if (pollable) wake();
+  // Only a tick that moved something can enable another move without an
+  // input, so only such a tick re-arms, and only while cycle-driven work is
+  // left; callback-driven work (cache ops in flight) wakes the core itself.
+#ifdef NDEBUG
+  if (moved_ && pollable()) wakeIn(1);
+#else
+  // The self-check: keep polling, and require every tick a sleeping core
+  // would have skipped to move nothing.
+  DVMC_ASSERT(!(mustIdle && moved_),
+              "a tick the core would sleep through moved");
+  const bool poll = pollable();
+  asleep_ = !(moved_ && poll);
+  if (poll) wakeIn(1);
+#endif
   reportProgress();
 #ifndef NDEBUG
   checkBookkeeping();
@@ -235,7 +263,7 @@ void Core::tick() {
 void Core::phaseDispatch() {
   for (std::size_t n = 0; n < cfg_.width; ++n) {
     if (rob_.size() >= cfg_.robSize) {
-      cRobFullStalls_.inc();
+      stall(kRobFull);
       return;
     }
     std::optional<Instr> inst;
@@ -259,6 +287,7 @@ void Core::phaseDispatch() {
     lastDispatchModel_ = e.model;
     if (inst->token != 0) ++pendingTokens_;
     rob_.push_back(e);
+    moved_ = true;
     const std::uint64_t bit = robBit(rob_.back());
     stMask_[static_cast<int>(St::kDispatched)] |= bit;
     if (isAtomic(e.inst)) atomicMask_ |= bit;
@@ -530,7 +559,7 @@ void Core::gateEntry(RobEntry& e) {
       // expensive); it is also a serializing AR perform event.
       if ((e.inst.membarMask & kStoreFirstBits) != 0 &&
           outstandingStores_ != 0) {
-        cMembarStalls_.inc();
+        stall(kMembar);
         return;  // stall
       }
       if (!allOlderVerified(e)) return;
@@ -557,7 +586,7 @@ void Core::gateEntry(RobEntry& e) {
       // lives until the store performs out of the write buffer.
       if (vc_ != nullptr) {
         if (!vc_->canAllocate(e.inst.addr, 8)) {
-          cVcFullStalls_.inc();
+          stall(kVcFull);
           return;  // stall until a VC entry frees up
         }
         vc_->storeCommit(e.inst.addr, 8, e.inst.value, e.seq);
@@ -798,7 +827,7 @@ void Core::phaseRetire() {
       }
       if (!coalesced) {
         if (wb_.size() >= cfg_.wbCapacity) {
-          cWbFullStalls_.inc();
+          stall(kWbFull);
           return;
         }
         WbEntry w;
@@ -809,6 +838,7 @@ void Core::phaseRetire() {
         wb_.push_back(w);
       }
     }
+    moved_ = true;
     ++retiredCount_;
     cRetired_.inc();
     for (std::uint64_t& m : stMask_) m >>= 1;
@@ -866,6 +896,7 @@ void Core::drainWriteBuffer() {
       }
       ++ownedIssued;
     }
+    moved_ = true;
     w.inFlight = true;
     ++wbInFlight_;
     if (i == 0 && w.ordered) wbHeadHolds_ = true;
@@ -985,6 +1016,7 @@ void Core::onReadPermissionLost(Addr blk, bool remoteWrite) {
   // those keeps the oldest pending load always able to drain, which is
   // what prevents a hot contended block from livelocking the gate.
   bool olderUnperformed = false;
+  bool squashed = false;  // an entry went back to dispatch
   for (RobEntry& e : rob_) {
     if (e.inst.kind == Instr::Kind::kLoad &&
         e.model != ConsistencyModel::kRMO && blockAddr(e.inst.addr) == blk) {
@@ -998,6 +1030,7 @@ void Core::onReadPermissionLost(Addr blk, bool remoteWrite) {
           ++e.gen;
           setState(e, St::kDispatched);
           cSquashes_.inc();
+          squashed = true;
           break;
         case St::kGateDone:
           // Replayed but not yet promoted. If an older load is still
@@ -1010,6 +1043,7 @@ void Core::onReadPermissionLost(Addr blk, bool remoteWrite) {
             ++e.gen;
             setState(e, St::kDispatched);
             cSquashes_.inc();
+            squashed = true;
           }
           break;
         default:
@@ -1024,7 +1058,19 @@ void Core::onReadPermissionLost(Addr blk, bool remoteWrite) {
       olderUnperformed = true;
     }
   }
-  wake();
+  // A load marked squashPending restarts when its op or latency finishes,
+  // which wakes the core anyway.
+  if (squashed) wake();
+}
+
+void Core::onWritePermission(Addr blk) {
+  if (wb_.size() == wbInFlight_) return;
+  for (const WbEntry& w : wb_) {
+    if (!w.inFlight && !w.ordered && blockAddr(w.addr) == blk) {
+      wake();
+      return;
+    }
+  }
 }
 
 Core::ArchSnapshot Core::snapshotState() const {
@@ -1045,6 +1091,8 @@ Core::ArchSnapshot Core::snapshotState() const {
 }
 
 void Core::restoreState(const ArchSnapshot& snap) {
+  stalledNow_ = 0;
+  updateStalls();  // the restore ends every stall
   ++restartGen_;
   rob_.clear();
   stMask_ = {};
@@ -1066,7 +1114,6 @@ void Core::restoreState(const ArchSnapshot& snap) {
   // verifies, matching the cloned program's waiting state.
   replayQueue_.assign(snap.replay.begin(), snap.replay.end());
   lastDispatchModel_ = model_;
-  tickArmed_ = false;
   cRestarts_.inc();
   reportProgress();
   wake();

@@ -18,6 +18,17 @@
 //    only stall behind older unverified membars carrying #LL/#SL.
 // 32-bit (v8) instructions run under TSO even on PSO/RMO systems; a model
 // switch drains the pipeline, as writing PSTATE.MM does on real SPARC.
+//
+// The core is a kernel ticker: it runs in the tick phase at the end of each
+// cycle it is armed for. A tick that moved something (a ROB or write-buffer
+// state change, a retire, a dispatch or a drain issue) re-arms the next
+// cycle while work is pollable; a tick that moved nothing does not, and the
+// core sleeps until an input arms it: a cache-op completion, a store
+// drain, a remote write that squashed a load, write permission gained for
+// a buffered relaxed store, a BER restore, a fault injection that changes
+// what a tick can do, or an execute latency expiring. In builds without
+// NDEBUG the core never sleeps: it keeps polling and asserts that every
+// tick it would have slept through moves nothing.
 #pragma once
 
 #include <array>
@@ -57,14 +68,16 @@ struct CpuConfig {
   bool wbCoalescing = true;
 };
 
-class Core final : public CpuNotifier, public CacheClient {
+class Core final : public CpuNotifier,
+                   public CacheClient,
+                   public Simulator::Ticker {
  public:
   Core(Simulator& sim, NodeId node, ConsistencyModel model, CpuConfig cfg,
        CacheHierarchy& mem, std::unique_ptr<ThreadProgram> program,
        ErrorSink* sink, VerificationCache* vc, ReorderChecker* ar,
        const DvmcConfig& dvmc);
 
-  /// Arms the pipeline tick. Idempotent.
+  /// Arms the first tick. Idempotent.
   void start();
 
   /// All instructions retired and all stores performed.
@@ -84,6 +97,9 @@ class Core final : public CpuNotifier, public CacheClient {
 
   // --- CacheClient: every cache op this core issued finishes here ---
   void onCacheOpDone(const CacheOp& op, std::uint64_t value) override;
+  /// Wakes the core when a resident relaxed store to `blk` may now issue
+  /// through the write buffer's owned-blocks-first pass.
+  void onWritePermission(Addr blk) override;
 
   const MetricSet& stats() const { return stats_; }
   void debugDump() const;
@@ -112,6 +128,7 @@ class Core final : public CpuNotifier, public CacheClient {
   bool armWbReorderFault() {
     if (wb_.size() < 2) return false;
     wbReorderArmed_ = true;  // consumed at the next eligible drain round
+    wake();
     return true;
   }
 
@@ -182,9 +199,22 @@ class Core final : public CpuNotifier, public CacheClient {
     bool inFlight = false;
   };
 
-  void tick();
+  /// Stalls whose cpu.*Stalls counter adds up stalled cycles.
+  enum Stall : std::uint8_t { kWbFull, kRobFull, kMembar, kVcFull, kNumStalls };
+
+  void tick() override;
+  /// Arms this cycle's tick phase (the next cycle's once it has begun).
   void wake();
+  /// Arms the tick phase of cycle now + d.
   void wakeIn(Cycle d);
+  /// Cycle-driven work is left: a ROB entry dispatched, executed, done at
+  /// the gate or verified; an unissued write-buffer entry; or room in the
+  /// ROB with something to dispatch.
+  bool pollable() const;
+  void stall(Stall s) { stalledNow_ |= static_cast<std::uint8_t>(1u << s); }
+  /// Opens an interval for each stall this tick saw start and adds the
+  /// length of each one that ended to its counter.
+  void updateStalls();
   std::uint64_t robBit(const RobEntry& e) const {
     return std::uint64_t{1} << (e.seq - rob_.front().seq);
   }
@@ -235,6 +265,7 @@ class Core final : public CpuNotifier, public CacheClient {
   void recordCommit(const RobEntry& e);
 
   Simulator& sim_;
+  Simulator::TickerId tickerId_;
   NodeId node_;
   ConsistencyModel model_;
   CpuConfig cfg_;
@@ -281,12 +312,22 @@ class Core final : public CpuNotifier, public CacheClient {
   std::uint64_t retiredCount_ = 0;
   std::uint64_t pendingTokens_ = 0;
   bool dispatchBlocked_ = false;  // program awaits feedback
-  bool tickArmed_ = false;
   bool started_ = false;
+  bool moved_ = false;  // the running tick moved something
+#ifndef NDEBUG
+  // Set where a sleeping core would skip the re-arm; cleared by an input or
+  // by reaching nextReadyAt_. A tick while it is set must move nothing.
+  bool asleep_ = false;
+#endif
   std::uint32_t restartGen_ = 0;  // bumped on BER restart
   bool loadFaultArmed_ = false;
   bool wbReorderArmed_ = false;
   std::uint64_t lastRetiredAtInject_ = 0;  // pipeline-hang watchdog
+  // Stall intervals, one bit per Stall: seen by the running tick, and open
+  // since stallSince_.
+  std::uint8_t stalledNow_ = 0;
+  std::uint8_t stallOpen_ = 0;
+  std::array<Cycle, kNumStalls> stallSince_{};
 
   // Metric registry (stats_ must precede the handles).
   MetricSet stats_;
@@ -307,10 +348,11 @@ class Core final : public CpuNotifier, public CacheClient {
   Counter cStorePrefetch_ = stats_.counter("cpu.storePrefetch");
   Counter cWbCoalesced_ = stats_.counter("cpu.wbCoalesced");
   Counter cWbDrains_ = stats_.counter("cpu.wbDrains");
-  Counter cWbFullStalls_ = stats_.counter("cpu.wbFullStalls");
-  Counter cRobFullStalls_ = stats_.counter("cpu.robFullStalls");
-  Counter cMembarStalls_ = stats_.counter("cpu.membarStalls");
-  Counter cVcFullStalls_ = stats_.counter("cpu.vcFullStalls");
+  // Cycles spent stalled, indexed by Stall. A stall still open when the
+  // counters are read is not counted yet.
+  std::array<Counter, kNumStalls> cStalls_{
+      stats_.counter("cpu.wbFullStalls"), stats_.counter("cpu.robFullStalls"),
+      stats_.counter("cpu.membarStalls"), stats_.counter("cpu.vcFullStalls")};
   Counter cHangDetections_ = stats_.counter("cpu.hangDetections");
   Counter cInjectedLoadFaults_ = stats_.counter("cpu.injectedLoadFaults");
   Counter cInjectedWbReorders_ = stats_.counter("cpu.injectedWbReorders");

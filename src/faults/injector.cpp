@@ -90,11 +90,11 @@ bool FaultInjector::injectNow(FaultType t) {
       return true;
     }
     case FaultType::kCacheStateFlip: {
-      CacheArray& array = sys_.l2(node).array();
+      CoherentCache& l2 = sys_.l2(node);
       // Only the permission-granting direction constitutes a detectable
       // coherence violation; retry until a non-M line gets promoted.
       for (int attempt = 0; attempt < 8; ++attempt) {
-        auto res = array.injectStateFlip(rng_.next());
+        auto res = l2.injectStateFlip(rng_.next());
         if (res && res->second == MosiState::kM) return true;
       }
       return false;

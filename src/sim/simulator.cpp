@@ -103,10 +103,36 @@ Cycle Simulator::nextBucketTime() const {
   return now_ + static_cast<Cycle>(std::countr_zero(rotated));
 }
 
+Cycle Simulator::nextTickTime() const {
+  // Armed cycles lie in the same window as bucketed events.
+  const int base = static_cast<int>(now_ % kNearWindow);
+  const std::uint64_t rotated = std::rotr(tickBuckets_, base);
+  return now_ + static_cast<Cycle>(std::countr_zero(rotated));
+}
+
 Cycle Simulator::peekWhen() const {
   const Cycle bucketT = nextBucketTime();
   const Cycle heapT = heap_.empty() ? kNoEvent : heap_.front()->when;
   return bucketT < heapT ? bucketT : heapT;
+}
+
+Simulator::TickerId Simulator::addTicker(Ticker& t) {
+  DVMC_ASSERT(numTickers_ < kMaxTickers, "more tickers than arm-mask bits");
+  tickers_[numTickers_] = &t;
+  return numTickers_++;
+}
+
+void Simulator::armTickFar(TickerId id, Cycle when) {
+  scheduleAt(when, [this, id] { armTick(id, now_); });
+}
+
+void Simulator::runTicker() {
+  const int id = std::countr_zero(phasePending_);
+  // Cleared first: an arm from the ticker itself goes to the next cycle.
+  phasePending_ &= phasePending_ - 1;
+  --size_;
+  ++executed_;
+  tickers_[static_cast<std::size_t>(id)]->tick();
 }
 
 void Simulator::scheduleAt(Cycle when, Action fn) {
@@ -144,6 +170,9 @@ void Simulator::dispatch(Cycle t) {
 }
 
 void Simulator::clear() {
+  tickArms_ = {};
+  tickBuckets_ = 0;
+  phasePending_ = 0;
   for (std::size_t i = 0; i < kNearWindow; ++i) {
     for (Event* e = bucketHead_[i]; e != nullptr;) {
       Event* next = e->next;
@@ -158,40 +187,64 @@ void Simulator::clear() {
   size_ = 0;
 }
 
-bool Simulator::step() {
-  if (size_ == 0) return false;
-  dispatch(peekWhen());
+bool Simulator::runNext(Cycle limit) {
+  // A begun phase finishes before anything else runs, so an event a ticker
+  // schedules for the phase's cycle runs after it.
+  if (phasePending_ != 0) {
+    if (phaseCycle_ > limit) return false;
+    runTicker();
+    return true;
+  }
+  const Cycle eventT = peekWhen();
+  if (tickBuckets_ != 0) {
+    const Cycle tickT = nextTickTime();
+    if (tickT < eventT) {
+      if (tickT > limit) return false;
+      // Every event of cycle tickT has run: begin its tick phase.
+      now_ = tickT;
+      const std::size_t idx = static_cast<std::size_t>(tickT % kNearWindow);
+      phaseCycle_ = tickT;
+      phasePending_ = tickArms_[idx];
+      tickArms_[idx] = 0;
+      tickBuckets_ &= ~(std::uint64_t{1} << idx);
+      runTicker();
+      return true;
+    }
+  }
+  if (eventT > limit) return false;
+  dispatch(eventT);
   return true;
 }
 
+void Simulator::finishAt(Cycle limit) {
+  if (limit == kNoEvent || now_ > limit) return;
+  // Cycle `limit` is over, its tick phase included: an arm for it goes to
+  // the next cycle.
+  now_ = limit;
+  phaseCycle_ = limit;
+}
+
+bool Simulator::step() {
+  return size_ != 0 && runNext(kNoEvent);
+}
+
 std::uint64_t Simulator::run(Cycle limit) {
-  // The inner loop is the single hottest path in the whole system, so it
-  // resolves the next event time exactly once per event (the old loop paid
-  // the bucket-mask rotate/scan twice: once in the loop condition and once
-  // again inside step()). There is deliberately no per-event tracer branch
-  // here either — the tracer hangs off the kernel for *components* to
-  // consult at their instrumentation sites; with no tracer attached the
-  // loop below is pop → dispatch → repeat with nothing hoistable left.
+  // The inner loop is the single hottest path in the whole system. There
+  // is deliberately no per-event tracer branch here — the tracer hangs off
+  // the kernel for *components* to consult at their instrumentation sites.
   std::uint64_t n = 0;
-  while (size_ != 0) {
-    const Cycle t = peekWhen();
-    if (t > limit) break;
-    dispatch(t);
-    ++n;
-  }
-  if (now_ < limit && limit != kNoEvent) now_ = limit;
+  while (size_ != 0 && runNext(limit)) ++n;
+  finishAt(limit);
   return n;
 }
 
 template <class Stopped>
 bool Simulator::runUntilStopped(const Stopped& stopped, Cycle limit) {
   if (stopped()) return true;
-  while (size_ != 0) {
-    const Cycle t = peekWhen();
-    if (t > limit) break;
-    dispatch(t);
+  while (size_ != 0 && runNext(limit)) {
     if (stopped()) return true;
   }
+  finishAt(limit);
   return false;
 }
 

@@ -16,6 +16,13 @@
 // performs zero allocations — including for the captures, which under the
 // old std::function Action heap-allocated whenever they exceeded ~16 bytes
 // (i.e. nearly always).
+//
+// Each cycle ends with a fixed tick phase. Components that act once per
+// cycle (the cores) register as tickers and arm the cycles they want to
+// run in; after a cycle's last event, its armed tickers run in
+// registration order. A ticker therefore sees every input of its cycle,
+// whatever order the events that delivered them were scheduled in. An arm
+// is one bit in a 64-bit mask kept per calendar bucket, not an event.
 #pragma once
 
 #include <array>
@@ -43,6 +50,18 @@ class Simulator {
   static constexpr std::size_t kActionCapacityBytes = 96;
   using Action = InlineTask<kActionCapacityBytes>;
 
+  /// A component that runs in the tick phase of the cycles it arms.
+  class Ticker {
+   public:
+    virtual void tick() = 0;
+
+   protected:
+    ~Ticker() = default;
+  };
+  /// One bit of a 64-bit arm mask per ticker.
+  static constexpr std::size_t kMaxTickers = 64;
+  using TickerId = std::uint32_t;
+
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -56,27 +75,60 @@ class Simulator {
   /// Schedules `fn` at an absolute cycle (must not be in the past).
   void scheduleAt(Cycle when, Action fn);
 
-  /// Executes the next event; returns false if the queue is empty.
+  /// Registers `t`; tickers armed for the same cycle run in registration
+  /// order. Allocates nothing; at most kMaxTickers may register.
+  TickerId addTicker(Ticker& t);
+
+  /// Arms ticker `id` for the tick phase of cycle `when` (>= now()). Arming
+  /// an armed ticker again is a no-op. Once `when`'s phase has begun, the
+  /// arm goes to the next cycle, unless the ticker is still pending in
+  /// this phase. An arm 64 or more cycles out is one ordinary event that
+  /// arms the ticker when its cycle comes.
+  void armTick(TickerId id, Cycle when) {
+    DVMC_ASSERT(when >= now_, "tick armed in the past");
+    const std::uint64_t bit = std::uint64_t{1} << id;
+    if (when == phaseCycle_) {
+      if ((phasePending_ & bit) != 0) return;
+      ++when;
+    }
+    if (when - now_ >= kNearWindow) {
+      armTickFar(id, when);
+      return;
+    }
+    const std::size_t idx = static_cast<std::size_t>(when % kNearWindow);
+    if ((tickArms_[idx] & bit) != 0) return;
+    tickArms_[idx] |= bit;
+    tickBuckets_ |= std::uint64_t{1} << idx;
+    ++size_;
+  }
+
+  /// Executes the next event or tick; returns false if nothing is pending.
   bool step();
 
-  /// Runs until the event queue drains or `limit` cycles have elapsed.
-  /// Returns the number of events executed.
+  /// Runs every event and tick up to and including cycle `limit`, then
+  /// sets now() to `limit` (unless nothing was bounded: `limit` = ~0).
+  /// Returns the number of events and ticks executed.
   std::uint64_t run(Cycle limit = ~Cycle{0});
 
-  /// Runs until `pred()` becomes true (checked after each event), the queue
-  /// drains, or `limit` is reached. Returns true if pred was satisfied.
+  /// Runs until `pred()` becomes true (checked after each event and tick),
+  /// or as run(limit) would. Returns true if pred was satisfied; otherwise
+  /// now() is `limit`, as after run(limit).
   bool runUntil(const std::function<bool()>& pred, Cycle limit = ~Cycle{0});
 
   /// runUntil() on a flag that events set: the loop reads `stop` before
-  /// the first event and after each one, and calls nothing per event.
+  /// the first event and after each event and tick, and calls nothing per
+  /// event.
   bool runUntilFlag(const bool& stop, Cycle limit = ~Cycle{0});
 
-  /// Destroys every pending event without running it. Owners call this
-  /// before tearing down components whose resources pending actions still
-  /// hold (pooled message handles release into their pool).
+  /// Destroys every pending event and drops every armed tick without
+  /// running them. Owners call this before tearing down components whose
+  /// resources pending actions still hold (pooled message handles release
+  /// into their pool).
   void clear();
 
+  /// Events and ticks executed; a tick counts as one dispatch.
   std::uint64_t eventsExecuted() const { return executed_; }
+  /// Pending events and armed ticks.
   bool empty() const { return size_ == 0; }
   std::size_t pendingEvents() const { return size_; }
 
@@ -104,10 +156,17 @@ class Simulator {
   static constexpr Cycle kNearWindow = 64;
   static constexpr std::size_t kSlabEvents = 256;
 
-  /// The loop behind runUntil() and runUntilFlag(): reads `stopped()`
-  /// before the first event and after each one.
+  /// The loop behind run(), runUntil() and runUntilFlag(): reads
+  /// `stopped()` before the first event and after each event and tick.
   template <class Stopped>
   bool runUntilStopped(const Stopped& stopped, Cycle limit);
+  /// Executes the next event or tick if it falls at or before `limit`.
+  bool runNext(Cycle limit);
+  /// Ends a run the bound stopped: cycle `limit` is over.
+  void finishAt(Cycle limit);
+  void armTickFar(TickerId id, Cycle when);
+  /// Runs the lowest pending ticker of the current phase.
+  void runTicker();
   Event* allocEvent(Cycle when, Action fn);
   void releaseEvent(Event* e);
   /// Executes the earliest pending event; `t` must equal peekWhen().
@@ -119,17 +178,26 @@ class Simulator {
   /// Time of the earliest pending event (~Cycle{0} if none).
   Cycle peekWhen() const;
   Cycle nextBucketTime() const;
+  /// Earliest cycle with an armed ticker; some ticker must be armed.
+  Cycle nextTickTime() const;
 
   std::array<Event*, kNearWindow> bucketHead_{};
   std::array<Event*, kNearWindow> bucketTail_{};
   std::uint64_t bucketMask_ = 0;  // bit i set iff bucketHead_[i] != nullptr
+  std::array<std::uint64_t, kNearWindow> tickArms_{};  // tickers per bucket
+  std::uint64_t tickBuckets_ = 0;  // bit i set iff tickArms_[i] != 0
+  std::array<Ticker*, kMaxTickers> tickers_{};
+  TickerId numTickers_ = 0;
+  // The cycle whose tick phase began last, and its tickers still to run.
+  Cycle phaseCycle_ = ~Cycle{0};
+  std::uint64_t phasePending_ = 0;
   std::vector<Event*> heap_;      // min-heap on (when, order)
   std::vector<std::unique_ptr<Event[]>> slabs_;
   Event* freeList_ = nullptr;
   Cycle now_ = 0;
   std::uint64_t nextOrder_ = 0;
   std::uint64_t executed_ = 0;
-  std::size_t size_ = 0;
+  std::size_t size_ = 0;  // pending events plus armed ticks
   EventTracer* tracer_ = nullptr;  // non-owning; see tracer()
 };
 

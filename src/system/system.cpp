@@ -1,5 +1,7 @@
 #include "system/system.hpp"
 
+#include <algorithm>
+
 #include "coherence/directory_cache.hpp"
 #include "coherence/snoop_cache.hpp"
 #include "common/assert.hpp"
@@ -345,6 +347,10 @@ void System::finishTraceCapture() {
 }
 
 RunResult System::runUntil(const std::function<bool()>& extraPred) {
+  return runTo(~Cycle{0}, extraPred);
+}
+
+RunResult System::runTo(Cycle until, const std::function<bool()>& extraPred) {
   if (!started_) {
     started_ = true;
     for (Node& n : nodes_) n.core->start();
@@ -358,7 +364,7 @@ RunResult System::runUntil(const std::function<bool()>& extraPred) {
     }
   }
   const Cycle startCycle = sim_.now();
-  const Cycle limit = startCycle + cfg_.maxCycles;
+  const Cycle limit = std::min(until, startCycle + cfg_.maxCycles);
   const bool reached =
       extraPred ? sim_.runUntil([&] { return extraPred() || stop_; }, limit)
                 : sim_.runUntilFlag(stop_, limit);

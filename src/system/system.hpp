@@ -46,9 +46,16 @@ class System {
   RunResult run();
 
   /// Runs until `extraPred` becomes true as well (fault experiments); it
-  /// is called after every event. With an empty `extraPred` the kernel
-  /// tests only run()'s flag.
+  /// is called after every event and tick. With an empty `extraPred` the
+  /// kernel tests only run()'s flag.
   RunResult runUntil(const std::function<bool()>& extraPred);
+
+  /// runUntil() bounded at cycle `until`: unless run()'s flag or
+  /// `extraPred` ends it first, every event and tick up to and including
+  /// `until` runs and now() is `until` on return, as after
+  /// Simulator::run(until). Stop here to act at a cycle (inject a fault,
+  /// sample): the first event at or past a cycle may come cycles later.
+  RunResult runTo(Cycle until, const std::function<bool()>& extraPred = {});
 
   /// Closes the commit-trace capture: replays the finished capture once
   /// into cfg.trace.sink (begin, chunks, end). run() calls this; callers

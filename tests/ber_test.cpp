@@ -23,7 +23,7 @@ SystemConfig berConfig(Protocol p = Protocol::kDirectory) {
 TEST(SafetyNet, CheckpointsAccumulateAndTrim) {
   SystemConfig cfg = berConfig();
   System sys(cfg);
-  sys.runUntil([&] { return sys.sim().now() >= 40'000; });
+  sys.runTo(40'000);
   ASSERT_NE(sys.ber(), nullptr);
   EXPECT_EQ(sys.ber()->checkpointCount(), cfg.ber.maxCheckpoints);
   EXPECT_GT(sys.ber()->newestCheckpoint(), sys.ber()->oldestCheckpoint());
@@ -34,7 +34,7 @@ TEST(SafetyNet, CheckpointsAccumulateAndTrim) {
 TEST(SafetyNet, RecoveryRewindsAndCompletes) {
   SystemConfig cfg = berConfig();
   System sys(cfg);
-  sys.runUntil([&] { return sys.sim().now() >= 25'000; });
+  sys.runTo(25'000);
   const std::uint64_t txnsBefore = sys.totalTransactions();
   ASSERT_TRUE(sys.recover(sys.sim().now()));
   EXPECT_EQ(sys.ber()->recoveries(), 1u);
@@ -49,7 +49,7 @@ TEST(SafetyNet, RecoveryRewindsAndCompletes) {
 TEST(SafetyNet, RecoveryBeforeWindowFails) {
   SystemConfig cfg = berConfig();
   System sys(cfg);
-  sys.runUntil([&] { return sys.sim().now() >= 100'000; });
+  sys.runTo(100'000);
   // An "error" that happened before the oldest retained checkpoint cannot
   // be recovered.
   EXPECT_FALSE(sys.recover(sys.ber()->oldestCheckpoint()));
@@ -61,7 +61,7 @@ TEST(SafetyNet, RepeatedRecoveriesStayConsistent) {
   cfg.targetTransactions = 150;
   System sys(cfg);
   for (int i = 1; i <= 3; ++i) {
-    sys.runUntil([&, i] { return sys.sim().now() >= i * 30'000u; });
+    sys.runTo(i * 30'000u);
     if (sys.allCoresDone()) break;
     ASSERT_TRUE(sys.recover(sys.sim().now())) << "recovery " << i;
     // Drain the restart gap so cores resume before the next deadline.
@@ -79,7 +79,7 @@ TEST(SafetyNet, RepeatedRecoveriesStayConsistent) {
 TEST(SafetyNet, SnoopingRecoveryWorksToo) {
   SystemConfig cfg = berConfig(Protocol::kSnooping);
   System sys(cfg);
-  sys.runUntil([&] { return sys.sim().now() >= 25'000; });
+  sys.runTo(25'000);
   ASSERT_TRUE(sys.recover(sys.sim().now()));
   RunResult r = sys.runUntil([] { return false; });
   EXPECT_TRUE(r.completed);
@@ -151,7 +151,7 @@ TEST(SafetyNet, UndoLogRestoreMatchesFullImageAcrossCheckpoints) {
         log.push_back({sys.sim().now(), addr, size, value});
       });
 
-  sys.runUntil([&] { return sys.sim().now() >= 23'000; });
+  sys.runTo(23'000);
   ASSERT_GE(sys.ber()->checkpointCount(), 3u);
   ASSERT_FALSE(log.empty());
   ASSERT_TRUE(sys.recover(sys.sim().now()));
@@ -216,7 +216,7 @@ TEST(SafetyNet, UndoLogMultiIntervalRollbackIsExact) {
       [&](NodeId, Addr addr, std::size_t size, std::uint64_t value) {
         log.push_back({sys.sim().now(), addr, size, value});
       });
-  sys.runUntil([&] { return sys.sim().now() >= 23'000; });
+  sys.runTo(23'000);
   ASSERT_GE(sys.ber()->checkpointCount(), 4u);
   // Target the oldest retained checkpoint: every newer segment replays.
   ASSERT_TRUE(sys.recover(sys.ber()->oldestCheckpoint() + 1));
@@ -248,13 +248,13 @@ TEST(SafetyNet, CheckpointTrafficIsVisible) {
   SystemConfig cfg = berConfig();
   cfg.dvmc = DvmcConfig{};  // isolate BER traffic (all checkers off)
   System sysWith(cfg);
-  sysWith.runUntil([&] { return sysWith.sim().now() >= 30'000; });
+  sysWith.runTo(30'000);
   const std::uint64_t with = sysWith.dataNet().totalBytes();
 
   cfg.berEnabled = false;
   cfg.seed = 1;
   System sysWithout(cfg);
-  sysWithout.runUntil([&] { return sysWithout.sim().now() >= 30'000; });
+  sysWithout.runTo(30'000);
   const std::uint64_t without = sysWithout.dataNet().totalBytes();
   EXPECT_GT(with, without);
 }
@@ -299,9 +299,7 @@ TEST(SafetyNet, RecoveryDuringCriticalSectionPreservesMutualExclusion) {
   cfg.maxCycles = 60'000'000;
   System sys(cfg);
   for (int i = 1; i <= 4; ++i) {
-    sys.runUntil([&, until = 10'000u * i] {
-      return sys.sim().now() >= until;
-    });
+    sys.runTo(10'000u * i);
     if (sys.allCoresDone()) break;
     ASSERT_TRUE(sys.recover(sys.sim().now())) << i;
   }

@@ -298,5 +298,155 @@ TEST(CpuPipeline, HangWatchdogFiresOnStuckPipeline) {
   (void)r;
 }
 
+// ---------------------------------------------------------------------------
+// Stall counters count stalled cycles
+// ---------------------------------------------------------------------------
+
+TEST(CpuStalls, RobFullStallCountsCyclesNotTicks) {
+  // A 4-entry ROB behind a long compute stays full for the compute's
+  // latency plus a fixed pipeline overhead. The core sleeps through most
+  // of it, so a per-tick count would barely grow with the latency.
+  auto stalls = [](std::uint16_t latency) {
+    SystemConfig cfg = config(ConsistencyModel::kTSO, /*dvmcOn=*/false);
+    cfg.cpu.robSize = 4;
+    std::vector<Instr> prog = {Instr::compute(latency)};
+    for (int i = 0; i < 7; ++i) prog.push_back(Instr::compute(1));
+    System* sys = nullptr;
+    EXPECT_TRUE(runScript(cfg, prog, &sys).completed);
+    return sys->core(0).stats().get("cpu.robFullStalls");
+  };
+  const std::uint64_t at100 = stalls(100);
+  EXPECT_GE(at100, 100u);
+  EXPECT_EQ(stalls(300), at100 + 200);
+}
+
+// ---------------------------------------------------------------------------
+// A sleeping core wakes for each of its inputs
+// ---------------------------------------------------------------------------
+
+// A System that will run `prog` on node 0 and `other` on the rest.
+System& twoCoreSystem(SystemConfig cfg, std::vector<Instr> prog,
+                      std::vector<Instr> other = {}) {
+  static std::unique_ptr<System> keeper;
+  cfg.programFactory = [prog, other](NodeId n) {
+    return std::make_unique<ScriptedProgram>(n == 0 ? prog : other);
+  };
+  keeper = std::make_unique<System>(cfg);
+  return *keeper;
+}
+
+TEST(CoreWakes, CacheOpCompletion) {
+  // Nothing but the load's completion can wake the core once it issued.
+  System& sys = twoCoreSystem(config(ConsistencyModel::kTSO),
+                              {Instr::load(kA, 1)});
+  ASSERT_TRUE(sys.run().completed);
+  EXPECT_EQ(sys.core(0).retired(), 1u);
+}
+
+TEST(CoreWakes, WriteBufferDrain) {
+  // With a one-entry write buffer the second store cannot retire until the
+  // first drained, and the drain is the only input that says so.
+  SystemConfig cfg = config(ConsistencyModel::kTSO);
+  cfg.cpu.wbCapacity = 1;
+  cfg.cpu.storePrefetch = false;
+  System& sys = twoCoreSystem(cfg, {Instr::store(kA, 1), Instr::store(kB, 2)});
+  ASSERT_TRUE(sys.run().completed);
+  EXPECT_EQ(sys.core(0).retired(), 2u);
+  EXPECT_GT(sys.core(0).stats().get("cpu.wbFullStalls"), 0u);
+}
+
+TEST(CoreWakes, ExecuteLatency) {
+  // Near (below the kernel's 64-cycle window) and far latencies alike.
+  for (std::uint16_t latency : {50, 500}) {
+    System& sys = twoCoreSystem(config(ConsistencyModel::kTSO),
+                                {Instr::compute(latency)});
+    const RunResult r = sys.run();
+    ASSERT_TRUE(r.completed) << latency;
+    EXPECT_GE(r.cycles, latency);
+    EXPECT_LT(r.cycles, latency + 20u);
+  }
+}
+
+TEST(CoreWakes, RemoteWriteThatSquashes) {
+  // Node 0's second load of kA executes early and waits behind a
+  // Membar #StoreLoad, which waits for a slow remote store; node 0 sleeps.
+  // Node 1's store to kA then squashes the waiting load, and the squash
+  // alone must wake node 0 to re-execute it in the same cycle.
+  SystemConfig cfg = config(ConsistencyModel::kTSO);
+  cfg.cpu.storePrefetch = false;
+  const Addr remote = 0x400040;  // homed at node 1
+  System& sys = twoCoreSystem(
+      cfg,
+      {Instr::load(kA, 1), Instr::store(remote, 1),
+       Instr::membar(membar::kStoreLoad), Instr::load(kA, 2)},
+      {Instr::compute(250), Instr::store(kA, 7)});
+  auto stat = [&](const char* name) { return sys.core(0).stats().get(name); };
+  sys.runUntil([&] { return stat("cpu.squashes") > 0; });
+  ASSERT_EQ(stat("cpu.squashes"), 1u);
+  const std::uint64_t issued = stat("cpu.loadIssued");
+  sys.runTo(sys.sim().now());  // the rest of this cycle, its ticks included
+  EXPECT_EQ(stat("cpu.loadIssued"), issued + 1)
+      << "the squashed load waited for another input";
+  ASSERT_TRUE(sys.run().completed);
+  auto& p = static_cast<ScriptedProgram&>(sys.core(0).program());
+  ASSERT_EQ(p.results().size(), 2u);
+  EXPECT_EQ(p.results()[1].second, 7u);
+}
+
+TEST(CoreWakes, BerRestore) {
+  // Recovery restarts the cores a drain gap after the rollback, one event
+  // per core in node order; each restored core must tick in that cycle.
+  SystemConfig cfg = SystemConfig::withDvmc(Protocol::kDirectory,
+                                            ConsistencyModel::kTSO);
+  cfg.numNodes = 4;
+  cfg.workload = WorkloadKind::kOltp;
+  cfg.targetTransactions = 150;
+  cfg.ber.interval = 10'000;
+  System sys(cfg);
+  sys.runTo(25'000);
+  ASSERT_FALSE(sys.allCoresDone());
+  ASSERT_TRUE(sys.recover(sys.sim().now()));
+  auto stat = [&](NodeId n, const char* name) {
+    return sys.core(n).stats().get(name);
+  };
+  const NodeId last = static_cast<NodeId>(sys.numNodes() - 1);
+  sys.runUntil([&] { return stat(last, "cpu.restarts") > 0; });
+  ASSERT_EQ(stat(last, "cpu.restarts"), 1u);
+  std::vector<std::uint64_t> dispatched;
+  for (NodeId n = 0; n < sys.numNodes(); ++n) {
+    dispatched.push_back(stat(n, "cpu.dispatched"));
+  }
+  sys.runTo(sys.sim().now());  // the rest of this cycle, its ticks included
+  for (NodeId n = 0; n < sys.numNodes(); ++n) {
+    EXPECT_GT(stat(n, "cpu.dispatched"), dispatched[n])
+        << "node " << n << " did not resume after its restore";
+  }
+  EXPECT_TRUE(sys.run().completed);
+}
+
+TEST(CoreWakes, WritePermissionForAnOwnedBlockStore) {
+  // PSO, one drain at a time. Node 0's stores to kB (slow: from memory) and
+  // kC (fast: node 1 owns it) prefetch write permission together; the kB
+  // store takes the one drain slot. kC's fill completes no op of node 0,
+  // yet it makes the kC store an owned-block store, which issues past the
+  // limit: the grant alone must wake node 0, so kC performs long before kB.
+  // The 32-bit compute switches models, which holds the stores back until
+  // node 1 owns kC.
+  constexpr Addr kC = 0x500000;
+  SystemConfig cfg = config(ConsistencyModel::kPSO);
+  cfg.cpu.wbConcurrency = 1;
+  Instr sw = Instr::compute(1);
+  sw.is32Bit = true;
+  System& sys = twoCoreSystem(
+      cfg, {Instr::compute(400), sw, Instr::store(kB, 1), Instr::store(kC, 2)},
+      {Instr::store(kC, 9)});
+  std::vector<Addr> performed;  // node 0's stores, in perform order
+  sys.setStoreAuditHook([&](NodeId n, Addr a, std::size_t, std::uint64_t) {
+    if (n == 0) performed.push_back(a);
+  });
+  ASSERT_TRUE(sys.run().completed);
+  EXPECT_EQ(performed, (std::vector<Addr>{kC, kB}));
+}
+
 }  // namespace
 }  // namespace dvmc

@@ -53,7 +53,7 @@ TEST_P(FaultDetection, DetectedWithinRecoveryWindow) {
   FaultInjector inj(sys, 0xFA017 + static_cast<int>(fc.fault));
 
   // Warm up error-free.
-  sys.runUntil([&] { return sys.sim().now() >= 30'000; });
+  sys.runTo(30'000);
   ASSERT_EQ(sys.sink().count(), 0u)
       << "fault-free phase dirty: " << sys.sink().first().what;
 
@@ -84,8 +84,7 @@ TEST_P(FaultDetection, DetectedWithinRecoveryWindow) {
       lastInjection = sys.sim().now();
       ++injections;
     }
-    const Cycle until = sys.sim().now() + 25'000;
-    sys.runUntil([&] { return detected() || sys.sim().now() >= until; });
+    sys.runTo(sys.sim().now() + 25'000, detected);
   }
   ASSERT_GT(injections, 0) << "fault never found a target";
   ASSERT_TRUE(detected()) << "undetected after " << injections

@@ -70,13 +70,11 @@ Json captureBundle(ForensicsRecorder& rec, Protocol protocol) {
   System sys(cfg);
   FaultInjector inj(sys, 0xF0F0);
 
-  sys.runUntil([&] { return sys.sim().now() >= 30'000; });
+  sys.runTo(30'000);
   EXPECT_EQ(sys.sink().count(), 0u);
   for (int attempt = 0; attempt < 50 && !sys.sink().any(); ++attempt) {
     inj.inject(FaultType::kCacheStateFlip);
-    sys.runUntil([&, until = sys.sim().now() + 100'000] {
-      return sys.sink().any() || sys.sim().now() >= until;
-    });
+    sys.runTo(sys.sim().now() + 100'000, [&] { return sys.sink().any(); });
   }
   EXPECT_TRUE(sys.sink().any()) << "cache-state flips never manifested";
 
@@ -227,18 +225,18 @@ TEST(ForensicsCapture, AutoRecoveryMatchesFullSnapshotOracle) {
     }
   };
 
-  sys.runUntil([&] {
+  sys.runTo(30'000, [&] {
     observe();
-    return sys.sim().now() >= 30'000;
+    return false;
   });
   ASSERT_EQ(sys.sink().count(), 0u);
   ASSERT_GT(seenCkpts, 0u);
 
   for (int attempt = 0; attempt < 50 && seenRecoveries == 0; ++attempt) {
     inj.inject(FaultType::kCacheStateFlip);
-    sys.runUntil([&, until = sys.sim().now() + 100'000] {
+    sys.runTo(sys.sim().now() + 100'000, [&] {
       observe();
-      return seenRecoveries > 0 || sys.sim().now() >= until;
+      return seenRecoveries > 0;
     });
   }
   ASSERT_GT(seenRecoveries, 0u) << "injected faults never triggered recovery";
@@ -257,9 +255,9 @@ TEST(ForensicsCapture, AutoRecoveryMatchesFullSnapshotOracle) {
     return sum;
   };
   const std::uint64_t retiredAtRecovery = totalRetired();
-  const RunResult r = sys.runUntil([&, until = sys.sim().now() + 200'000] {
+  const RunResult r = sys.runTo(sys.sim().now() + 200'000, [&] {
     observe();
-    return sys.sim().now() >= until;
+    return false;
   });
   EXPECT_GT(totalRetired(), retiredAtRecovery);
   EXPECT_EQ(oracleMismatches, 0u);

@@ -179,7 +179,7 @@ TEST_P(GoldenFingerprint, MatchesBaseline) {
   RunResult r;
   if (c.variant == Variant::kFaulted || c.variant == Variant::kRecovered) {
     FaultInjector inj(sys, kInjectorSeed);
-    sys.runUntil([&] { return sys.sim().now() >= kInjectAt; });
+    sys.runTo(kInjectAt);
     ASSERT_TRUE(inj.inject(cellFault(c)));
     r = sys.run();
   } else {
@@ -230,37 +230,37 @@ INSTANTIATE_TEST_SUITE_P(
     Cells, GoldenFingerprint,
     ::testing::Values(
         Cell{"dir_SC", kDir, CM::kSC, Variant::kBase,
-             0x9a883a123021a46full, 0x54d928d3de459d41ull},
+             0xa02a1b10f19e3748ull, 0x3eceb6d2561f4991ull},
         Cell{"dir_TSO", kDir, CM::kTSO, Variant::kBase,
-             0xce8fc37b6edb159cull, 0x389e46eb953526a3ull},
+             0xe961dcf5aea2a48eull, 0xf5d4f6e3426c83c7ull},
         Cell{"dir_PSO", kDir, CM::kPSO, Variant::kBase,
-             0xcd3154204e6ca799ull, 0x4c05566891c3f73bull},
+             0xf676347a86241db7ull, 0x84bd33c338ca023bull},
         Cell{"dir_RMO", kDir, CM::kRMO, Variant::kBase,
-             0xd4965dcf9fd74e27ull, 0x079a50440e01ba53ull},
+             0x95dc69c9c83e02f2ull, 0xcf03f8cd01e11d9bull},
         Cell{"snoop_SC", kSnp, CM::kSC, Variant::kBase,
-             0x98540086a8730399ull, 0x1f65e837f1abfe78ull},
+             0xf54a915e1966eca4ull, 0x76b9e0d9e972a06aull},
         Cell{"snoop_TSO", kSnp, CM::kTSO, Variant::kBase,
-             0x983243f66fd9b9bbull, 0x7ad4752ca5d30294ull},
+             0x2e1e64a82ac3111aull, 0xbd6d9d70d8a319f7ull},
         Cell{"snoop_PSO", kSnp, CM::kPSO, Variant::kBase,
-             0x348a875a6281e54aull, 0xf5af127589803558ull},
+             0x545d1f8a6b37f903ull, 0x8922c8cbe3c7fe23ull},
         Cell{"snoop_RMO", kSnp, CM::kRMO, Variant::kBase,
-             0x6937bceed3151820ull, 0x9e472d69336a3953ull},
+             0xf41aad8fb83722c3ull, 0xda4963d18b951a75ull},
         Cell{"dir_TSO_shadow", kDir, CM::kTSO, Variant::kShadow,
-             0x6ba9d4eadef15685ull, 0x1b783d241ee85038ull},
+             0x6f28bd95781f6f8dull, 0x4695a4c5c23722e6ull},
         Cell{"snoop_TSO_shadow", kSnp, CM::kTSO, Variant::kShadow,
-             0xf54428d269048402ull, 0x7a5b36f232b83ad5ull},
+             0x5440544e8372259eull, 0x3b3b4bf3db44affbull},
         Cell{"dir_TSO_smallL2", kDir, CM::kTSO, Variant::kSmallL2,
-             0x8be5b55121b96d42ull, 0xb551ad15d1792f7dull},
+             0xeb9fea8270074e38ull, 0xf5f241b0dc04455aull},
         Cell{"snoop_TSO_smallL2", kSnp, CM::kTSO, Variant::kSmallL2,
-             0xdedf0acebd7b6913ull, 0x7022b719cd85b222ull},
+             0x8b76dba7de74262cull, 0x5ec73b34fcafd838ull},
         Cell{"dir_TSO_faulted", kDir, CM::kTSO, Variant::kFaulted,
-             0x96d4ff183a88f5d4ull, 0x71c90c8fda74ecb7ull},
+             0x91338c2575fed5baull, 0x919963189ceb0f1dull},
         Cell{"snoop_TSO_faulted", kSnp, CM::kTSO, Variant::kFaulted,
-             0x06e215c8e493d6e0ull, 0x7ad4752ca5d30294ull},
+             0x90039740b218686dull, 0x292b759c4c2aa896ull},
         Cell{"dir_TSO_recovered", kDir, CM::kTSO, Variant::kRecovered,
-             0xf8e12b94aa5aa35full, 0x9f010397676b6e73ull},
+             0x08734dee519af40cull, 0x7891eeea5bc21112ull},
         Cell{"snoop_TSO_recovered", kSnp, CM::kTSO, Variant::kRecovered,
-             0x72a8d038589bfb00ull, 0x5db5a9626935d17aull}),
+             0xe43e405a13643678ull, 0xed7fb00bdb3fb1c5ull}),
     cellName);
 
 }  // namespace

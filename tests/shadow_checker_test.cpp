@@ -144,14 +144,12 @@ TEST(ShadowSystem, DetectsCacheStateFlip) {
   cfg.targetTransactions = 1'000'000;
   System sys(cfg);
   FaultInjector inj(sys, 5);
-  sys.runUntil([&] { return sys.sim().now() >= 30'000; });
+  sys.runTo(30'000);
   ASSERT_EQ(sys.sink().count(), 0u);
   int injections = 0;
   for (int round = 0; round < 40 && !sys.sink().any(); ++round) {
     if (inj.inject(FaultType::kCacheStateFlip)) ++injections;
-    sys.runUntil([&, until = sys.sim().now() + 20'000] {
-      return sys.sink().any() || sys.sim().now() >= until;
-    });
+    sys.runTo(sys.sim().now() + 20'000, [&] { return sys.sink().any(); });
   }
   ASSERT_GT(injections, 0);
   ASSERT_TRUE(sys.sink().any()) << "shadow checker missed the state flip";
@@ -166,7 +164,7 @@ TEST(ShadowSystem, RecoversLikeTheEpochChecker) {
   cfg.targetTransactions = 150;
   System sys(cfg);
   FaultInjector inj(sys, 13);
-  sys.runUntil([&] { return sys.sim().now() >= 30'000; });
+  sys.runTo(30'000);
   inj.inject(FaultType::kCacheStateFlip);
   RunResult r = sys.runUntil([] { return false; });
   EXPECT_TRUE(r.completed);

@@ -2,7 +2,9 @@
 // reentrant scheduling, and the run/runUntil drivers.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -273,6 +275,147 @@ TEST(Simulator, RandomizedAgainstReferenceOrdering) {
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_EQ(executed[i], ref[i].order) << "position " << i;
   }
+}
+
+// --- the tick phase: tickers run after their cycle's events -------------
+
+// Records each tick as (cycle, name) into a shared log; `onTick` runs inside
+// the tick.
+struct LogTicker final : Simulator::Ticker {
+  LogTicker(Simulator& s, std::vector<std::pair<Cycle, int>>& l, int n)
+      : sim(s), log(l), name(n), id(s.addTicker(*this)) {}
+  void tick() override {
+    log.emplace_back(sim.now(), name);
+    if (onTick) onTick();
+  }
+  Simulator& sim;
+  std::vector<std::pair<Cycle, int>>& log;
+  int name;
+  Simulator::TickerId id;
+  std::function<void()> onTick;
+};
+
+using Log = std::vector<std::pair<Cycle, int>>;
+
+TEST(SimulatorTickPhase, TickerRunsAfterEveryEventOfItsCycle) {
+  // Events of cycle 5 scheduled before and after the arm, and one a
+  // zero-delay event adds, all run before the tick.
+  Simulator sim;
+  Log log;
+  LogTicker t(sim, log, 100);
+  sim.schedule(5, [&] {
+    log.emplace_back(sim.now(), 1);
+    sim.schedule(0, [&] { log.emplace_back(sim.now(), 3); });
+  });
+  sim.armTick(t.id, 5);
+  sim.schedule(5, [&] { log.emplace_back(sim.now(), 2); });
+  sim.schedule(6, [&] { log.emplace_back(sim.now(), 4); });
+  sim.run();
+  EXPECT_EQ(log, (Log{{5, 1}, {5, 2}, {5, 3}, {5, 100}, {6, 4}}));
+}
+
+TEST(SimulatorTickPhase, TickersRunInRegistrationOrder) {
+  Simulator sim;
+  Log log;
+  LogTicker a(sim, log, 0);
+  LogTicker b(sim, log, 1);
+  LogTicker c(sim, log, 2);
+  sim.armTick(c.id, 3);
+  sim.armTick(a.id, 3);
+  sim.armTick(b.id, 3);
+  sim.armTick(a.id, 3);  // arming an armed ticker again is a no-op
+  sim.run();
+  EXPECT_EQ(log, (Log{{3, 0}, {3, 1}, {3, 2}}));
+  EXPECT_EQ(sim.eventsExecuted(), 3u);
+}
+
+TEST(SimulatorTickPhase, ArmDuringABegunPhaseLandsInTheNextCycle) {
+  Simulator sim;
+  Log log;
+  LogTicker a(sim, log, 0);
+  LogTicker b(sim, log, 1);
+  LogTicker c(sim, log, 2);
+  // At cycle 4, b re-arms itself and a (both already ran) for this cycle,
+  // and c, which is still pending here, so that arm changes nothing. A
+  // zero-delay event from the phase runs after it and arms b again.
+  b.onTick = [&] {
+    if (sim.now() != 4) return;
+    sim.armTick(b.id, sim.now());
+    sim.armTick(a.id, sim.now());
+    sim.armTick(c.id, sim.now());
+    sim.schedule(0, [&] {
+      log.emplace_back(sim.now(), 9);
+      sim.armTick(b.id, sim.now());
+    });
+  };
+  sim.armTick(a.id, 4);
+  sim.armTick(b.id, 4);
+  sim.armTick(c.id, 4);
+  sim.run();
+  EXPECT_EQ(log, (Log{{4, 0}, {4, 1}, {4, 2}, {4, 9}, {5, 0}, {5, 1}}));
+}
+
+TEST(SimulatorTickPhase, FarArmFiresAtItsCycle) {
+  Simulator sim;
+  Log log;
+  LogTicker t(sim, log, 0);
+  sim.armTick(t.id, 64);
+  sim.armTick(t.id, 1'000);
+  sim.armTick(t.id, 63);
+  // Events of the arm's cycle still run first.
+  sim.scheduleAt(1'000, [&] { log.emplace_back(sim.now(), 5); });
+  sim.run();
+  EXPECT_EQ(log, (Log{{63, 0}, {64, 0}, {1'000, 5}, {1'000, 0}}));
+}
+
+TEST(SimulatorTickPhase, CountsIncludeTicks) {
+  Simulator sim;
+  Log log;
+  LogTicker t(sim, log, 0);
+  EXPECT_TRUE(sim.empty());
+  sim.armTick(t.id, 2);
+  sim.armTick(t.id, 7);
+  EXPECT_FALSE(sim.empty());
+  EXPECT_EQ(sim.pendingEvents(), 2u);
+  sim.schedule(3, [] {});
+  EXPECT_EQ(sim.pendingEvents(), 3u);
+  EXPECT_TRUE(sim.step());  // the tick at 2
+  EXPECT_EQ(sim.now(), 2u);
+  EXPECT_EQ(sim.eventsExecuted(), 1u);
+  EXPECT_EQ(sim.pendingEvents(), 2u);
+  sim.clear();
+  EXPECT_TRUE(sim.empty());
+  EXPECT_EQ(sim.pendingEvents(), 0u);
+  sim.run();
+  EXPECT_EQ(log, (Log{{2, 0}}));
+  sim.armTick(t.id, sim.now() + 1);
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(sim.eventsExecuted(), 2u);
+}
+
+// --- stopping at a cycle --------------------------------------------------
+
+TEST(SimulatorTickPhase, BoundIsReachedWhenNoEventFallsOnIt) {
+  // No event or tick falls on cycle 47: a bounded run still ends with
+  // every earlier one run and now() at the bound, and the bound's tick
+  // phase counts as over, so an arm for it lands in the next cycle.
+  Simulator sim;
+  Log log;
+  LogTicker t(sim, log, 0);
+  sim.schedule(10, [&] { log.emplace_back(sim.now(), 1); });
+  sim.armTick(t.id, 30);
+  sim.schedule(90, [&] { log.emplace_back(sim.now(), 2); });
+  bool stop = false;
+  EXPECT_FALSE(sim.runUntilFlag(stop, 47));
+  EXPECT_EQ(sim.now(), 47u);
+  EXPECT_EQ(log, (Log{{10, 1}, {30, 0}}));
+  sim.armTick(t.id, sim.now());
+  EXPECT_FALSE(sim.runUntil([] { return false; }, 60));
+  EXPECT_EQ(sim.now(), 60u);
+  EXPECT_EQ(log, (Log{{10, 1}, {30, 0}, {48, 0}}));
+  // A predicate still ends the run early, at the event that satisfied it.
+  EXPECT_TRUE(sim.runUntil([&] { return log.size() == 4; }, 500));
+  EXPECT_EQ(sim.now(), 90u);
 }
 
 }  // namespace

@@ -10,10 +10,12 @@
 // `dvmc_inspect timeline` ordering a detection's block by cycle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -482,8 +484,11 @@ TEST(CampaignSupervision, WatchDetectsDeadProducer) {
   EXPECT_NE(r.stderrTail.find("producer appears dead"), std::string::npos);
 }
 
-// `dvmc_inspect timeline` lists a detection's block in cycle order, with
-// each span's end, although spans enter the trace when they end.
+// `dvmc_inspect timeline` lists a block's events in cycle order, with each
+// span's end, although spans enter the trace when they end. The detection's
+// block shows the detection; whether that block also has a closed span
+// depends on timing, so the span check runs on a block trace.json itself
+// shows with one.
 TEST(InspectTimeline, DetectionBlockInCycleOrder) {
   TempDir tmp("timeline");
   EventTracer tracer;
@@ -497,7 +502,7 @@ TEST(InspectTimeline, DetectionBlockInCycleOrder) {
   cfg.tracer = &tracer;
   System sys(cfg);
   FaultInjector inj(sys, /*seed=*/3);
-  sys.runUntil([&] { return sys.sim().now() >= 4'000; });
+  sys.runTo(4'000);
   ASSERT_TRUE(inj.inject(FaultType::kCacheStateFlip));
   sys.run();
   ASSERT_TRUE(sys.sink().any());
@@ -508,37 +513,71 @@ TEST(InspectTimeline, DetectionBlockInCycleOrder) {
     tracer.writeChromeJson(out);
   }
 
-  SubprocessOptions o;
-  o.argv = {DVMC_INSPECT_BIN, "timeline",
-            "--addr=" + std::to_string(det.addr), tmp.str("trace.json")};
-  o.deadlineMs = 30'000;
-  o.maxCapturedBytes = 4 * 1024 * 1024;
-  const SubprocessResult r = runSubprocess(o);
-  ASSERT_TRUE(r.status.clean()) << r.status.describe() << "\n"
-                                << r.stderrTail;
-
-  std::istringstream lines(r.stdoutTail);
-  std::string line;
-  std::size_t events = 0;
-  std::size_t spans = 0;
-  bool sawDetection = false;
-  std::uint64_t last = 0;
-  while (std::getline(lines, line)) {
-    std::istringstream fields(line);
-    std::string word;
-    std::uint64_t cycle = 0;
-    if (!(fields >> word >> cycle) || word != "cycle") continue;
-    EXPECT_GE(cycle, last) << line;
-    last = cycle;
-    ++events;
-    if (line.find(" ends ") != std::string::npos) ++spans;
-    if (cycle == det.cycle && line.find("detection") != std::string::npos) {
-      sawDetection = true;
-    }
+  // The first closed span on a block, as trace.json records it.
+  const std::optional<Json> trace =
+      Json::parse(readFile(tmp.path / "trace.json"));
+  ASSERT_TRUE(trace.has_value());
+  const Json* events = trace->find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::uint64_t spanAddr = 0;
+  std::uint64_t spanEnd = 0;
+  for (const Json& e : events->items()) {
+    const Json* dur = e.find("dur");
+    const Json* args = e.find("args");
+    const Json* addr = args != nullptr ? args->find("addr") : nullptr;
+    if (dur == nullptr || addr == nullptr || addr->asUint() == 0) continue;
+    spanAddr = addr->asUint();
+    spanEnd = e.find("ts")->asUint() + dur->asUint();
+    break;
   }
-  EXPECT_GE(events, 2u);
-  EXPECT_GE(spans, 1u);
-  EXPECT_TRUE(sawDetection) << r.stdoutTail;
+  ASSERT_NE(spanAddr, 0u) << "trace.json holds no closed span on a block";
+
+  struct Listing {
+    std::size_t events = 0;
+    std::vector<std::uint64_t> ends;  // the `ends` of each span line
+    bool sawDetection = false;
+  };
+  auto timeline = [&](std::uint64_t addr) {
+    SubprocessOptions o;
+    o.argv = {DVMC_INSPECT_BIN, "timeline", "--addr=" + std::to_string(addr),
+              tmp.str("trace.json")};
+    o.deadlineMs = 30'000;
+    o.maxCapturedBytes = 4 * 1024 * 1024;
+    const SubprocessResult r = runSubprocess(o);
+    EXPECT_TRUE(r.status.clean()) << r.status.describe() << "\n"
+                                  << r.stderrTail;
+    Listing l;
+    std::istringstream lines(r.stdoutTail);
+    std::string line;
+    std::uint64_t last = 0;
+    while (std::getline(lines, line)) {
+      std::istringstream fields(line);
+      std::string word;
+      std::uint64_t cycle = 0;
+      if (!(fields >> word >> cycle) || word != "cycle") continue;
+      EXPECT_GE(cycle, last) << line;
+      last = cycle;
+      ++l.events;
+      const std::size_t ends = line.find(" ends ");
+      if (ends != std::string::npos) {
+        l.ends.push_back(std::stoull(line.substr(ends + 6)));
+      }
+      if (cycle == det.cycle && line.find("detection") != std::string::npos) {
+        l.sawDetection = true;
+      }
+    }
+    return l;
+  };
+
+  const Listing detBlock = timeline(det.addr);
+  EXPECT_GE(detBlock.events, 2u);
+  EXPECT_TRUE(detBlock.sawDetection);
+
+  const Listing spanBlock = timeline(spanAddr);
+  EXPECT_GE(spanBlock.ends.size(), 1u);
+  EXPECT_NE(std::find(spanBlock.ends.begin(), spanBlock.ends.end(), spanEnd),
+            spanBlock.ends.end())
+      << "no line ends at " << spanEnd;
 }
 
 #endif  // DVMC_CAMPAIGN_BIN && DVMC_INSPECT_BIN

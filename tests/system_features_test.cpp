@@ -31,7 +31,7 @@ TEST(Teardown, DestroysMidRunSystemOnBothProtocols) {
     cfg.workload = WorkloadKind::kOltp;
     cfg.seed = 3;
     auto sys = std::make_unique<System>(cfg);
-    sys->runUntil([&] { return sys->sim().now() >= 5'000; });
+    sys->runTo(5'000);
     EXPECT_FALSE(sys->sim().empty()) << protocolName(p);
     sys.reset();
   }
@@ -78,9 +78,8 @@ RunResult expectSameStop(System& sys, bool targetStops, Cycle injectAt) {
   ref.runUntil([] { return true; });  // starts the machine, runs no event
   ReferenceStop refStop{ref, targetStops};
   if (injectAt != 0) {
-    sys.runUntil([&] { return sys.sim().now() >= injectAt; });
-    ref.sim().runUntil(
-        [&] { return refStop() || ref.sim().now() >= injectAt; });
+    sys.runTo(injectAt);
+    ref.sim().runUntil(std::ref(refStop), injectAt);
     EXPECT_EQ(sys.sim().eventsExecuted(), ref.sim().eventsExecuted());
     EXPECT_GT(sys.totalTransactions(), 0u);
     FaultInjector inj(sys, 3);
@@ -185,6 +184,30 @@ TEST(StopCondition, RecoveryLowersTheCountsAndStillStopsOnTheReferenceEvent) {
   EXPECT_GT(r.metrics.value("cpu.restarts"), 0u);
 }
 
+// System::runTo stops at its cycle even when no event or tick falls on
+// it: the only core computes for 500 cycles and sleeps meanwhile, while a
+// predicate on now() overshoots to the compute's end.
+TEST(StopCondition, RunToReachesACycleWithNoEvent) {
+  SystemConfig cfg = SystemConfig::unprotected(Protocol::kDirectory,
+                                               ConsistencyModel::kTSO);
+  cfg.numNodes = 2;
+  cfg.programFactory = [](NodeId n) {
+    return std::make_unique<ScriptedProgram>(
+        n == 0 ? std::vector<Instr>{Instr::compute(500)}
+               : std::vector<Instr>{});
+  };
+  System sys(cfg);
+  const RunResult r = sys.runTo(300);
+  EXPECT_FALSE(r.completed);
+  EXPECT_EQ(sys.sim().now(), 300u);
+  EXPECT_EQ(r.cycles, 300u);
+  System ref(cfg);
+  ref.runUntil([&] { return ref.sim().now() >= 300; });
+  EXPECT_GT(ref.sim().now(), 300u);
+  EXPECT_TRUE(sys.run().completed);
+  EXPECT_EQ(sys.core(0).retired(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Automatic recovery
 // ---------------------------------------------------------------------------
@@ -201,7 +224,7 @@ TEST(AutoRecovery, DetectionTriggersRollbackAndCompletion) {
   cfg.maxCycles = 50'000'000;
   System sys(cfg);
   FaultInjector inj(sys, 7);
-  sys.runUntil([&] { return sys.sim().now() >= 30'000; });
+  sys.runTo(30'000);
   ASSERT_TRUE(inj.inject(FaultType::kMsgDrop));
   RunResult r = sys.runUntil([] { return false; });
   EXPECT_TRUE(r.completed);
@@ -223,9 +246,7 @@ TEST(AutoRecovery, SurvivesRepeatedFaults) {
   System sys(cfg);
   FaultInjector inj(sys, 21);
   for (int i = 0; i < 3 && !sys.allCoresDone(); ++i) {
-    sys.runUntil([&, until = sys.sim().now() + 50'000] {
-      return sys.sim().now() >= until;
-    });
+    sys.runTo(sys.sim().now() + 50'000);
     inj.inject(FaultType::kMsgDataCorrupt);
   }
   RunResult r = sys.runUntil([] { return false; });
@@ -374,7 +395,7 @@ TEST(CheckerFaults, CetCorruptionCausesFalsePositiveOnly) {
   cfg.maxCycles = 50'000'000;
   System sys(cfg);
   FaultInjector inj(sys, 99);
-  sys.runUntil([&] { return sys.sim().now() >= 30'000; });
+  sys.runTo(30'000);
   ASSERT_TRUE(inj.inject(FaultType::kCheckerCetCorrupt));
   RunResult r = sys.runUntil([] { return false; });
   // The corrupted hash eventually reaches the MET inside an Inform-Epoch

@@ -405,7 +405,7 @@ TEST(LiveDifferential, MemoryCorruptionRoundTripsThroughTraceFile) {
   System sys(cfg);
   FaultInjector inj(sys, 0x0D15EA5E);
 
-  sys.runUntil([&] { return sys.sim().now() >= 20'000; });
+  sys.runTo(20'000);
   ASSERT_EQ(sys.sink().count(), 0u);
 
   // Re-inject until the corruption is both detected and visible to the
@@ -415,7 +415,7 @@ TEST(LiveDifferential, MemoryCorruptionRoundTripsThroughTraceFile) {
   for (int round = 0; round < 80 && !flagged; ++round) {
     inj.inject(FaultType::kMemoryDataMultiBit);
     const Cycle until = sys.sim().now() + 25'000;
-    sys.runUntil([&] { return sys.sim().now() >= until; });
+    sys.runTo(until);
     const RunResult r = sys.collectResult(false, sys.sim().now());
     ASSERT_NE(r.trace, nullptr);
     offline = verify::checkTrace(*r.trace);

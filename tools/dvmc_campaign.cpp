@@ -193,21 +193,19 @@ CaseOutcome runFaulted(int param, std::uint64_t seedBase) {
   auto done = [&] { return sys.allCoresDone(); };
   {
     obs::ScopedSpan span("run");
-    sys.runUntil([&] { return sys.sim().now() >= 3'000 || done(); });
+    sys.runTo(3'000, done);
     const std::uint64_t flushesBefore = totalFlushes(sys);
     auto detected = [&] {
       return sys.sink().any() || totalFlushes(sys) > flushesBefore;
     };
     for (int round = 0; round < 40 && !detected() && !done(); ++round) {
       if (inj.inject(fault)) ++out.injections;
-      const Cycle until = sys.sim().now() + 20'000;
-      sys.runUntil(
-          [&] { return detected() || done() || sys.sim().now() >= until; });
+      sys.runTo(sys.sim().now() + 20'000,
+                [&] { return detected() || done(); });
     }
     // Let the run settle so in-flight effects of the fault reach the
     // trace.
-    const Cycle settle = sys.sim().now() + 30'000;
-    sys.runUntil([&] { return done() || sys.sim().now() >= settle; });
+    sys.runTo(sys.sim().now() + 30'000, done);
 
     // Final sweep: a corruption living in a still-open epoch is only
     // checked once that epoch's inform reaches the MET, so flush before
