@@ -151,10 +151,7 @@ inline SystemConfig benchConfig(Protocol p, ConsistencyModel m,
   // --trace=FILE arms a process-global tracer; runSeeds (and so
   // runCyclesPerSeed) hands it to the first seed's run only. The forensics
   // recorder is mutex-guarded, so every seed shares it.
-  cfg.tracer = obs::activeTracer();
-  cfg.forensics = obs::activeForensics();
-  cfg.sampleEvery = obs::options().sampleEvery;
-  cfg.sampleCapacity = obs::options().sampleCapacity;
+  wireObsFlags(cfg);
   return cfg;
 }
 

@@ -26,11 +26,9 @@ int run() {
         SystemConfig base = bench::benchConfig(p, ConsistencyModel::kTSO, wl,
                                                false, false);
         base.torus.bytesPerCycle = gbs / kCoreGhz;
-        base.tree.bytesPerCycle = gbs / kCoreGhz;
         SystemConfig dvmc = bench::benchConfig(p, ConsistencyModel::kTSO, wl,
                                                true, true);
         dvmc.torus.bytesPerCycle = gbs / kCoreGhz;
-        dvmc.tree.bytesPerCycle = gbs / kCoreGhz;
         const std::vector<double> rb = bench::runCyclesPerSeed(base, seeds);
         const std::vector<double> rd = bench::runCyclesPerSeed(dvmc, seeds);
         for (std::size_t i = 0; i < rb.size(); ++i) {

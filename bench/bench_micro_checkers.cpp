@@ -23,7 +23,9 @@ namespace {
 
 void BM_Crc16Block(benchmark::State& state) {
   DataBlock d;
-  for (std::size_t w = 0; w < kBlockSizeWords; ++w) d.write(w * 8, 8, w);
+  for (std::size_t w = 0; w < kBlockSizeWords; ++w) {
+    d.write(w * kWordBytes, w);
+  }
   for (auto _ : state) {
     benchmark::DoNotOptimize(hashBlock(d));
   }
@@ -96,13 +98,13 @@ BENCHMARK(BM_ArCheckerPerform);
 
 void BM_VcStoreLifecycle(benchmark::State& state) {
   ErrorSink sink;
-  VerificationCache vc(0, 64, &sink);
+  VerificationCache vc(0, kVcWordCapacity, &sink);
   Addr a = 0x1000;
   for (auto _ : state) {
-    vc.storeCommit(a, 8, 42);
-    benchmark::DoNotOptimize(vc.lookupStore(a, 8));
-    vc.storePerformed(a, 8, 42, 0);
-    a += 8;
+    vc.storeCommit(a, 42);
+    benchmark::DoNotOptimize(vc.lookupStore(a));
+    vc.storePerformed(a, 42, 0);
+    a += kWordBytes;
     if (a > 0x2000) a = 0x1000;
   }
 }

@@ -150,7 +150,7 @@ void benchTorus(std::uint64_t warmupEvents, std::uint64_t events) {
     m.dest = static_cast<NodeId>((n + 10) % 16);
     m.addr = static_cast<Addr>(n) * kBlockSizeBytes;
     m.hasData = (n % 4 == 0);
-    m.data.write(0, 8, n);
+    m.data.write(0, n);
     net.send(std::move(m));
   }
   while (sim.eventsExecuted() < warmupEvents) sim.step();
@@ -185,7 +185,7 @@ class FanOutLeaf final : public NetworkEndpoint {
 
 void benchBroadcast(std::uint64_t warmupEvents, std::uint64_t events) {
   Simulator sim;
-  BroadcastTree tree(sim, 16);
+  BroadcastTree tree(sim, 16, TorusConfig{}.bytesPerCycle);
   std::vector<FanOutLeaf> leaves;
   leaves.reserve(16);
   leaves.emplace_back(&tree);  // leaf 0 rebroadcasts

@@ -5,6 +5,7 @@
 
 #include "bench_common.hpp"
 #include "dvmc/hw_cost.hpp"
+#include "dvmc/verification_cache.hpp"
 
 namespace dvmc {
 namespace {
@@ -26,7 +27,7 @@ int run() {
   sim.numNodes = 8;
   sim.l1 = {64, 2};
   sim.l2 = {256, 4};
-  sim.vcWords = 64;
+  sim.vcWords = kVcWordCapacity;
   std::printf("Simulated configuration (64 KB L2 per node):\n%s\n",
               computeHwCost(sim).toString().c_str());
 

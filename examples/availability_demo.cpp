@@ -11,6 +11,7 @@
 #include <cstdlib>
 
 #include "faults/injector.hpp"
+#include "system/runner.hpp"
 #include "system/system.hpp"
 #include "obs/run_report.hpp"
 
@@ -29,10 +30,7 @@ int runDemo(int argc, char** argv) {
   cfg.ber.interval = 10'000;
   cfg.ber.maxCheckpoints = 10;
   cfg.maxCycles = 100'000'000;
-  cfg.tracer = obs::activeTracer();
-  cfg.forensics = obs::activeForensics();
-  cfg.sampleEvery = obs::options().sampleEvery;
-  cfg.sampleCapacity = obs::options().sampleCapacity;
+  wireObsFlags(cfg);
 
   System sys(cfg);
   FaultInjector injector(sys, 0xBEEF);

@@ -24,7 +24,7 @@ class ManualClock final : public LogicalClock {
 
 DataBlock block(std::uint64_t v) {
   DataBlock d;
-  d.write(0, 8, v);
+  d.write(0, v);
   return d;
 }
 

@@ -13,6 +13,7 @@
 #include <memory>
 #include <vector>
 
+#include "system/runner.hpp"
 #include "system/system.hpp"
 #include "workload/scripted.hpp"
 #include "obs/run_report.hpp"
@@ -38,10 +39,7 @@ struct Outcome {
 Outcome runDekker(ConsistencyModel model, int jitter) {
   SystemConfig cfg = SystemConfig::withDvmc(Protocol::kDirectory, model);
   cfg.numNodes = 2;
-  cfg.tracer = obs::activeTracer();
-  cfg.forensics = obs::activeForensics();
-  cfg.sampleEvery = obs::options().sampleEvery;
-  cfg.sampleCapacity = obs::options().sampleCapacity;
+  wireObsFlags(cfg);
   cfg.berEnabled = false;
   cfg.maxCycles = 2'000'000;
   // Thread 0: X = 1; r0 = Y.   Thread 1: Y = 1; r1 = X.
@@ -67,6 +65,7 @@ Outcome runDekker(ConsistencyModel model, int jitter) {
   };
   System sys(cfg);
   RunResult r = sys.run();
+  writeCaptureFileOnce(r.trace);  // --capture-trace keeps the first run
   if (!r.completed || r.detections != 0) {
     std::fprintf(stderr, "litmus run failed (completed=%d detections=%llu)\n",
                  r.completed, static_cast<unsigned long long>(r.detections));
@@ -75,8 +74,8 @@ Outcome runDekker(ConsistencyModel model, int jitter) {
   auto& p1 = static_cast<ScriptedProgram&>(sys.core(1).program());
   // Pre-initialize to the memory fill pattern means "0" is encoded as the
   // pattern; treat "saw the other thread's 1" vs "saw the initial value".
-  const std::uint64_t initY = MemoryStorage::initialPattern(kY).read(0, 8);
-  const std::uint64_t initX = MemoryStorage::initialPattern(kX).read(0, 8);
+  const std::uint64_t initY = MemoryStorage::initialPattern(kY).read(0);
+  const std::uint64_t initX = MemoryStorage::initialPattern(kX).read(0);
   const std::uint64_t r0 = p0.results()[0].second == initY ? 0 : 1;
   const std::uint64_t r1 = p1.results()[0].second == initX ? 0 : 1;
   return {r0, r1};

@@ -47,10 +47,7 @@ int runDemo(int argc, char** argv) {
   cfg.dvmc.membarInjectionPeriod = 20'000;
   cfg.ber.interval = 10'000;
   cfg.ber.maxCheckpoints = 10;
-  cfg.tracer = obs::activeTracer();
-  cfg.forensics = obs::activeForensics();
-  cfg.sampleEvery = obs::options().sampleEvery;
-  cfg.sampleCapacity = obs::options().sampleCapacity;
+  wireObsFlags(cfg);
   if (!faultApplicable(fault, cfg.model, cfg.protocol)) {
     std::fprintf(stderr, "fault %s is not an error under %s/%s\n",
                  faultTypeName(fault), protocolName(cfg.protocol),

@@ -37,10 +37,7 @@ int runQuickstart(int argc, char** argv, bool stats) {
   cfg.numNodes = 8;
   cfg.workload = wl;
   cfg.targetTransactions = 400;
-  cfg.tracer = obs::activeTracer();
-  cfg.forensics = obs::activeForensics();
-  cfg.sampleEvery = obs::options().sampleEvery;
-  cfg.sampleCapacity = obs::options().sampleCapacity;
+  wireObsFlags(cfg);
 
   std::printf("DVMC quickstart: %zu-node %s system, %s, workload '%s'\n",
               cfg.numNodes, protocolName(protocol), modelName(model),
@@ -48,7 +45,6 @@ int runQuickstart(int argc, char** argv, bool stats) {
   std::printf("%s\n",
               OrderingTable::forModel(model).toString().c_str());
 
-  armCaptureFromObs(cfg);
   System sys(cfg);
   RunResult r = sys.run();
   writeCaptureFileOnce(r.trace);

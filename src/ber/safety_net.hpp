@@ -8,8 +8,8 @@
 // checkpoint captures the *architectural* state: the coherent memory image
 // (a shadow updated at every performed store) plus each core's program
 // state and in-flight instruction list. Recovery rolls every component
-// back and restarts the cores after a drain delay that lets stale
-// in-flight messages land harmlessly.
+// back at once, the cores included; network epochs and controller
+// generations drop the stale in-flight messages and events.
 //
 // Checkpoints are *undo logs*, exactly as in the original SafetyNet design
 // (incremental old-value logging): the system records, per checkpoint
@@ -38,7 +38,6 @@ namespace dvmc {
 struct BerConfig {
   Cycle interval = 20'000;
   std::size_t maxCheckpoints = 6;
-  Cycle restartDrainDelay = 2'000;  // message-drain gap before cores restart
 };
 
 class SafetyNet {

@@ -17,8 +17,7 @@ const char* mosiName(MosiState s) {
   return "?";
 }
 
-CacheArray::CacheArray(CacheGeometry geom, bool eccProtected)
-    : geom_(geom), ecc_(eccProtected) {
+CacheArray::CacheArray(CacheGeometry geom) : geom_(geom) {
   DVMC_ASSERT(geom_.sets > 0 && geom_.ways > 0, "bad cache geometry");
   lines_.resize(geom_.sets * geom_.ways);
 }
@@ -64,7 +63,7 @@ void CacheArray::install(CacheLine& line, Addr blk, MosiState st,
 void CacheArray::touch(CacheLine& line, ErrorSink* sink, NodeId node,
                        Cycle now) {
   line.lastUse = ++useCounter_;
-  if (!ecc_ || line.pendingFlips.empty()) return;
+  if (line.pendingFlips.empty()) return;
   if (line.pendingFlips.size() == 1) {
     // Single-bit error: SEC code corrects it in place.
     line.data.flipBit(line.pendingFlips.front());
@@ -80,12 +79,7 @@ void CacheArray::touch(CacheLine& line, ErrorSink* sink, NodeId node,
   }
 }
 
-std::optional<Addr> CacheArray::injectBitFlip(std::uint64_t rand,
-                                              ErrorSink* sink, NodeId node,
-                                              Cycle now) {
-  (void)sink;
-  (void)node;
-  (void)now;
+std::optional<Addr> CacheArray::injectBitFlip(std::uint64_t rand) {
   // Prefer recently used lines: a corrupted-but-never-touched line is a
   // latent fault that vanishes on eviction, which makes for a useless
   // injection experiment.
@@ -98,9 +92,7 @@ std::optional<Addr> CacheArray::injectBitFlip(std::uint64_t rand,
   CacheLine& line = *target;
   const std::size_t bit = rand % (kBlockSizeBytes * 8);
   line.data.flipBit(bit);
-  if (ecc_) {
-    line.pendingFlips.push_back(bit);  // the code can still repair this
-  }
+  line.pendingFlips.push_back(bit);  // the code can still repair this
   return line.tag;
 }
 

@@ -47,7 +47,7 @@ struct CacheGeometry {
 
 class CacheArray {
  public:
-  CacheArray(CacheGeometry geom, bool eccProtected);
+  explicit CacheArray(CacheGeometry geom);
 
   /// Finds the line holding `blk` (block-aligned address) or nullptr.
   CacheLine* find(Addr blk);
@@ -70,8 +70,7 @@ class CacheArray {
 
   /// Fault-injection entry point: flip one bit of a random resident line.
   /// Returns the affected block address, or nullopt if the cache is empty.
-  std::optional<Addr> injectBitFlip(std::uint64_t rand, ErrorSink* sink,
-                                    NodeId node, Cycle now);
+  std::optional<Addr> injectBitFlip(std::uint64_t rand);
 
   /// Flips a MOSI state bit on a random resident line (escapes ECC, which
   /// covers data only). Returns affected block and new state.
@@ -97,7 +96,6 @@ class CacheArray {
   }
 
   CacheGeometry geom_;
-  bool ecc_;
   std::vector<CacheLine> lines_;  // sets * ways, row-major by set
   std::uint64_t useCounter_ = 0;
   std::uint64_t eccCorrections_ = 0;

@@ -15,15 +15,13 @@ constexpr Cycle kFillRetryCycles = 8;
 
 CoherentCache::CoherentCache(Simulator& sim, TorusNetwork& dataNet,
                              NodeId node, MemoryMap map, CacheGeometry l2Geom,
-                             CoherenceTimings timings, ErrorSink* sink,
-                             LogicalClock& clock)
+                             ErrorSink* sink, LogicalClock& clock)
     : sim_(sim),
       dataNet_(dataNet),
       node_(node),
       map_(map),
       sink_(sink),
-      array_(l2Geom, /*eccProtected=*/true),
-      timings_(timings),
+      array_(l2Geom),
       clock_(clock) {}
 
 const DataBlock* CoherentCache::peekReadable(Addr blk) {
@@ -39,12 +37,11 @@ bool CoherentCache::peekWritable(Addr blk) {
 
 void CoherentCache::request(const CacheOp& op) {
   // Loads pay the full L2 array access; stores and atomics drain through
-  // the dedicated write port (writes to an already-owned line are cheap —
-  // they would hit an L1-class writeback structure in a real hierarchy).
+  // the dedicated write port.
   const bool writePath = op.kind == CacheOp::Kind::kStore ||
                          op.kind == CacheOp::Kind::kAtomicSwap ||
                          op.kind == CacheOp::Kind::kAtomicCas;
-  const Cycle lat = writePath ? timings_.storeLatency : timings_.l2Latency;
+  const Cycle lat = writePath ? kStoreLatency : kL2Latency;
   sim_.schedule(lat, [this, op, g = gen_] {
     if (g != gen_) return;  // squashed by BER recovery
     processOp(op);
@@ -72,29 +69,28 @@ void CoherentCache::processOp(const CacheOp& op) {
     array_.touch(*line, sink_, node_, sim_.now());
     cHit_.inc();
     const std::size_t off = blockOffset(op.addr);
-    constexpr std::size_t n = CacheOp::kBytes;
     switch (op.kind) {
       case CacheOp::Kind::kLoad:
       case CacheOp::Kind::kReplayLoad:
-        completeOp(op, line->data.read(off, n), op.countsAsPerform);
+        completeOp(op, line->data.read(off), op.countsAsPerform);
         return;
       case CacheOp::Kind::kStore:
-        line->data.write(off, n, op.value);
-        if (storeHook_) storeHook_(op.addr, n, op.value);
+        line->data.write(off, op.value);
+        if (storeHook_) storeHook_(op.addr, op.value);
         completeOp(op, 0, true);
         return;
       case CacheOp::Kind::kAtomicSwap: {
-        const std::uint64_t old = line->data.read(off, n);
-        line->data.write(off, n, op.value);
-        if (storeHook_) storeHook_(op.addr, n, op.value);
+        const std::uint64_t old = line->data.read(off);
+        line->data.write(off, op.value);
+        if (storeHook_) storeHook_(op.addr, op.value);
         completeOp(op, old, true);
         return;
       }
       case CacheOp::Kind::kAtomicCas: {
-        const std::uint64_t old = line->data.read(off, n);
+        const std::uint64_t old = line->data.read(off);
         if (old == op.compare) {
-          line->data.write(off, n, op.value);
-          if (storeHook_) storeHook_(op.addr, n, op.value);
+          line->data.write(off, op.value);
+          if (storeHook_) storeHook_(op.addr, op.value);
         }
         completeOp(op, old, true);
         return;

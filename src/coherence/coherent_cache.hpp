@@ -33,6 +33,12 @@
 
 namespace dvmc {
 
+/// L2 access latency in cycles for loads, which pay the full array access.
+inline constexpr Cycle kL2Latency = 12;
+/// Store and atomic latency in cycles through the L2's write port (a hit in
+/// M would hit an L1-class writeback structure in a real hierarchy).
+inline constexpr Cycle kStoreLatency = 3;
+
 class CoherentCache {
  public:
   virtual ~CoherentCache() = default;
@@ -48,11 +54,10 @@ class CoherentCache {
   EpochObserver* epochObserver() const { return epochs_; }
   LogicalClock& clock() { return clock_; }
 
-  /// Observes every performed store/atomic (address, size, value). The
+  /// Observes every performed store/atomic (word address, value). The
   /// system layer uses this to maintain the architectural memory shadow
   /// that SafetyNet checkpoints.
-  using StorePerformHook =
-      std::function<void(Addr, std::size_t, std::uint64_t)>;
+  using StorePerformHook = std::function<void(Addr, std::uint64_t)>;
   void setStorePerformHook(StorePerformHook h) { storeHook_ = std::move(h); }
 
   /// Direct block lookup used by the L1 refill path and by tests; returns
@@ -105,8 +110,8 @@ class CoherentCache {
   };
 
   CoherentCache(Simulator& sim, TorusNetwork& dataNet, NodeId node,
-                MemoryMap map, CacheGeometry l2Geom, CoherenceTimings timings,
-                ErrorSink* sink, LogicalClock& clock);
+                MemoryMap map, CacheGeometry l2Geom, ErrorSink* sink,
+                LogicalClock& clock);
 
   // --- the protocol half ---
 
@@ -163,7 +168,6 @@ class CoherentCache {
                            std::uint64_t ltime);
   void evictLine(CacheLine& line);
 
-  CoherenceTimings timings_;
   LogicalClock& clock_;
   CacheClient* client_ = nullptr;
   CpuNotifier* cpu_ = nullptr;

@@ -6,9 +6,8 @@ namespace dvmc {
 
 DirectoryCacheController::DirectoryCacheController(
     Simulator& sim, TorusNetwork& net, NodeId node, MemoryMap map,
-    CacheGeometry l2Geom, CoherenceTimings timings, ErrorSink* sink,
-    std::unique_ptr<LogicalClock> clock)
-    : CoherentCache(sim, net, node, map, l2Geom, timings, sink, *clock),
+    CacheGeometry l2Geom, ErrorSink* sink, std::unique_ptr<LogicalClock> clock)
+    : CoherentCache(sim, net, node, map, l2Geom, sink, *clock),
       ownedClock_(std::move(clock)) {}
 
 void DirectoryCacheController::issueRequest(Addr blk, Mshr& m) {

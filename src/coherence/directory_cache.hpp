@@ -19,7 +19,7 @@ class DirectoryCacheController final : public CoherentCache {
  public:
   DirectoryCacheController(Simulator& sim, TorusNetwork& net, NodeId node,
                            MemoryMap map, CacheGeometry l2Geom,
-                           CoherenceTimings timings, ErrorSink* sink,
+                           ErrorSink* sink,
                            std::unique_ptr<LogicalClock> clock);
 
   /// Network entry point (router dispatches cache-bound messages here).

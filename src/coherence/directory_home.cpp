@@ -6,9 +6,8 @@
 namespace dvmc {
 
 DirectoryHome::DirectoryHome(Simulator& sim, TorusNetwork& net, NodeId node,
-                             MemoryMap map, CoherenceTimings timings,
-                             ErrorSink* sink)
-    : HomeController(sim, net, node, map, timings, sink) {}
+                             MemoryMap map, ErrorSink* sink)
+    : HomeController(sim, net, node, map, sink) {}
 
 NodeId DirectoryHome::ownerOf(Addr blk) const {
   auto it = dir_.find(blk);
@@ -44,7 +43,7 @@ void DirectoryHome::onMessage(const Message& msg) {
       // (deciding at arrival would let two near-simultaneous requests both
       // observe a non-busy block and race).
       e.pending.push_back(msg);
-      sim_.schedule(timings_.ctrlLatency, [this, blk, g = gen_] {
+      sim_.schedule(kCtrlLatency, [this, blk, g = gen_] {
         if (g != gen_) return;  // squashed by BER recovery
         serviceQueue(blk);
       });

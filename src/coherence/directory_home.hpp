@@ -18,10 +18,14 @@
 
 namespace dvmc {
 
+/// Cycles from a request's arrival at the home to its pickup by the
+/// directory controller.
+inline constexpr Cycle kCtrlLatency = 2;
+
 class DirectoryHome final : public HomeController {
  public:
   DirectoryHome(Simulator& sim, TorusNetwork& net, NodeId node,
-                MemoryMap map, CoherenceTimings timings, ErrorSink* sink);
+                MemoryMap map, ErrorSink* sink);
 
   /// Network entry point (router dispatches home-bound messages here).
   void onMessage(const Message& msg);

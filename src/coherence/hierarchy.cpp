@@ -5,14 +5,9 @@
 namespace dvmc {
 
 CacheHierarchy::CacheHierarchy(Simulator& sim, CoherentCache& l2,
-                               CacheGeometry l1Geom, CoherenceTimings timings,
-                               ErrorSink* sink, NodeId node)
-    : sim_(sim),
-      l2_(l2),
-      timings_(timings),
-      sink_(sink),
-      node_(node),
-      l1_(l1Geom, /*eccProtected=*/true) {
+                               CacheGeometry l1Geom, ErrorSink* sink,
+                               NodeId node)
+    : sim_(sim), l2_(l2), sink_(sink), node_(node), l1_(l1Geom) {
   l2_.setCpuNotifier(this);
   l2_.setClient(this);
 }
@@ -37,7 +32,7 @@ void CacheHierarchy::access(const CacheOp& op) {
   }
   // [this, op] takes 56 of Simulator::Action's 96 capture bytes, and this
   // fires for every load in the machine.
-  sim_.schedule(timings_.l1Latency, [this, op] {
+  sim_.schedule(kL1Latency, [this, op] {
     const bool isReplay = op.kind == CacheOp::Kind::kReplayLoad;
     CacheLine* line = l1_.find(blockAddr(op.addr));
     if (line != nullptr) {
@@ -58,8 +53,7 @@ void CacheHierarchy::finishLoadFromL1(const CacheOp& op, CacheLine& line) {
     l2_.epochObserver()->onPerformAccess(blockAddr(op.addr), false);
   }
   if (client_ != nullptr) {
-    client_->onCacheOpDone(
-        op, line.data.read(blockOffset(op.addr), CacheOp::kBytes));
+    client_->onCacheOpDone(op, line.data.read(blockOffset(op.addr)));
   }
 }
 
@@ -79,7 +73,7 @@ void CacheHierarchy::onCacheOpDone(const CacheOp& op, std::uint64_t value) {
   } else if (op.kind != CacheOp::Kind::kAtomicCas || value == op.compare) {
     // A store or atomic wrote the L2 copy: write it through to the L1 one.
     if (CacheLine* line = l1_.find(blk)) {
-      line->data.write(blockOffset(op.addr), CacheOp::kBytes, op.value);
+      line->data.write(blockOffset(op.addr), op.value);
     }
   }
   if (client_ != nullptr) client_->onCacheOpDone(op, value);

@@ -23,10 +23,14 @@
 
 namespace dvmc {
 
+/// L1 hit latency in cycles: a load that hits the L1 completes this long
+/// after it issued.
+inline constexpr Cycle kL1Latency = 2;
+
 class CacheHierarchy final : public CpuNotifier, public CacheClient {
  public:
   CacheHierarchy(Simulator& sim, CoherentCache& l2, CacheGeometry l1Geom,
-                 CoherenceTimings timings, ErrorSink* sink, NodeId node);
+                 ErrorSink* sink, NodeId node);
 
   /// Issues an operation; the client hears of it when it completes.
   void access(const CacheOp& op);
@@ -64,7 +68,6 @@ class CacheHierarchy final : public CpuNotifier, public CacheClient {
 
   Simulator& sim_;
   CoherentCache& l2_;
-  CoherenceTimings timings_;
   ErrorSink* sink_;
   NodeId node_;
   CacheArray l1_;

@@ -3,15 +3,8 @@
 namespace dvmc {
 
 HomeController::HomeController(Simulator& sim, TorusNetwork& net, NodeId node,
-                               MemoryMap map, CoherenceTimings timings,
-                               ErrorSink* sink)
-    : sim_(sim),
-      net_(net),
-      node_(node),
-      map_(map),
-      timings_(timings),
-      sink_(sink),
-      memory_(/*eccProtected=*/true) {}
+                               MemoryMap map, ErrorSink* sink)
+    : sim_(sim), net_(net), node_(node), map_(map), sink_(sink) {}
 
 void HomeController::replyFromMemory(MsgType type, NodeId dest, Addr blk,
                                      int ackCount) {
@@ -27,7 +20,7 @@ void HomeController::replyFromMemory(MsgType type, NodeId dest, Addr blk,
   m.hasData = true;
   m.data = readMemory(blk);
   m.fromMemory = true;
-  sim_.schedule(timings_.memLatency,
+  sim_.schedule(kMemLatency,
                 [this, pm = pool_.acquire(std::move(m)), g = gen_]() mutable {
                   if (g != gen_) return;  // squashed by BER recovery
                   net_.send(std::move(*pm));

@@ -17,6 +17,10 @@
 
 namespace dvmc {
 
+/// Memory access latency in cycles: a data reply from memory leaves the
+/// home this long after the read.
+inline constexpr Cycle kMemLatency = 160;
+
 class HomeController {
  public:
   virtual ~HomeController() = default;
@@ -36,7 +40,7 @@ class HomeController {
 
  protected:
   HomeController(Simulator& sim, TorusNetwork& net, NodeId node,
-                 MemoryMap map, CoherenceTimings timings, ErrorSink* sink);
+                 MemoryMap map, ErrorSink* sink);
 
   /// Drops every block's protocol state (reset()).
   virtual void forgetBlocks() = 0;
@@ -54,7 +58,6 @@ class HomeController {
   TorusNetwork& net_;
   NodeId node_;
   MemoryMap map_;
-  CoherenceTimings timings_;
   ErrorSink* sink_;
   HomeObserver* homeObserver_ = nullptr;
   std::uint32_t gen_ = 0;

@@ -30,9 +30,6 @@ struct CacheOp {
     kReplayLoad,  // verification-stage replay load (bypasses write buffer)
   };
 
-  /// Every op accesses one aligned 64-bit word.
-  static constexpr std::size_t kBytes = 8;
-
   Kind kind = Kind::kLoad;
 
   // True when this access is the operation's *perform* point, i.e. the CET
@@ -46,7 +43,7 @@ struct CacheOp {
   // that tell a stale completion from a live one in `gen` and `restartGen`
   // (`gen` fills the padding after the two flags).
   std::uint32_t gen = 0;
-  Addr addr = 0;
+  Addr addr = 0;              // the aligned word accessed
   std::uint64_t value = 0;    // store value / atomic new value
   std::uint64_t compare = 0;  // kAtomicCas: expected old value
   std::uint64_t tag = 0;
@@ -150,15 +147,6 @@ struct MemoryMap {
   NodeId homeOf(Addr a) const {
     return static_cast<NodeId>((blockAddr(a) / kBlockSizeBytes) % numNodes);
   }
-};
-
-/// Fixed structural latencies (Table 6/7-inspired defaults at a 2 GHz core).
-struct CoherenceTimings {
-  Cycle l1Latency = 2;
-  Cycle l2Latency = 12;
-  Cycle storeLatency = 3;  // store/atomic write-port path (hit in M)
-  Cycle memLatency = 160;
-  Cycle ctrlLatency = 2;
 };
 
 }  // namespace dvmc

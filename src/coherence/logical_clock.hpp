@@ -31,21 +31,22 @@ class LogicalClock {
   LTime16 now16() { return ltimeTruncate(now()); }
 };
 
-/// Directory time base: (cycle + skew) / divisor. The divisor makes the
-/// clock "relatively slow"; skew models loose synchronization and must stay
-/// below the minimum network latency divided by the divisor.
+/// Processor cycles per tick of the directory's logical clock.
+inline constexpr Cycle kDirClockDivisor = 16;
+
+/// Directory time base: (cycle + skew) / kDirClockDivisor. The divisor
+/// makes the clock "relatively slow"; skew models loose synchronization and
+/// must stay below the minimum network latency divided by the divisor.
 class PhysicalLogicalClock final : public LogicalClock {
  public:
-  PhysicalLogicalClock(Simulator& sim, Cycle divisor, Cycle skew)
-      : sim_(sim), divisor_(divisor), skew_(skew) {}
+  PhysicalLogicalClock(Simulator& sim, Cycle skew) : sim_(sim), skew_(skew) {}
 
-  std::uint64_t now() override { return (sim_.now() + skew_) / divisor_; }
-
-  Cycle divisor() const { return divisor_; }
+  std::uint64_t now() override {
+    return (sim_.now() + skew_) / kDirClockDivisor;
+  }
 
  private:
   Simulator& sim_;
-  Cycle divisor_;
   Cycle skew_;
 };
 

@@ -13,7 +13,7 @@ DataBlock MemoryStorage::initialPattern(Addr blk) {
     std::uint64_t z = blk + 0x9E3779B97F4A7C15ULL * (w + 1);
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    d.write(w * 8, 8, z ^ (z >> 31));
+    d.write(w * kWordBytes, z ^ (z >> 31));
   }
   return d;
 }
@@ -31,7 +31,7 @@ const DataBlock& MemoryStorage::read(Addr blk, ErrorSink* sink, NodeId node,
                                      Cycle now) {
   DataBlock& d = materialize(blk);
   auto fit = flips_.find(blk);
-  if (ecc_ && fit != flips_.end() && !fit->second.empty()) {
+  if (fit != flips_.end() && !fit->second.empty()) {
     if (fit->second.size() == 1) {
       d.flipBit(fit->second.front());
       ++eccCorrections_;
@@ -53,7 +53,7 @@ bool MemoryStorage::injectBitFlip(Addr blk, std::size_t bit) {
   auto it = blocks_.find(blk);
   if (it == blocks_.end()) return false;
   it->second.flipBit(bit % (kBlockSizeBytes * 8));
-  if (ecc_) flips_[blk].push_back(bit % (kBlockSizeBytes * 8));
+  flips_[blk].push_back(bit % (kBlockSizeBytes * 8));
   return true;
 }
 

@@ -17,8 +17,6 @@ namespace dvmc {
 
 class MemoryStorage {
  public:
-  explicit MemoryStorage(bool eccProtected) : ecc_(eccProtected) {}
-
   /// Read access; materializes the block if needed and runs ECC checks.
   const DataBlock& read(Addr blk, ErrorSink* sink, NodeId node, Cycle now);
 
@@ -44,7 +42,6 @@ class MemoryStorage {
  private:
   DataBlock& materialize(Addr blk);
 
-  bool ecc_;
   FlatMap<Addr, DataBlock> blocks_;
   FlatMap<Addr, std::vector<std::size_t>> flips_;
   std::uint64_t eccCorrections_ = 0;

@@ -8,10 +8,8 @@ SnoopCacheController::SnoopCacheController(Simulator& sim,
                                            BroadcastTree& addrNet,
                                            TorusNetwork& dataNet, NodeId node,
                                            MemoryMap map, CacheGeometry l2Geom,
-                                           CoherenceTimings timings,
                                            ErrorSink* sink)
-    : CoherentCache(sim, dataNet, node, map, l2Geom, timings, sink,
-                    orderClock_),
+    : CoherentCache(sim, dataNet, node, map, l2Geom, sink, orderClock_),
       addrNet_(addrNet) {}
 
 void SnoopCacheController::issueRequest(Addr blk, Mshr& m) {

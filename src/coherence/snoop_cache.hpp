@@ -18,8 +18,7 @@ class SnoopCacheController final : public CoherentCache {
  public:
   SnoopCacheController(Simulator& sim, BroadcastTree& addrNet,
                        TorusNetwork& dataNet, NodeId node, MemoryMap map,
-                       CacheGeometry l2Geom, CoherenceTimings timings,
-                       ErrorSink* sink);
+                       CacheGeometry l2Geom, ErrorSink* sink);
 
   /// Address-network entry: every broadcast, in total order.
   void onSnoop(const Message& msg);

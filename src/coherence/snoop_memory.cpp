@@ -8,9 +8,8 @@ namespace dvmc {
 SnoopMemoryController::SnoopMemoryController(Simulator& sim,
                                              TorusNetwork& dataNet,
                                              NodeId node, MemoryMap map,
-                                             CoherenceTimings timings,
                                              ErrorSink* sink)
-    : HomeController(sim, dataNet, node, map, timings, sink) {}
+    : HomeController(sim, dataNet, node, map, sink) {}
 
 NodeId SnoopMemoryController::cacheOwnerOf(Addr blk) const {
   auto it = state_.find(blk);

@@ -17,8 +17,7 @@ namespace dvmc {
 class SnoopMemoryController final : public HomeController {
  public:
   SnoopMemoryController(Simulator& sim, TorusNetwork& dataNet, NodeId node,
-                        MemoryMap map, CoherenceTimings timings,
-                        ErrorSink* sink);
+                        MemoryMap map, ErrorSink* sink);
 
   /// Address-network entry: every broadcast request, in total order.
   void onSnoop(const Message& msg);

@@ -20,12 +20,19 @@ class DataBlock {
  public:
   DataBlock() { bytes_.fill(0); }
 
-  /// Reads a naturally-aligned value of `size` bytes (1, 2, 4, or 8) at the
-  /// given offset within the block.
-  std::uint64_t read(std::size_t offset, std::size_t size) const;
+  /// Reads the word at byte `offset` within the block.
+  std::uint64_t read(std::size_t offset) const {
+    checkWordOffset(offset);
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes_.data() + offset, kWordBytes);
+    return v;
+  }
 
-  /// Writes a naturally-aligned value of `size` bytes at the given offset.
-  void write(std::size_t offset, std::size_t size, std::uint64_t value);
+  /// Writes the word at byte `offset` within the block.
+  void write(std::size_t offset, std::uint64_t value) {
+    checkWordOffset(offset);
+    std::memcpy(bytes_.data() + offset, &value, kWordBytes);
+  }
 
   /// Flips a single bit (used by the fault injector).
   void flipBit(std::size_t bitIndex) {
@@ -40,6 +47,11 @@ class DataBlock {
   bool operator!=(const DataBlock& o) const { return !(*this == o); }
 
  private:
+  static void checkWordOffset(std::size_t offset) {
+    DVMC_ASSERT(offset % kWordBytes == 0, "unaligned access");
+    DVMC_ASSERT(offset < kBlockSizeBytes, "access crosses block");
+  }
+
   std::array<std::uint8_t, kBlockSizeBytes> bytes_;
 };
 

@@ -6,8 +6,8 @@
 // on paged storage (heap blocks, a map of pointers, non-contiguous
 // iteration); this ring keeps the window in one contiguous power-of-two
 // buffer: push/pop are an index mask away, iteration is cache-linear,
-// and a reserve() sized from the config (robSize, wbCapacity,
-// scrubFifoCapacity) means zero steady-state allocation. Capacity still
+// and a reserve() sized from the bound (robSize, wbCapacity,
+// kScrubFifoCapacity) means zero steady-state allocation. Capacity still
 // grows by doubling if a caller outruns its reservation, so the
 // semantics stay those of an unbounded deque.
 //

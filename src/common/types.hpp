@@ -23,9 +23,17 @@ using NodeId = std::uint32_t;
 /// Monotonic per-processor instruction sequence number (program order rank).
 using SeqNum = std::uint64_t;
 
+/// The access word. Every memory operation reads or writes one naturally
+/// aligned 64-bit SPARC word (the checkers' proofs in Appendix A assume
+/// word-granular access too); there is no other access size.
+inline constexpr std::size_t kWordBytes = 8;
+
+/// Rounds an address down to its containing word.
+constexpr Addr wordAddr(Addr a) { return a & ~Addr{kWordBytes - 1}; }
+
 /// Coherence block geometry. 64-byte blocks as in Table 6.
 inline constexpr std::size_t kBlockSizeBytes = 64;
-inline constexpr std::size_t kBlockSizeWords = kBlockSizeBytes / 8;
+inline constexpr std::size_t kBlockSizeWords = kBlockSizeBytes / kWordBytes;
 inline constexpr Addr kBlockOffsetMask = kBlockSizeBytes - 1;
 
 /// Rounds an address down to its containing block.

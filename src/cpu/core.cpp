@@ -261,7 +261,7 @@ void Core::tick() {
 // --------------------------------------------------------------------------
 
 void Core::phaseDispatch() {
-  for (std::size_t n = 0; n < cfg_.width; ++n) {
+  for (std::size_t n = 0; n < kCoreWidth; ++n) {
     if (rob_.size() >= cfg_.robSize) {
       stall(kRobFull);
       return;
@@ -310,17 +310,17 @@ bool Core::atomicMayExecute(const RobEntry& e) const {
 
 std::optional<std::uint64_t> Core::forwardFromPipeline(
     const RobEntry& e) const {
-  const Addr word = e.inst.addr & ~Addr{7};
+  const Addr word = wordAddr(e.inst.addr);
   // Youngest older store in the ROB wins over anything in the write buffer.
   for (auto it = rob_.rbegin(); it != rob_.rend(); ++it) {
     if (it->seq >= e.seq) continue;
     if ((it->inst.kind == Instr::Kind::kStore ||
          it->inst.kind == Instr::Kind::kSwap) &&
-        (it->inst.addr & ~Addr{7}) == word) {
+        wordAddr(it->inst.addr) == word) {
       return it->inst.value;
     }
     if (it->inst.kind == Instr::Kind::kCas &&
-        (it->inst.addr & ~Addr{7}) == word && !it->performedAtExec) {
+        wordAddr(it->inst.addr) == word && !it->performedAtExec) {
       // An unresolved CAS to the same word: its effect is unknowable, so
       // the load cannot execute yet (handled by the caller as a stall).
       // A performed CAS's effect is already in the cache.
@@ -328,7 +328,7 @@ std::optional<std::uint64_t> Core::forwardFromPipeline(
     }
   }
   for (auto it = wb_.rbegin(); it != wb_.rend(); ++it) {
-    if ((it->addr & ~Addr{7}) == word) return it->value;
+    if (wordAddr(it->addr) == word) return it->value;
   }
   return std::nullopt;
 }
@@ -354,7 +354,7 @@ void Core::phaseExecute() {
       if (e.performedAtExec) {
         // Forwarded RMO load: it performs now.
         e.performedAt = sim_.now();
-        if (vc_ != nullptr) vc_->parkLoadValue(e.inst.addr, 8, e.execValue);
+        if (vc_ != nullptr) vc_->parkLoadValue(e.inst.addr, e.execValue);
         performEvent(e);
       }
     }
@@ -375,7 +375,7 @@ void Core::phaseExecute() {
     return;
   }
   std::size_t issued = 0;
-  for (std::uint64_t ds = dispatched; ds != 0 && issued < cfg_.width;
+  for (std::uint64_t ds = dispatched; ds != 0 && issued < kCoreWidth;
        ds &= ds - 1) {
     RobEntry& e = rob_[static_cast<std::size_t>(std::countr_zero(ds))];
     // A pending consistency-model switch drains the pipeline: nothing
@@ -436,7 +436,7 @@ void Core::executeLoad(RobEntry& e) {
   for (const RobEntry& o : rob_) {
     if (o.seq >= e.seq) break;
     if (o.inst.kind == Instr::Kind::kCas && !o.performedAtExec &&
-        (o.inst.addr & ~Addr{7}) == (e.inst.addr & ~Addr{7})) {
+        wordAddr(o.inst.addr) == wordAddr(e.inst.addr)) {
       return;
     }
   }
@@ -481,7 +481,7 @@ void Core::onLoadExecuted(RobEntry& e, std::uint64_t value) {
   }
   if (rmoLoad) {
     e.performedAtExec = true;
-    if (vc_ != nullptr) vc_->parkLoadValue(e.inst.addr, 8, value);
+    if (vc_ != nullptr) vc_->parkLoadValue(e.inst.addr, value);
     performEvent(e);
   }
 }
@@ -525,7 +525,7 @@ void Core::phaseGate() {
   if ((inState(St::kExecuted) & beforeNotExecuted) == 0) return;
   std::size_t inGate = 0;
   for (std::size_t i = verifiedPrefix(); i < rob_.size(); ++i) {
-    if (inGate >= cfg_.width) break;
+    if (inGate >= kCoreWidth) break;
     RobEntry& e = rob_[i];
     switch (e.st) {
       case St::kGateDone:
@@ -585,11 +585,11 @@ void Core::gateEntry(RobEntry& e) {
       // Buffered store: replay writes the Verification Cache; the entry
       // lives until the store performs out of the write buffer.
       if (vc_ != nullptr) {
-        if (!vc_->canAllocate(e.inst.addr, 8)) {
+        if (!vc_->canAllocate(e.inst.addr)) {
           stall(kVcFull);
           return;  // stall until a VC entry frees up
         }
-        vc_->storeCommit(e.inst.addr, 8, e.inst.value, e.seq);
+        vc_->storeCommit(e.inst.addr, e.inst.value, e.seq);
       }
       if (ar_ != nullptr) ar_->onCommit(OpType::kStore, e.seq);
       ++outstandingStores_;
@@ -605,8 +605,8 @@ void Core::gateEntry(RobEntry& e) {
         // sequential replay would produce (genuine LSQ-forwarding
         // coverage); otherwise the parked execute-time value is consumed.
         if (vc_ != nullptr) {
-          auto pending = vc_->lookupStoreOlderThan(e.inst.addr, 8, e.seq);
-          auto parked = vc_->consumeParked(e.inst.addr, 8);
+          auto pending = vc_->lookupStoreOlderThan(e.inst.addr, e.seq);
+          auto parked = vc_->consumeParked(e.inst.addr);
           if (pending) {
             if (*pending != e.execValue) {
               cUoFlushes_.inc();
@@ -647,7 +647,7 @@ void Core::gateEntry(RobEntry& e) {
 void Core::replayLoad(RobEntry& e) {
   // Verification-stage replay: VC first, then the cache hierarchy,
   // bypassing the write buffer (§4.1).
-  if (auto vcHit = vc_->lookupStoreOlderThan(e.inst.addr, 8, e.seq)) {
+  if (auto vcHit = vc_->lookupStoreOlderThan(e.inst.addr, e.seq)) {
     cReplayVcHit_.inc();
     setState(e, St::kGateIssued);
     onReplayDone(e, *vcHit);
@@ -698,7 +698,7 @@ void Core::finishGate(RobEntry& e) {
     case Instr::Kind::kSwap:
     case Instr::Kind::kCas:
       if (vc_ != nullptr) {
-        auto parked = vc_->consumeParked(e.inst.addr, 8);
+        auto parked = vc_->consumeParked(e.inst.addr);
         if (parked && *parked != e.execValue) {
           reportUoViolation(e, "atomic replay mismatch");
         }
@@ -754,7 +754,7 @@ void Core::recordCommit(const RobEntry& e) {
   r.node = static_cast<std::uint8_t>(node_);
   r.model = static_cast<std::uint8_t>(e.model);
   r.seq = e.seq;
-  r.addr = e.inst.addr & ~Addr{7};
+  r.addr = wordAddr(e.inst.addr);
   if (e.inst.is32Bit) r.flags |= verify::kFlag32Bit;
   // Everything except a buffered store has performed by the time it passes
   // the gate; a buffered store's cycle is patched at write-buffer drain.
@@ -788,7 +788,7 @@ void Core::reportUoViolation(const RobEntry& e, const char* what) {
 
 void Core::phaseRetire() {
   for (std::size_t n = 0;
-       n < cfg_.width && (inState(St::kVerified) & 1) != 0; ++n) {
+       n < kCoreWidth && (inState(St::kVerified) & 1) != 0; ++n) {
     RobEntry& e = rob_.front();
     if (e.inst.kind == Instr::Kind::kStore &&
         e.model != ConsistencyModel::kSC) {
@@ -804,10 +804,9 @@ void Core::phaseRetire() {
         // stays exact).
         for (auto it = wb_.rbegin(); it != wb_.rend(); ++it) {
           if (it->inFlight || it->ordered) continue;
-          if ((it->addr & ~Addr{7}) != (e.inst.addr & ~Addr{7})) continue;
+          if (wordAddr(it->addr) != wordAddr(e.inst.addr)) continue;
           if (vc_ != nullptr) {
-            vc_->storeSuperseded(it->addr, 8, it->seq, it->value,
-                                 sim_.now());
+            vc_->storeSuperseded(it->addr, it->seq, it->value, sim_.now());
           }
           if (rec_ != nullptr) {
             rec_->storeSuperseded(node_, it->seq, sim_.now());
@@ -875,7 +874,7 @@ void Core::drainWriteBuffer() {
     // resources: they are not subject to the outstanding-miss limit
     // (bounded per round by the pipeline width instead).
     if (pass == 0) {
-      if (ownedIssued >= cfg_.width) break;
+      if (ownedIssued >= kCoreWidth) break;
     } else if (wbInFlight_ >= cfg_.wbConcurrency) {
       break;
     }
@@ -954,7 +953,7 @@ void Core::onCacheOpDone(const CacheOp& op, std::uint64_t value) {
       setState(*e, St::kExecuted);
       e->performedAtExec = true;
       e->performedAt = sim_.now();
-      if (vc_ != nullptr) vc_->parkLoadValue(e->inst.addr, 8, value);
+      if (vc_ != nullptr) vc_->parkLoadValue(e->inst.addr, value);
       performEvent(*e);
       break;
     case CacheOp::Kind::kStore:  // SC: the gate waited for this perform
@@ -979,7 +978,7 @@ void Core::onStoreDrained(SeqNum seq) {
   auto it = std::find_if(wb_.begin(), wb_.end(),
                          [seq](const WbEntry& w) { return w.seq == seq; });
   if (it != wb_.end()) {
-    if (vc_ != nullptr) vc_->storePerformed(it->addr, 8, it->value, sim_.now());
+    if (vc_ != nullptr) vc_->storePerformed(it->addr, it->value, sim_.now());
     if (rec_ != nullptr) rec_->storePerformed(node_, it->seq, sim_.now());
     if (ar_ != nullptr) {
       // Mixed-mode note: the drain rules guarantee per-model order; the

@@ -55,9 +55,11 @@ namespace verify {
 class TraceRecorder;
 }
 
+/// Dispatch, gate and retire width: instructions per cycle.
+inline constexpr std::size_t kCoreWidth = 4;
+
 struct CpuConfig {
   std::size_t robSize = 64;
-  std::size_t width = 4;          // dispatch / gate / retire width per cycle
   std::size_t wbCapacity = 64;
   std::size_t wbConcurrency = 4;  // PSO/RMO concurrent store drains
   bool storePrefetch = true;      // prefetch write permission at execute
@@ -143,18 +145,6 @@ class Core final : public CpuNotifier,
   struct ArchSnapshot {
     std::unique_ptr<ThreadProgram> program;
     std::vector<Instr> replay;  // oldest first: write buffer, then ROB
-
-    ArchSnapshot() = default;
-    ArchSnapshot(const ArchSnapshot& o)
-        : program(o.program ? o.program->clone() : nullptr),
-          replay(o.replay) {}
-    ArchSnapshot& operator=(const ArchSnapshot& o) {
-      program = o.program ? o.program->clone() : nullptr;
-      replay = o.replay;
-      return *this;
-    }
-    ArchSnapshot(ArchSnapshot&&) = default;
-    ArchSnapshot& operator=(ArchSnapshot&&) = default;
   };
 
   ArchSnapshot snapshotState() const;

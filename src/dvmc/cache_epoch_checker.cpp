@@ -10,7 +10,7 @@ CacheEpochChecker::CacheEpochChecker(Simulator& sim, NodeId node,
                                      const DvmcConfig& cfg, ErrorSink* sink,
                                      SendFn sendInform)
     : sim_(sim), node_(node), cfg_(cfg), sink_(sink), send_(std::move(sendInform)) {
-  scrubFifo_.reserve(cfg_.scrubFifoCapacity);
+  scrubFifo_.reserve(kScrubFifoCapacity);
 }
 
 void CacheEpochChecker::onEpochBegin(Addr blk, bool readWrite,
@@ -48,11 +48,11 @@ void CacheEpochChecker::onEpochBegin(Addr blk, bool readWrite,
   // to the cache or walks the CET directly).
   const bool fifoWasEmpty = scrubFifo_.empty();
   scrubFifo_.push_back(ScrubRecord{blk, e.epochId, ltime});
-  if (scrubFifo_.size() > cfg_.scrubFifoCapacity) {
+  if (scrubFifo_.size() > kScrubFifoCapacity) {
     cScrubOverflow_.inc();
   }
   if (fifoWasEmpty) {
-    sim_.schedule(cfg_.scrubCheckPeriod, [this] { scrubSweep(); });
+    sim_.schedule(kScrubCheckPeriod, [this] { scrubSweep(); });
   }
 }
 
@@ -75,7 +75,7 @@ void CacheEpochChecker::scrubSweep() {
     break;  // head (and therefore everything behind it) is still young
   }
   if (!scrubFifo_.empty()) {
-    sim_.schedule(cfg_.scrubCheckPeriod, [this] { scrubSweep(); });
+    sim_.schedule(kScrubCheckPeriod, [this] { scrubSweep(); });
   }
 }
 

@@ -31,6 +31,12 @@
 
 namespace dvmc {
 
+/// Scrub FIFO entries. Occupancy past this counts as cet.scrubFifoOverflow;
+/// the simulated FIFO itself drops no record.
+inline constexpr std::size_t kScrubFifoCapacity = 128;
+/// Cycles between inspections of the scrub FIFO's head.
+inline constexpr Cycle kScrubCheckPeriod = 4'096;
+
 class CacheEpochChecker final : public EpochObserver {
  public:
   /// `sendInform` injects a message into the interconnect (the system layer

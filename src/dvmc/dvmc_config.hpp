@@ -24,9 +24,6 @@ struct DvmcConfig {
     uniprocOrdering = allowableReordering = cacheCoherence = true;
   }
 
-  // Uniprocessor Ordering checker.
-  std::size_t vcWordCapacity = 64;  // Verification Cache entries (words)
-
   // Allowable Reordering checker: artificial membar injection period
   // (Section 4.2: about one per 100k cycles).
   Cycle membarInjectionPeriod = 100'000;
@@ -34,8 +31,6 @@ struct DvmcConfig {
   // Cache Coherence checker.
   std::size_t informQueueCapacity = 256;   // MET priority queue (Table 6)
   Cycle informSortDelay = 6'000;           // residence time in the queue
-  std::size_t scrubFifoCapacity = 128;     // CET/MET scrub FIFOs
-  Cycle scrubCheckPeriod = 4'096;          // FIFO head inspection period
   std::uint64_t scrubAgeTicks = 1u << 14;  // announce epochs older than this
 };
 

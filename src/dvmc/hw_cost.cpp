@@ -19,7 +19,7 @@ HwCostReport computeHwCost(const HwCostInputs& in) {
   r.metBytesPerController =
       (cachedBlocksSystemwide * r.metBitsPerEntry + 7) / 8;
 
-  r.vcBytesPerNode = in.vcWords * 8;
+  r.vcBytesPerNode = in.vcWords * kWordBytes;
 
   // AR checker: an LSQ-sized FIFO of sequence numbers (8 B each), sequence
   // numbers in the write buffer, six 8-byte counter registers, and three

@@ -1,34 +1,28 @@
 #include "dvmc/verification_cache.hpp"
 
-#include "common/assert.hpp"
-
 namespace dvmc {
 
-// The simulated ISA issues naturally aligned 8-byte memory operations
-// (Appendix A's proofs likewise assume word-granularity access), which
-// keeps VC entries exact word images.
+// Every memory operation accesses one aligned word (common/types.hpp), so
+// each VC entry is an exact word image.
 
-bool VerificationCache::canAllocate(Addr addr, std::size_t size) const {
-  DVMC_ASSERT(size == 8, "VC is word (8-byte) granular");
-  const Addr w = wordAlign(addr);
+bool VerificationCache::canAllocate(Addr addr) const {
+  const Addr w = wordAddr(addr);
   if (words_.count(w) != 0) return true;  // merges into the existing entry
   return words_.size() < capacity_;
 }
 
-void VerificationCache::storeCommit(Addr addr, std::size_t size,
-                                    std::uint64_t value, SeqNum seq) {
-  DVMC_ASSERT(size == 8, "VC is word (8-byte) granular");
-  WordEntry& e = words_[wordAlign(addr)];
+void VerificationCache::storeCommit(Addr addr, std::uint64_t value,
+                                    SeqNum seq) {
+  WordEntry& e = words_[wordAddr(addr)];
   e.stores.push_back(PendingStore{seq, value});
   cStoreCommit_.inc();
   gEntries_.set(words_.size());
 }
 
-void VerificationCache::storePerformed(Addr addr, std::size_t size,
+void VerificationCache::storePerformed(Addr addr,
                                        std::uint64_t performedValue,
                                        Cycle now) {
-  DVMC_ASSERT(size == 8, "VC is word (8-byte) granular");
-  const Addr w = wordAlign(addr);
+  const Addr w = wordAddr(addr);
   auto it = words_.find(w);
   if (it == words_.end() || it->second.stores.empty()) {
     // The write buffer performed a store the VC never saw committed —
@@ -57,12 +51,10 @@ void VerificationCache::storePerformed(Addr addr, std::size_t size,
   cStorePerformed_.inc();
 }
 
-void VerificationCache::storeSuperseded(Addr addr, std::size_t size,
-                                        SeqNum seq,
+void VerificationCache::storeSuperseded(Addr addr, SeqNum seq,
                                         std::uint64_t bufferedValue,
                                         Cycle now) {
-  DVMC_ASSERT(size == 8, "VC is word (8-byte) granular");
-  const Addr w = wordAlign(addr);
+  const Addr w = wordAddr(addr);
   auto it = words_.find(w);
   if (it == words_.end()) {
     cPerformWithoutEntry_.inc();
@@ -88,9 +80,8 @@ void VerificationCache::storeSuperseded(Addr addr, std::size_t size,
 }
 
 std::optional<std::uint64_t> VerificationCache::lookupStoreOlderThan(
-    Addr addr, std::size_t size, SeqNum seq) const {
-  DVMC_ASSERT(size == 8, "VC is word (8-byte) granular");
-  auto it = words_.find(wordAlign(addr));
+    Addr addr, SeqNum seq) const {
+  auto it = words_.find(wordAddr(addr));
   if (it == words_.end()) return std::nullopt;
   const auto& stores = it->second.stores;
   for (auto rit = stores.rbegin(); rit != stores.rend(); ++rit) {
@@ -100,37 +91,30 @@ std::optional<std::uint64_t> VerificationCache::lookupStoreOlderThan(
 }
 
 std::optional<std::uint64_t> VerificationCache::lookupStore(
-    Addr addr, std::size_t size) const {
-  DVMC_ASSERT(size == 8, "VC is word (8-byte) granular");
-  auto it = words_.find(wordAlign(addr));
+    Addr addr) const {
+  auto it = words_.find(wordAddr(addr));
   if (it == words_.end() || it->second.stores.empty()) return std::nullopt;
   return it->second.stores.back().value;
 }
 
-std::optional<std::uint64_t> VerificationCache::lookup(
-    Addr addr, std::size_t size) const {
-  DVMC_ASSERT(size == 8, "VC is word (8-byte) granular");
-  auto it = words_.find(wordAlign(addr));
+std::optional<std::uint64_t> VerificationCache::lookup(Addr addr) const {
+  auto it = words_.find(wordAddr(addr));
   if (it == words_.end()) return std::nullopt;
   if (!it->second.stores.empty()) return it->second.stores.back().value;
   if (it->second.parkedLoad) return it->second.parkedValue;
   return std::nullopt;
 }
 
-void VerificationCache::parkLoadValue(Addr addr, std::size_t size,
-                                      std::uint64_t value) {
-  DVMC_ASSERT(size == 8, "VC is word (8-byte) granular");
-  WordEntry& e = words_[wordAlign(addr)];
+void VerificationCache::parkLoadValue(Addr addr, std::uint64_t value) {
+  WordEntry& e = words_[wordAddr(addr)];
   e.parkedValue = value;
   e.parkedLoad = true;
   cParkLoad_.inc();
   gEntries_.set(words_.size());
 }
 
-std::optional<std::uint64_t> VerificationCache::consumeParked(
-    Addr addr, std::size_t size) {
-  DVMC_ASSERT(size == 8, "VC is word (8-byte) granular");
-  const Addr w = wordAlign(addr);
+std::optional<std::uint64_t> VerificationCache::consumeParked(Addr addr) {
+  const Addr w = wordAddr(addr);
   auto it = words_.find(w);
   if (it == words_.end() || !it->second.parkedLoad) return std::nullopt;
   const std::uint64_t v = it->second.parkedValue;
@@ -144,7 +128,7 @@ std::optional<std::uint64_t> VerificationCache::consumeParked(
 void VerificationCache::dumpForensics(Json& out, Addr focus) const {
   out.set("entries", Json::num(static_cast<std::uint64_t>(words_.size())))
       .set("capacityWords", Json::num(static_cast<std::uint64_t>(capacity_)));
-  const Addr w = wordAlign(focus);
+  const Addr w = wordAddr(focus);
   out.set("focusWord", Json::num(w));
   auto it = words_.find(w);
   out.set("focusResident", Json::boolean(it != words_.end()));

@@ -32,6 +32,9 @@
 
 namespace dvmc {
 
+/// Verification Cache entries (words) per core.
+inline constexpr std::size_t kVcWordCapacity = 64;
+
 class VerificationCache {
  public:
   VerificationCache(NodeId node, std::size_t wordCapacity, ErrorSink* sink)
@@ -43,44 +46,41 @@ class VerificationCache {
 
   /// True if a store allocation would fit (otherwise the verification stage
   /// must stall until older stores perform).
-  bool canAllocate(Addr addr, std::size_t size) const;
+  bool canAllocate(Addr addr) const;
 
   /// Replayed store: appends the store to the word's pending chain.
-  void storeCommit(Addr addr, std::size_t size, std::uint64_t value,
-                   SeqNum seq = 0);
+  void storeCommit(Addr addr, std::uint64_t value, SeqNum seq = 0);
 
   /// The store performed (wrote the cache): releases the oldest pending
   /// store on the word and checks that `performedValue` (what reached the
   /// cache) matches the verification copy.
-  void storePerformed(Addr addr, std::size_t size,
-                      std::uint64_t performedValue, Cycle now);
+  void storePerformed(Addr addr, std::uint64_t performedValue, Cycle now);
 
   /// A write-buffer entry was coalesced away: the store with rank `seq`
   /// logically performs with the value the buffer carried for it, which is
   /// checked against its committed copy (write-buffer corruption of a
   /// superseded store is still caught).
-  void storeSuperseded(Addr addr, std::size_t size, SeqNum seq,
-                       std::uint64_t bufferedValue, Cycle now);
+  void storeSuperseded(Addr addr, SeqNum seq, std::uint64_t bufferedValue,
+                       Cycle now);
 
   /// Replay lookup for an operation with program-order rank `seq`: value of
   /// the youngest pending store older than `seq` (nullopt = replay reads
   /// the cache instead). Parked values never satisfy this lookup.
   std::optional<std::uint64_t> lookupStoreOlderThan(Addr addr,
-                                                    std::size_t size,
                                                     SeqNum seq) const;
 
   /// Youngest pending store regardless of rank (tests, microbenches).
-  std::optional<std::uint64_t> lookupStore(Addr addr, std::size_t size) const;
+  std::optional<std::uint64_t> lookupStore(Addr addr) const;
 
   /// Any entry's current image (tests).
-  std::optional<std::uint64_t> lookup(Addr addr, std::size_t size) const;
+  std::optional<std::uint64_t> lookup(Addr addr) const;
 
   /// RMO optimization: park an executed load's value for replay.
-  void parkLoadValue(Addr addr, std::size_t size, std::uint64_t value);
+  void parkLoadValue(Addr addr, std::uint64_t value);
 
   /// Consume a parked load value (frees it unless a store chain lives on
   /// the same word).
-  std::optional<std::uint64_t> consumeParked(Addr addr, std::size_t size);
+  std::optional<std::uint64_t> consumeParked(Addr addr);
 
   std::size_t entries() const { return words_.size(); }
   const MetricSet& stats() const { return stats_; }
@@ -104,8 +104,6 @@ class VerificationCache {
     std::uint64_t parkedValue = 0;
     bool parkedLoad = false;
   };
-
-  static Addr wordAlign(Addr a) { return a & ~Addr{7}; }
 
   NodeId node_;
   std::size_t capacity_;

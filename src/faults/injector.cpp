@@ -78,8 +78,7 @@ bool FaultInjector::injectNow(FaultType t) {
       // Two flips in the same line defeat the single-error-correcting code.
       CacheArray& array = sys_.l2(node).array();
       const std::uint64_t r = rng_.next();
-      auto first = array.injectBitFlip(r, &sys_.sink(), node,
-                                       sys_.sim().now());
+      auto first = array.injectBitFlip(r);
       if (!first) return false;
       // Second flip in the same line: re-find it and flip an adjacent bit.
       CacheLine* line = array.find(*first);

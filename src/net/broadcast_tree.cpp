@@ -8,8 +8,8 @@
 namespace dvmc {
 
 BroadcastTree::BroadcastTree(Simulator& sim, std::size_t numNodes,
-                             BroadcastTreeConfig cfg)
-    : sim_(sim), n_(numNodes), cfg_(cfg) {
+                             double bytesPerCycle)
+    : sim_(sim), n_(numNodes), bytesPerCycle_(bytesPerCycle) {
   DVMC_ASSERT(numNodes >= 1, "broadcast tree needs at least one node");
   endpoints_.resize(n_, nullptr);
 }
@@ -50,14 +50,14 @@ void BroadcastTree::broadcast(Message msg) {
   // Root arbitration: one broadcast occupies the tree for its serialization
   // time; ranks are assigned in arbitration order.
   const Cycle ser = static_cast<Cycle>(
-      std::ceil(static_cast<double>(msg.sizeBytes()) / cfg_.bytesPerCycle));
+      std::ceil(static_cast<double>(msg.sizeBytes()) / bytesPerCycle_));
   const Cycle start = std::max(sim_.now() + 1, rootFree_);
   rootFree_ = start + ser;
   msg.snoopOrder = order_++;
   msg.netEpoch = epoch_;
   totalBytes_ += msg.sizeBytes() * n_;  // fan-out to every leaf
 
-  const Cycle deliverAt = start + ser + cfg_.treeLatency + extraDelay;
+  const Cycle deliverAt = start + ser + kTreeLatency + extraDelay;
   sim_.scheduleAt(deliverAt, [this, pm = pool_.acquire(std::move(msg))] {
     if (pm->netEpoch != epoch_) return;  // squashed by BER recovery
     for (std::size_t node = 0; node < n_; ++node) {

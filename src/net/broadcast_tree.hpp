@@ -19,17 +19,15 @@
 
 namespace dvmc {
 
-struct BroadcastTreeConfig {
-  double bytesPerCycle = 1.25;  // 2.5 GB/s at 2 GHz
-  Cycle treeLatency = 8;        // root -> leaves propagation
-};
+/// Root-to-leaves propagation latency of a broadcast, in cycles.
+inline constexpr Cycle kTreeLatency = 8;
 
 class BroadcastTree {
  public:
   using FaultFilter = std::function<NetFaultAction(Message&)>;
 
-  BroadcastTree(Simulator& sim, std::size_t numNodes,
-                BroadcastTreeConfig cfg = {});
+  /// `bytesPerCycle` is the link bandwidth (TorusConfig::bytesPerCycle).
+  BroadcastTree(Simulator& sim, std::size_t numNodes, double bytesPerCycle);
 
   void attach(NodeId node, NetworkEndpoint* ep);
 
@@ -46,7 +44,7 @@ class BroadcastTree {
  private:
   Simulator& sim_;
   std::size_t n_;
-  BroadcastTreeConfig cfg_;
+  double bytesPerCycle_;
   std::vector<NetworkEndpoint*> endpoints_;
   MessagePool pool_;  // in-flight broadcasts; scheduled deliveries carry handles
   Cycle rootFree_ = 0;

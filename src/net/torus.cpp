@@ -120,7 +120,7 @@ void TorusNetwork::send(Message msg) {
 
   if (msg.src == msg.dest) {
     // Local delivery (e.g., the home node is the requester's own node).
-    sim_.schedule(cfg_.localLatency,
+    sim_.schedule(kLocalLatency,
                   [this, pm = pool_.acquire(std::move(msg))] { deliver(*pm); });
     return;
   }
@@ -168,7 +168,7 @@ void TorusNetwork::traverse(PooledMessage pm, NodeId cur) {
   linkFree_[link] = depart + ser;
   linkBytes_[link] += bytes;
   classBytes_[static_cast<std::size_t>(trafficClassOf(pm->type))] += bytes;
-  const Cycle arrive = depart + ser + cfg_.hopLatency;
+  const Cycle arrive = depart + ser + kHopLatency;
   const NodeId next = neighbor(cur, d);
   sim_.scheduleAt(arrive, [this, pm = std::move(pm), next]() mutable {
     traverse(std::move(pm), next);

@@ -19,10 +19,15 @@
 
 namespace dvmc {
 
+/// Router and wire traversal per hop, in cycles.
+inline constexpr Cycle kHopLatency = 4;
+/// Delivery latency of a message whose source is its destination.
+inline constexpr Cycle kLocalLatency = 1;
+
 struct TorusConfig {
-  double bytesPerCycle = 1.25;  // 2.5 GB/s at a 2 GHz core clock
-  Cycle hopLatency = 4;         // router + wire traversal per hop
-  Cycle localLatency = 1;       // src == dest shortcut
+  /// Link bandwidth of both networks: the torus's links and the snooping
+  /// broadcast tree's. 2.5 GB/s at a 2 GHz core clock.
+  double bytesPerCycle = 1.25;
 
   // Section 6.2.3: "DVMC traffic has little impact ... as long as the
   // transmission can be delayed until traffic bursts are over." When set,

@@ -36,12 +36,6 @@ std::uint64_t timevalMs(const timeval& tv) {
          static_cast<std::uint64_t>(tv.tv_usec) / 1000u;
 }
 
-const std::vector<std::string>& resourceColumns() {
-  static const std::vector<std::string> cols = {
-      "rss_bytes", "peak_rss_bytes", "user_cpu_ms", "sys_cpu_ms"};
-  return cols;
-}
-
 }  // namespace
 
 Json ResourceUsage::toJson() const {
@@ -74,22 +68,6 @@ ResourceUsage sampleResourceUsage() {
   // statm reading; keep the invariant peak >= current.
   if (u.peakRssBytes < u.rssBytes) u.peakRssBytes = u.rssBytes;
   return u;
-}
-
-ResourceSeries::ResourceSeries(std::size_t capacity)
-    : series_(resourceColumns(), capacity == 0 ? 1 : capacity) {}
-
-ResourceUsage ResourceSeries::sample(std::uint64_t now) {
-  const ResourceUsage u = sampleResourceUsage();
-  series_.sample(now, {u.rssBytes, u.peakRssBytes, u.userCpuMs, u.sysCpuMs});
-  if (u.peakRssBytes > peakRssBytes_) peakRssBytes_ = u.peakRssBytes;
-  return u;
-}
-
-Json ResourceSeries::toJson() const {
-  Json j = series_.toJson();
-  j.set("peakRssBytes", Json::num(peakRssBytes_));
-  return j;
 }
 
 StatusWriter::StatusWriter(std::string path, std::uint64_t minIntervalMs)

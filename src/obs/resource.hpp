@@ -4,12 +4,10 @@
 // in TimeSeries/metrics):
 //
 //   * Resource sampling: RSS from /proc/self/statm and CPU time from
-//     getrusage(RUSAGE_SELF), cheap enough to call per seed or per status
-//     update. ResourceSeries rides the bounded TimeSeries ring so a long
-//     campaign keeps a windowed history instead of an unbounded log; the
-//     final sample lands in the run report's "resource" section and
-//     replaces the CI workflow's shell-level getrusage RSS ceiling (the
-//     report's peakRssBytes is asserted by tools/check_perf.py --rss).
+//     getrusage(RUSAGE_SELF), cheap enough to call per status update. A
+//     sample lands in the run report's "resource" section and in every
+//     status snapshot, whose peakRssBytes tools/check_perf.py --rss
+//     asserts.
 //
 //   * Live status: StatusWriter atomically rewrites a small JSON snapshot
 //     ("dvmc-status", version 1) via tmp-file + rename, rate-limited, so
@@ -25,7 +23,6 @@
 #include <string>
 
 #include "obs/json.hpp"
-#include "obs/timeseries.hpp"
 
 namespace dvmc::obs {
 
@@ -46,30 +43,6 @@ struct ResourceUsage {
 /// Samples the calling process. Fields that cannot be read (no procfs)
 /// stay 0; getrusage alone still fills the peak and CPU numbers.
 ResourceUsage sampleResourceUsage();
-
-/// A bounded history of ResourceUsage snapshots riding the TimeSeries
-/// ring (columns rss_bytes / peak_rss_bytes / user_cpu_ms / sys_cpu_ms).
-/// The x-axis is whatever monotonic tick the caller passes — runSeeds
-/// uses seeds completed, the campaign uses configs completed.
-class ResourceSeries {
- public:
-  explicit ResourceSeries(std::size_t capacity = 1024);
-
-  /// Samples the process now and appends a row at tick `now`.
-  ResourceUsage sample(std::uint64_t now);
-
-  std::size_t size() const { return series_.size(); }
-  std::uint64_t peakRssBytes() const { return peakRssBytes_; }
-
-  /// TimeSeries layout plus the scalar peak:
-  /// {"columns":[...], "samples":[[tick, ...]], "dropped":N,
-  ///  "peakRssBytes":...}
-  Json toJson() const;
-
- private:
-  TimeSeries series_;
-  std::uint64_t peakRssBytes_ = 0;
-};
 
 /// Atomically rewrites a JSON status snapshot: body fields are wrapped in
 /// the dvmc-status envelope (schema/version/generator/updatedUnixMs plus

@@ -12,7 +12,6 @@
 #include "consistency/model.hpp"
 #include "cpu/core.hpp"
 #include "dvmc/dvmc_config.hpp"
-#include "net/broadcast_tree.hpp"
 #include "net/torus.hpp"
 #include "obs/forensics.hpp"
 #include "obs/metrics.hpp"
@@ -40,9 +39,7 @@ struct SystemConfig {
 
   CacheGeometry l1{64, 2};    // 8 KB latency filter
   CacheGeometry l2{256, 4};   // 64 KB coherence point
-  CoherenceTimings timings;
-  TorusConfig torus;
-  BroadcastTreeConfig tree;
+  TorusConfig torus;          // also the broadcast tree's link bandwidth
   CpuConfig cpu;
 
   // DVMC: the three checker enables live in `dvmc` (DvmcConfig is the
@@ -141,10 +138,6 @@ struct SystemConfig {
   /// phases per processor, run to completion).
   std::uint64_t targetTransactions = 400;
   Cycle maxCycles = 200'000'000;
-
-  /// Directory logical-time base: slow clock divisor; per-node skew stays
-  /// below the minimum network latency so causality holds.
-  Cycle dirClockDivisor = 16;
 
   // --- convenience constructors for the paper's configurations ---
   static SystemConfig unprotected(Protocol p, ConsistencyModel m) {

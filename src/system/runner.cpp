@@ -34,6 +34,17 @@ std::uint64_t steadyMs() {
 /// lose the trace that explains it.
 std::atomic<bool> g_captureTraceWritten{false};
 
+/// Arms SystemConfig::trace.capture when --capture-trace was given.
+void armCaptureFromObs(SystemConfig& cfg) {
+  const obs::ObsOptions& opts = obs::options();
+  if (opts.captureTraceFile.empty()) return;
+  // autoRecover re-executes instructions after rollback, which would
+  // duplicate trace history; leave capture off rather than abort the run.
+  if (cfg.autoRecover) return;
+  cfg.trace.capture = true;
+  cfg.trace.captureLimit = opts.captureTraceLimit;
+}
+
 Json statJson(const RunningStat& s) {
   return Json::object()
       .set("mean", Json::num(s.mean()))
@@ -113,37 +124,96 @@ Json toJson(const MultiRunResult& r) {
 }
 
 Json configJson(const SystemConfig& cfg) {
-  return Json::object()
-      .set("numNodes", Json::num(static_cast<std::uint64_t>(cfg.numNodes)))
+  using U = std::uint64_t;
+  const auto geometry = [](const CacheGeometry& g) {
+    return Json::object()
+        .set("sets", Json::num(U{g.sets}))
+        .set("ways", Json::num(U{g.ways}));
+  };
+  Json j = Json::object()
+      .set("numNodes", Json::num(U{cfg.numNodes}))
       .set("protocol", Json::str(protocolName(cfg.protocol)))
       .set("model", Json::str(modelName(cfg.model)))
+      .set("l1", geometry(cfg.l1))
+      .set("l2", geometry(cfg.l2))
+      .set("torus",
+           Json::object()
+               .set("bytesPerCycle", Json::num(cfg.torus.bytesPerCycle))
+               .set("yieldCheckerTraffic",
+                    Json::boolean(cfg.torus.yieldCheckerTraffic)))
+      .set("cpu",
+           Json::object()
+               .set("robSize", Json::num(U{cfg.cpu.robSize}))
+               .set("wbCapacity", Json::num(U{cfg.cpu.wbCapacity}))
+               .set("wbConcurrency", Json::num(U{cfg.cpu.wbConcurrency}))
+               .set("storePrefetch", Json::boolean(cfg.cpu.storePrefetch))
+               .set("wbCoalescing", Json::boolean(cfg.cpu.wbCoalescing)))
       .set("dvmc",
            Json::object()
                .set("uniprocOrdering",
                     Json::boolean(cfg.dvmc.uniprocOrdering))
                .set("allowableReordering",
                     Json::boolean(cfg.dvmc.allowableReordering))
-               .set("cacheCoherence", Json::boolean(cfg.dvmc.cacheCoherence)))
+               .set("cacheCoherence", Json::boolean(cfg.dvmc.cacheCoherence))
+               .set("membarInjectionPeriod",
+                    Json::num(cfg.dvmc.membarInjectionPeriod))
+               .set("informQueueCapacity",
+                    Json::num(U{cfg.dvmc.informQueueCapacity}))
+               .set("informSortDelay", Json::num(cfg.dvmc.informSortDelay))
+               .set("scrubAgeTicks", Json::num(cfg.dvmc.scrubAgeTicks)))
       .set("coherenceChecker",
            Json::str(cfg.coherenceChecker ==
                              SystemConfig::CoherenceCheckerKind::kEpoch
                          ? "epoch"
                          : "shadow"))
       .set("berEnabled", Json::boolean(cfg.berEnabled))
-      .set("autoRecover", Json::boolean(cfg.autoRecover))
-      .set("workload", Json::str(workloadName(cfg.workload)))
-      .set("seed", Json::num(cfg.seed))
-      .set("targetTransactions", Json::num(cfg.targetTransactions));
+      .set("ber",
+           Json::object()
+               .set("interval", Json::num(cfg.ber.interval))
+               .set("maxCheckpoints", Json::num(U{cfg.ber.maxCheckpoints})))
+      .set("autoRecover", Json::boolean(cfg.autoRecover));
+  // The workload that runs: an override replaces the preset.
+  if (const auto& w = cfg.workloadOverride) {
+    j.set("workload", Json::str(workloadName(w->kind)))
+        .set("workloadOverride",
+             Json::object()
+                 .set("privateBlocks", Json::num(U{w->privateBlocks}))
+                 .set("sharedBlocks", Json::num(U{w->sharedBlocks}))
+                 .set("hotBlocks", Json::num(U{w->hotBlocks}))
+                 .set("hotFraction", Json::num(w->hotFraction))
+                 .set("numLocks", Json::num(U{w->numLocks}))
+                 .set("txOps", Json::num(U{w->txOps}))
+                 .set("sharedFraction", Json::num(w->sharedFraction))
+                 .set("writeFraction", Json::num(w->writeFraction))
+                 .set("lockFraction", Json::num(w->lockFraction))
+                 .set("csOps", Json::num(U{w->csOps}))
+                 .set("computeMin", Json::num(U{w->computeMin}))
+                 .set("computeMax", Json::num(U{w->computeMax}))
+                 .set("frac32Bit", Json::num(w->frac32Bit))
+                 .set("run32Len", Json::num(U{w->run32Len}))
+                 .set("barrierEveryTx", Json::num(U{w->barrierEveryTx}))
+                 .set("maxTransactions", Json::num(w->maxTransactions)));
+  } else {
+    j.set("workload", Json::str(workloadName(cfg.workload)));
+  }
+  return j.set("seed", Json::num(cfg.seed))
+      .set("sampleEvery", Json::num(cfg.sampleEvery))
+      .set("sampleCapacity", Json::num(U{cfg.sampleCapacity}))
+      .set("trace",
+           Json::object()
+               .set("capture", Json::boolean(cfg.trace.capture))
+               .set("captureLimit", Json::num(U{cfg.trace.captureLimit}))
+               .set("keepInMemory", Json::boolean(cfg.trace.keepInMemory)))
+      .set("targetTransactions", Json::num(cfg.targetTransactions))
+      .set("maxCycles", Json::num(cfg.maxCycles));
 }
 
-void armCaptureFromObs(SystemConfig& cfg) {
-  const obs::ObsOptions& opts = obs::options();
-  if (opts.captureTraceFile.empty()) return;
-  // autoRecover re-executes instructions after rollback, which would
-  // duplicate trace history; leave capture off rather than abort the run.
-  if (cfg.autoRecover) return;
-  cfg.trace.capture = true;
-  cfg.trace.captureLimit = opts.captureTraceLimit;
+void wireObsFlags(SystemConfig& cfg) {
+  cfg.tracer = obs::activeTracer();
+  cfg.forensics = obs::activeForensics();
+  cfg.sampleEvery = obs::options().sampleEvery;
+  cfg.sampleCapacity = obs::options().sampleCapacity;
+  armCaptureFromObs(cfg);
 }
 
 void writeCaptureFileOnce(

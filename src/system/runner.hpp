@@ -45,15 +45,15 @@ struct MultiRunResult {
 /// Builds a System from `cfg`, runs it once, returns the result.
 RunResult runOnce(const SystemConfig& cfg);
 
-// --- commit-trace capture plumbing (--capture-trace) ---
-// runOnce/runSeeds call these automatically; they are public for mains
-// that drive a System directly (quickstart, demos) but should still
-// honour the flag.
+// --- observability flags (obs::addObsFlags) ---
 
-/// Arms SystemConfig::trace.capture when --capture-trace was given
-/// (no-op under autoRecover: recovery rewinds architectural state but
-/// not the append-only trace).
-void armCaptureFromObs(SystemConfig& cfg);
+/// Wires the observability flags into `cfg`: the --trace tracer, the
+/// --forensics recorder, --sample-every and --sample-capacity, and commit
+/// capture when --capture-trace was given. Capture stays off under
+/// autoRecover: recovery rewinds architectural state but not the
+/// append-only trace. runOnce and runSeeds arm capture themselves; a main
+/// that drives a System directly writes it with writeCaptureFileOnce.
+void wireObsFlags(SystemConfig& cfg);
 
 /// Writes the --capture-trace file from the first non-null trace offered
 /// process-wide; later calls are no-ops.
@@ -87,7 +87,8 @@ void addRunnerFlags(CliParser& cli);
 /// Scalar run measurements plus the merged metric snapshot.
 Json toJson(const RunResult& r);
 Json toJson(const MultiRunResult& r);
-/// The configuration knobs that identify an experiment.
+/// Every SystemConfig knob that can change a run's results, nested as in
+/// SystemConfig; the wiring pointers and `jobs` are left out.
 Json configJson(const SystemConfig& cfg);
 
 /// Number of perturbation runs for benches: DVMC_BENCH_SEEDS env override,

@@ -109,7 +109,8 @@ System::System(SystemConfig cfg) : cfg_(std::move(cfg)) {
   map_.numNodes = cfg_.numNodes;
   torus_ = std::make_unique<TorusNetwork>(sim_, cfg_.numNodes, cfg_.torus);
   if (cfg_.protocol == Protocol::kSnooping) {
-    tree_ = std::make_unique<BroadcastTree>(sim_, cfg_.numNodes, cfg_.tree);
+    tree_ = std::make_unique<BroadcastTree>(sim_, cfg_.numNodes,
+                                            cfg_.torus.bytesPerCycle);
   }
   // Event tracing: hand the run's tracer to the simulator kernel so every
   // component reaches it through sim_.tracer() (one null check per site
@@ -208,30 +209,28 @@ void System::buildNode(NodeId n) {
   SnoopMemoryController* snpMem = nullptr;
   if (cfg_.protocol == Protocol::kDirectory) {
     const Cycle skew = n % 4;  // below the minimum cross-node latency
-    auto home = std::make_unique<DirectoryHome>(sim_, *torus_, n, map_,
-                                                cfg_.timings, &sink_);
+    auto home =
+        std::make_unique<DirectoryHome>(sim_, *torus_, n, map_, &sink_);
     auto ctrl = std::make_unique<DirectoryCacheController>(
-        sim_, *torus_, n, map_, cfg_.l2, cfg_.timings, &sink_,
-        std::make_unique<PhysicalLogicalClock>(sim_, cfg_.dirClockDivisor,
-                                               skew));
+        sim_, *torus_, n, map_, cfg_.l2, &sink_,
+        std::make_unique<PhysicalLogicalClock>(sim_, skew));
     dirHome = home.get();
     dirCache = ctrl.get();
     node.home = std::move(home);
     node.l2 = std::move(ctrl);
   } else {
     auto home = std::make_unique<SnoopMemoryController>(sim_, *torus_, n,
-                                                        map_, cfg_.timings,
-                                                        &sink_);
+                                                        map_, &sink_);
     auto ctrl = std::make_unique<SnoopCacheController>(
-        sim_, *tree_, *torus_, n, map_, cfg_.l2, cfg_.timings, &sink_);
+        sim_, *tree_, *torus_, n, map_, cfg_.l2, &sink_);
     snpMem = home.get();
     snpCache = ctrl.get();
     node.home = std::move(home);
     node.l2 = std::move(ctrl);
   }
 
-  node.hierarchy = std::make_unique<CacheHierarchy>(
-      sim_, *node.l2, cfg_.l1, cfg_.timings, &sink_, n);
+  node.hierarchy =
+      std::make_unique<CacheHierarchy>(sim_, *node.l2, cfg_.l1, &sink_, n);
 
   if (cfg_.dvmc.cacheCoherence &&
       cfg_.coherenceChecker == SystemConfig::CoherenceCheckerKind::kEpoch) {
@@ -257,8 +256,7 @@ void System::buildNode(NodeId n) {
   }
 
   if (cfg_.dvmc.uniprocOrdering) {
-    node.vc = std::make_unique<VerificationCache>(
-        n, cfg_.dvmc.vcWordCapacity, &sink_);
+    node.vc = std::make_unique<VerificationCache>(n, kVcWordCapacity, &sink_);
   }
   if (cfg_.dvmc.allowableReordering) {
     node.ar = std::make_unique<ReorderChecker>(sim_, n, &sink_);
@@ -269,7 +267,7 @@ void System::buildNode(NodeId n) {
   // block's prior state into the live undo segment BEFORE mutating it —
   // SafetyNet-style incremental old-value logging.
   node.l2->setStorePerformHook(
-      [this, n](Addr addr, std::size_t size, std::uint64_t value) {
+      [this, n](Addr addr, std::uint64_t value) {
         const Addr blk = blockAddr(addr);
         auto it = shadow_.find(blk);
         const bool absent = (it == shadow_.end());
@@ -283,9 +281,9 @@ void System::buildNode(NodeId n) {
         if (absent) {
           it = shadow_.emplace(blk, MemoryStorage::initialPattern(blk)).first;
         }
-        it->second.write(blockOffset(addr), size, value);
+        it->second.write(blockOffset(addr), value);
         ++storesSinceCkpt_;
-        if (auditHook_) auditHook_(n, addr, size, value);
+        if (auditHook_) auditHook_(n, addr, value);
       });
 
   node.core = std::make_unique<Core>(sim_, n, cfg_.model, cfg_.cpu,
@@ -688,15 +686,13 @@ void System::restoreSnapshot(
     if (node.shadowHome) node.shadowHome->reset();
   }
 
-  // 3. Restart the cores after a drain gap. The snapshot lives in
-  // SafetyNet's checkpoint deque; copy the per-core state for the deferred
-  // restart (the checkpoint may be trimmed meanwhile).
+  // 3. Restore the cores in the same step, so nothing of the squashed
+  //    timeline executes against the rolled-back image. Its in-flight
+  //    messages and events are dropped where they land (step 1 and the
+  //    generations bumped in step 2); the cores' own stale completions
+  //    fail their restart-generation check.
   for (NodeId n = 0; n < cfg_.numNodes; ++n) {
-    Core::ArchSnapshot coreSnap = target.cores[n];
-    sim_.schedule(cfg_.ber.restartDrainDelay,
-                  [this, n, coreSnap = std::move(coreSnap)] {
-                    nodes_[n].core->restoreState(coreSnap);
-                  });
+    nodes_[n].core->restoreState(target.cores[n]);
   }
 }
 

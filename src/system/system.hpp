@@ -106,15 +106,14 @@ class System {
 
   /// Test/tooling hook observing every performed store (runs in addition
   /// to the internal architectural-shadow bookkeeping).
-  using StoreAuditHook =
-      std::function<void(NodeId, Addr, std::size_t, std::uint64_t)>;
+  using StoreAuditHook = std::function<void(NodeId, Addr, std::uint64_t)>;
   void setStoreAuditHook(StoreAuditHook h) { auditHook_ = std::move(h); }
 
   /// SafetyNet plumbing (public for tests). captureSnapshot() seals the
   /// live undo segment into the returned checkpoint (O(blocks dirtied
   /// since the previous capture)); restoreSnapshot() rolls the shadow
   /// image back by replaying the live segment plus every newer
-  /// checkpoint's segment, newest first.
+  /// checkpoint's segment, newest first, and restores every core at once.
   SafetyNet::Snapshot captureSnapshot();
   void restoreSnapshot(
       const SafetyNet::Snapshot& target,

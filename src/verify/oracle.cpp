@@ -596,9 +596,10 @@ const char* violationKindName(OracleViolation::Kind k) {
   return "?";
 }
 
-std::uint64_t initialWordValue(Addr wordAddr) {
-  return MemoryStorage::initialPattern(blockAddr(wordAddr))
-      .read(blockOffset(wordAddr), 8);
+std::uint64_t initialWordValue(Addr addr) {
+  const Addr word = wordAddr(addr);
+  return MemoryStorage::initialPattern(blockAddr(word))
+      .read(blockOffset(word));
 }
 
 std::string describeRecord(const CapturedTrace& t, std::size_t i) {

@@ -97,7 +97,8 @@ OracleResult checkTrace(const CapturedTrace& t, const OracleOptions& o = {});
 /// One-line human description of record i ("[3] n2 store @0x1040 ...").
 std::string describeRecord(const CapturedTrace& t, std::size_t i);
 
-/// The deterministic value an 8-byte word holds before any store to it.
-std::uint64_t initialWordValue(Addr wordAddr);
+/// The deterministic value the word holding `addr` has before any store
+/// to it.
+std::uint64_t initialWordValue(Addr addr);
 
 }  // namespace dvmc::verify

@@ -74,11 +74,11 @@ struct AddressMap {
   static Addr lockAddr(std::size_t i) { return kLockBase + i * kBlockSizeBytes; }
   static Addr barrierAddr() { return kBarrierBase; }
   static Addr sharedAddr(std::size_t block, std::size_t word) {
-    return kSharedBase + block * kBlockSizeBytes + word * 8;
+    return kSharedBase + block * kBlockSizeBytes + word * kWordBytes;
   }
   static Addr privateAddr(NodeId node, std::size_t block, std::size_t word) {
     return kPrivateBase + (Addr{node} << 26) + block * kBlockSizeBytes +
-           word * 8;
+           word * kWordBytes;
   }
 };
 

@@ -46,6 +46,55 @@ TEST(SafetyNet, RecoveryRewindsAndCompletes) {
   EXPECT_GE(sys.totalTransactions(), txnsBefore);
 }
 
+TEST(SafetyNet, RollbackStopsTheSquashedTimelineAtOnce) {
+  // Memory, caches and cores roll back together: from recover() until
+  // every core has restarted, no store of the squashed timeline performs
+  // into the rolled-back image and no instruction retires.
+  SystemConfig cfg = SystemConfig::withDvmc(Protocol::kDirectory,
+                                            ConsistencyModel::kTSO);
+  cfg.numNodes = 4;
+  cfg.workload = WorkloadKind::kOltp;
+  cfg.targetTransactions = 150;
+  cfg.ber.interval = 10'000;
+  System sys(cfg);
+  sys.runTo(25'000);
+  ASSERT_FALSE(sys.allCoresDone());
+
+  auto restarts = [&](NodeId n) {
+    return sys.core(n).stats().get("cpu.restarts");
+  };
+  std::vector<std::uint64_t> restartsBefore;
+  std::uint64_t retiredBefore = 0;
+  for (NodeId n = 0; n < sys.numNodes(); ++n) {
+    restartsBefore.push_back(restarts(n));
+    retiredBefore += sys.core(n).retired();
+  }
+  auto allRestarted = [&] {
+    for (NodeId n = 0; n < sys.numNodes(); ++n) {
+      if (restarts(n) == restartsBefore[n]) return false;
+    }
+    return true;
+  };
+  std::uint64_t storesInGap = 0;
+  bool rolledBack = false;
+  sys.setStoreAuditHook([&](NodeId, Addr, std::uint64_t) {
+    if (rolledBack && !allRestarted()) ++storesInGap;
+  });
+
+  ASSERT_TRUE(sys.recover(sys.sim().now()));
+  rolledBack = true;
+  if (!allRestarted()) sys.runUntil(allRestarted);
+  ASSERT_TRUE(allRestarted());
+  std::uint64_t retiredAfter = 0;
+  for (NodeId n = 0; n < sys.numNodes(); ++n) {
+    retiredAfter += sys.core(n).retired();
+  }
+  EXPECT_EQ(storesInGap, 0u) << "stores performed after the rollback";
+  EXPECT_EQ(retiredAfter, retiredBefore)
+      << "instructions retired after the rollback";
+  EXPECT_TRUE(sys.run().completed);
+}
+
 TEST(SafetyNet, RecoveryBeforeWindowFails) {
   SystemConfig cfg = berConfig();
   System sys(cfg);
@@ -64,7 +113,6 @@ TEST(SafetyNet, RepeatedRecoveriesStayConsistent) {
     sys.runTo(i * 30'000u);
     if (sys.allCoresDone()) break;
     ASSERT_TRUE(sys.recover(sys.sim().now())) << "recovery " << i;
-    // Drain the restart gap so cores resume before the next deadline.
     sys.runUntil([&] { return false; });
     if (sys.allCoresDone() ||
         sys.totalTransactions() >= cfg.targetTransactions) {
@@ -110,7 +158,7 @@ TEST(SafetyNet, SnapshotRestoreRoundTripPreservesMemory) {
   for (int i = 0; i < 10; ++i) {
     const Addr blk = 0x400000 + i * kBlockSizeBytes;
     ASSERT_TRUE(imageAtCapture.count(blk)) << i;
-    EXPECT_EQ(imageAtCapture.at(blk).read(0, 8), 1000u + i);
+    EXPECT_EQ(imageAtCapture.at(blk).read(0), 1000u + i);
   }
   // Corrupt the live memory, restore, verify.
   MemoryMap map{4};
@@ -121,7 +169,7 @@ TEST(SafetyNet, SnapshotRestoreRoundTripPreservesMemory) {
   EXPECT_EQ(sys.home(map.homeOf(0x400000))
                 ->memory()
                 .read(0x400000, &scratch, 0, 0)
-                .read(0, 8),
+                .read(0),
             1000u);
   EXPECT_FALSE(scratch.any());
 }
@@ -142,13 +190,12 @@ TEST(SafetyNet, UndoLogRestoreMatchesFullImageAcrossCheckpoints) {
   struct AuditedStore {
     Cycle cycle;
     Addr addr;
-    std::size_t size;
     std::uint64_t value;
   };
   std::vector<AuditedStore> log;
   sys.setStoreAuditHook(
-      [&](NodeId, Addr addr, std::size_t size, std::uint64_t value) {
-        log.push_back({sys.sim().now(), addr, size, value});
+      [&](NodeId, Addr addr, std::uint64_t value) {
+        log.push_back({sys.sim().now(), addr, value});
       });
 
   sys.runTo(23'000);
@@ -168,7 +215,7 @@ TEST(SafetyNet, UndoLogRestoreMatchesFullImageAcrossCheckpoints) {
       const Addr blk = blockAddr(s.addr);
       auto [it, fresh] =
           image.try_emplace(blk, MemoryStorage::initialPattern(blk));
-      it->second.write(blockOffset(s.addr), s.size, s.value);
+      it->second.write(blockOffset(s.addr), s.value);
     }
     return image;
   };
@@ -208,13 +255,12 @@ TEST(SafetyNet, UndoLogMultiIntervalRollbackIsExact) {
   struct AuditedStore {
     Cycle cycle;
     Addr addr;
-    std::size_t size;
     std::uint64_t value;
   };
   std::vector<AuditedStore> log;
   sys.setStoreAuditHook(
-      [&](NodeId, Addr addr, std::size_t size, std::uint64_t value) {
-        log.push_back({sys.sim().now(), addr, size, value});
+      [&](NodeId, Addr addr, std::uint64_t value) {
+        log.push_back({sys.sim().now(), addr, value});
       });
   sys.runTo(23'000);
   ASSERT_GE(sys.ber()->checkpointCount(), 4u);
@@ -230,7 +276,7 @@ TEST(SafetyNet, UndoLogMultiIntervalRollbackIsExact) {
     const Addr blk = blockAddr(s.addr);
     auto [it, fresh] =
         expected.try_emplace(blk, MemoryStorage::initialPattern(blk));
-    it->second.write(blockOffset(s.addr), s.size, s.value);
+    it->second.write(blockOffset(s.addr), s.value);
     ++replayed;
   }
   const bool splitAmbiguous =

@@ -12,21 +12,21 @@ namespace {
 constexpr auto kAlways = [](const CacheLine&) { return true; };
 
 TEST(CacheArray, InstallAndFind) {
-  CacheArray c({4, 2}, true);
+  CacheArray c({4, 2});
   DataBlock d;
-  d.write(0, 8, 99);
+  d.write(0, 99);
   CacheLine* v = c.victim(0x1000, kAlways);
   ASSERT_NE(v, nullptr);
   c.install(*v, 0x1000, MosiState::kS, d);
   CacheLine* f = c.find(0x1000);
   ASSERT_NE(f, nullptr);
   EXPECT_EQ(f->state, MosiState::kS);
-  EXPECT_EQ(f->data.read(0, 8), 99u);
+  EXPECT_EQ(f->data.read(0), 99u);
   EXPECT_EQ(c.find(0x2000), nullptr);
 }
 
 TEST(CacheArray, VictimPrefersInvalidWays) {
-  CacheArray c({1, 2}, true);
+  CacheArray c({1, 2});
   DataBlock d;
   CacheLine* v1 = c.victim(0x0, kAlways);
   c.install(*v1, 0x0, MosiState::kS, d);
@@ -35,7 +35,7 @@ TEST(CacheArray, VictimPrefersInvalidWays) {
 }
 
 TEST(CacheArray, LruEviction) {
-  CacheArray c({1, 2}, true);
+  CacheArray c({1, 2});
   ErrorSink sink;
   DataBlock d;
   c.install(*c.victim(0x000, kAlways), 0x000, MosiState::kS, d);
@@ -48,7 +48,7 @@ TEST(CacheArray, LruEviction) {
 }
 
 TEST(CacheArray, VictimRespectsPredicate) {
-  CacheArray c({1, 2}, true);
+  CacheArray c({1, 2});
   DataBlock d;
   c.install(*c.victim(0x000, kAlways), 0x000, MosiState::kM, d);
   c.install(*c.victim(0x040, kAlways), 0x040, MosiState::kM, d);
@@ -61,7 +61,7 @@ TEST(CacheArray, VictimRespectsPredicate) {
 }
 
 TEST(CacheArray, SetIndexingSeparatesSets) {
-  CacheArray c({4, 1}, true);
+  CacheArray c({4, 1});
   DataBlock d;
   // Blocks mapping to different sets never evict each other.
   for (Addr a : {Addr{0x000}, Addr{0x040}, Addr{0x080}, Addr{0x0C0}}) {
@@ -73,22 +73,22 @@ TEST(CacheArray, SetIndexingSeparatesSets) {
 }
 
 TEST(CacheArrayEcc, SingleBitFlipCorrectedOnAccess) {
-  CacheArray c({4, 2}, /*eccProtected=*/true);
+  CacheArray c({4, 2});
   ErrorSink sink;
   DataBlock d;
-  d.write(0, 8, 0xABCD);
+  d.write(0, 0xABCD);
   c.install(*c.victim(0x1000, kAlways), 0x1000, MosiState::kS, d);
-  ASSERT_TRUE(c.injectBitFlip(12345, &sink, 0, 0).has_value());
+  ASSERT_TRUE(c.injectBitFlip(12345).has_value());
   CacheLine* line = c.find(0x1000);
   // The stored data is corrupted until the ECC check runs at access time.
   c.touch(*line, &sink, 0, 0);
-  EXPECT_EQ(line->data.read(0, 8), 0xABCDu);
+  EXPECT_EQ(line->data.read(0), 0xABCDu);
   EXPECT_EQ(c.eccCorrections(), 1u);
   EXPECT_FALSE(sink.any());
 }
 
 TEST(CacheArrayEcc, MultiBitFlipDetectedUncorrectable) {
-  CacheArray c({4, 2}, true);
+  CacheArray c({4, 2});
   ErrorSink sink;
   DataBlock d;
   c.install(*c.victim(0x1000, kAlways), 0x1000, MosiState::kS, d);
@@ -105,7 +105,7 @@ TEST(CacheArrayEcc, MultiBitFlipDetectedUncorrectable) {
 }
 
 TEST(CacheArray, StateFlipPromotesToM) {
-  CacheArray c({4, 2}, true);
+  CacheArray c({4, 2});
   DataBlock d;
   c.install(*c.victim(0x1000, kAlways), 0x1000, MosiState::kS, d);
   auto res = c.injectStateFlip(5);
@@ -116,9 +116,8 @@ TEST(CacheArray, StateFlipPromotesToM) {
 }
 
 TEST(CacheArray, InjectionOnEmptyCacheFails) {
-  CacheArray c({4, 2}, true);
-  ErrorSink sink;
-  EXPECT_FALSE(c.injectBitFlip(1, &sink, 0, 0).has_value());
+  CacheArray c({4, 2});
+  EXPECT_FALSE(c.injectBitFlip(1).has_value());
   EXPECT_FALSE(c.injectStateFlip(1).has_value());
 }
 
@@ -127,55 +126,55 @@ TEST(CacheArray, InjectionOnEmptyCacheFails) {
 // ---------------------------------------------------------------------------
 
 TEST(MemoryStorage, DeterministicInitialPattern) {
-  MemoryStorage m(true);
+  MemoryStorage m;
   ErrorSink sink;
   const DataBlock& a = m.read(0x40000000, &sink, 0, 0);
   const DataBlock expected = MemoryStorage::initialPattern(0x40000000);
   EXPECT_EQ(a, expected);
   // Two storages agree.
-  MemoryStorage m2(true);
+  MemoryStorage m2;
   EXPECT_EQ(m2.read(0x40000000, &sink, 0, 0), expected);
 }
 
 TEST(MemoryStorage, SyncSegmentZeroInitialized) {
-  MemoryStorage m(true);
+  MemoryStorage m;
   ErrorSink sink;
   const DataBlock& lock = m.read(0x10000, &sink, 0, 0);
   for (std::size_t w = 0; w < kBlockSizeWords; ++w) {
-    EXPECT_EQ(lock.read(w * 8, 8), 0u);
+    EXPECT_EQ(lock.read(w * 8), 0u);
   }
   // Data segment is NOT zero (stale-data bugs must be visible).
   const DataBlock& data = m.read(0x40000000, &sink, 0, 0);
   bool anyNonZero = false;
   for (std::size_t w = 0; w < kBlockSizeWords; ++w) {
-    if (data.read(w * 8, 8) != 0) anyNonZero = true;
+    if (data.read(w * 8) != 0) anyNonZero = true;
   }
   EXPECT_TRUE(anyNonZero);
 }
 
 TEST(MemoryStorage, WriteReadBack) {
-  MemoryStorage m(true);
+  MemoryStorage m;
   ErrorSink sink;
   DataBlock d;
-  d.write(16, 8, 1234);
+  d.write(16, 1234);
   m.write(0x5000, d);
-  EXPECT_EQ(m.read(0x5000, &sink, 0, 0).read(16, 8), 1234u);
+  EXPECT_EQ(m.read(0x5000, &sink, 0, 0).read(16), 1234u);
 }
 
 TEST(MemoryStorageEcc, SingleBitCorrected) {
-  MemoryStorage m(true);
+  MemoryStorage m;
   ErrorSink sink;
   DataBlock d;
-  d.write(0, 8, 0xFEED);
+  d.write(0, 0xFEED);
   m.write(0x5000, d);
   ASSERT_TRUE(m.injectBitFlip(0x5000, 5));
-  EXPECT_EQ(m.read(0x5000, &sink, 0, 0).read(0, 8), 0xFEEDu);
+  EXPECT_EQ(m.read(0x5000, &sink, 0, 0).read(0), 0xFEEDu);
   EXPECT_EQ(m.eccCorrections(), 1u);
   EXPECT_FALSE(sink.any());
 }
 
 TEST(MemoryStorageEcc, DoubleBitDetected) {
-  MemoryStorage m(true);
+  MemoryStorage m;
   ErrorSink sink;
   DataBlock d;
   m.write(0x5000, d);
@@ -187,17 +186,17 @@ TEST(MemoryStorageEcc, DoubleBitDetected) {
 }
 
 TEST(MemoryStorage, RestoreReplacesContents) {
-  MemoryStorage m(true);
+  MemoryStorage m;
   ErrorSink sink;
   DataBlock d;
-  d.write(0, 8, 1);
+  d.write(0, 1);
   m.write(0x40, d);
   FlatMap<Addr, DataBlock> snapshot = m.blocks();
-  d.write(0, 8, 2);
+  d.write(0, 2);
   m.write(0x40, d);
-  EXPECT_EQ(m.read(0x40, &sink, 0, 0).read(0, 8), 2u);
+  EXPECT_EQ(m.read(0x40, &sink, 0, 0).read(0), 2u);
   m.restore(snapshot);
-  EXPECT_EQ(m.read(0x40, &sink, 0, 0).read(0, 8), 1u);
+  EXPECT_EQ(m.read(0x40, &sink, 0, 0).read(0), 1u);
 }
 
 }  // namespace

@@ -28,44 +28,41 @@ TEST(Types, BlockAlignment) {
   EXPECT_EQ(blockOffset(0x1040), 0u);
 }
 
+TEST(Types, WordAlignment) {
+  EXPECT_EQ(kBlockSizeWords * kWordBytes, kBlockSizeBytes);
+  EXPECT_EQ(wordAddr(0x1000), 0x1000u);
+  EXPECT_EQ(wordAddr(0x1007), 0x1000u);
+  EXPECT_EQ(wordAddr(0x1008), 0x1008u);
+}
+
 // ---------------------------------------------------------------------------
 // DataBlock
 // ---------------------------------------------------------------------------
 
 TEST(DataBlock, ReadWriteRoundTrip) {
   DataBlock d;
-  d.write(0, 8, 0x1122334455667788ULL);
-  EXPECT_EQ(d.read(0, 8), 0x1122334455667788ULL);
-  d.write(56, 8, 42);
-  EXPECT_EQ(d.read(56, 8), 42u);
-  EXPECT_EQ(d.read(0, 8), 0x1122334455667788ULL);
-}
-
-TEST(DataBlock, SubWordAccess) {
-  DataBlock d;
-  d.write(0, 8, 0x1122334455667788ULL);
-  EXPECT_EQ(d.read(0, 1), 0x88u);  // little endian
-  EXPECT_EQ(d.read(0, 2), 0x7788u);
-  EXPECT_EQ(d.read(0, 4), 0x55667788u);
-  d.write(4, 4, 0xAABBCCDDu);
-  EXPECT_EQ(d.read(0, 8), 0xAABBCCDD55667788ULL);
+  d.write(0, 0x1122334455667788ULL);
+  EXPECT_EQ(d.read(0), 0x1122334455667788ULL);
+  d.write(56, 42);
+  EXPECT_EQ(d.read(56), 42u);
+  EXPECT_EQ(d.read(0), 0x1122334455667788ULL);
 }
 
 TEST(DataBlock, DefaultZero) {
   DataBlock d;
   for (std::size_t w = 0; w < kBlockSizeWords; ++w) {
-    EXPECT_EQ(d.read(w * 8, 8), 0u);
+    EXPECT_EQ(d.read(w * kWordBytes), 0u);
   }
 }
 
 TEST(DataBlock, EqualityAndBitFlip) {
   DataBlock a, b;
-  a.write(8, 8, 7);
-  b.write(8, 8, 7);
+  a.write(8, 7);
+  b.write(8, 7);
   EXPECT_EQ(a, b);
   b.flipBit(64);  // first bit of word 1
   EXPECT_NE(a, b);
-  EXPECT_EQ(b.read(8, 8), 6u);
+  EXPECT_EQ(b.read(8), 6u);
   b.flipBit(64);
   EXPECT_EQ(a, b);
 }
@@ -82,7 +79,9 @@ TEST(Crc16, KnownVector) {
 
 TEST(Crc16, DetectsSingleBitFlipsInBlocks) {
   DataBlock d;
-  for (std::size_t w = 0; w < kBlockSizeWords; ++w) d.write(w * 8, 8, w * 3);
+  for (std::size_t w = 0; w < kBlockSizeWords; ++w) {
+    d.write(w * kWordBytes, w * 3);
+  }
   const std::uint16_t clean = hashBlock(d);
   // Every single-bit corruption must change the hash (CRC-16 guarantees
   // detection of bursts shorter than 16 bits).
@@ -95,7 +94,7 @@ TEST(Crc16, DetectsSingleBitFlipsInBlocks) {
 
 TEST(Crc16, DetectsShortBursts) {
   DataBlock d;
-  d.write(0, 8, 0xDEADBEEFCAFEF00DULL);
+  d.write(0, 0xDEADBEEFCAFEF00DULL);
   const std::uint16_t clean = hashBlock(d);
   // Flip bursts of up to 15 adjacent bits: all must be detected.
   for (std::size_t len = 2; len <= 15; ++len) {
@@ -137,7 +136,7 @@ TEST(Crc16, HashDistribution) {
   std::set<std::uint16_t> hashes;
   for (std::uint64_t i = 0; i < 300; ++i) {
     DataBlock d;
-    d.write(0, 8, i * 0x9E3779B97F4A7C15ULL + 1);
+    d.write(0, i * 0x9E3779B97F4A7C15ULL + 1);
     hashes.insert(hashBlock(d));
   }
   EXPECT_GE(hashes.size(), 295u);

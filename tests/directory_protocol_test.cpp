@@ -59,7 +59,7 @@ TEST(DirectoryProtocol, LoadReturnsMemoryPattern) {
   auto& prog = static_cast<ScriptedProgram&>(sys->core(0).program());
   ASSERT_EQ(prog.results().size(), 1u);
   EXPECT_EQ(prog.results()[0].second,
-            MemoryStorage::initialPattern(kBlk).read(0, 8));
+            MemoryStorage::initialPattern(kBlk).read(0));
 }
 
 TEST(DirectoryProtocol, StoreAcquiresM) {
@@ -69,7 +69,7 @@ TEST(DirectoryProtocol, StoreAcquiresM) {
   CacheLine* line = sys->l2(0).array().find(kBlk);
   ASSERT_NE(line, nullptr);
   EXPECT_EQ(line->state, MosiState::kM);
-  EXPECT_EQ(line->data.read(0, 8), 77u);
+  EXPECT_EQ(line->data.read(0), 77u);
   EXPECT_EQ(sys->home(MemoryMap{4}.homeOf(kBlk))->ownerOf(kBlk), 0u);
   EXPECT_EQ(r.detections, 0u);
 }
@@ -122,7 +122,7 @@ TEST(DirectoryProtocol, ProducerConsumerTransfersData) {
   CacheLine* rd = sys.l2(1).array().find(kBlk);
   ASSERT_NE(rd, nullptr);
   EXPECT_EQ(rd->state, MosiState::kS);
-  EXPECT_EQ(rd->data.read(0, 8), 4242u);
+  EXPECT_EQ(rd->data.read(0), 4242u);
 }
 
 TEST(DirectoryProtocol, WriterInvalidatesSharers) {
@@ -155,7 +155,7 @@ TEST(DirectoryProtocol, UpgradeFromSharedToModified) {
   CacheLine* line = sys->l2(0).array().find(kBlk);
   ASSERT_NE(line, nullptr);
   EXPECT_EQ(line->state, MosiState::kM);
-  EXPECT_EQ(line->data.read(0, 8), 9u);
+  EXPECT_EQ(line->data.read(0), 9u);
 }
 
 TEST(DirectoryProtocol, AtomicSwapReturnsOldValue) {
@@ -165,8 +165,8 @@ TEST(DirectoryProtocol, AtomicSwapReturnsOldValue) {
   ASSERT_EQ(prog.results().size(), 1u);
   EXPECT_EQ(prog.results()[0].first, 7u);
   EXPECT_EQ(prog.results()[0].second,
-            MemoryStorage::initialPattern(kBlk).read(0, 8));
-  EXPECT_EQ(sys->l2(0).array().find(kBlk)->data.read(0, 8), 123u);
+            MemoryStorage::initialPattern(kBlk).read(0));
+  EXPECT_EQ(sys->l2(0).array().find(kBlk)->data.read(0), 123u);
 }
 
 TEST(DirectoryProtocol, EvictionWritesBackDirtyData) {
@@ -189,7 +189,7 @@ TEST(DirectoryProtocol, EvictionWritesBackDirtyData) {
   EXPECT_TRUE(line == nullptr || !line->valid);
   DirectoryHome* home = sys->home(MemoryMap{4}.homeOf(kBlk));
   ErrorSink scratch;
-  EXPECT_EQ(home->memory().read(kBlk, &scratch, 0, 0).read(0, 8), 31415u);
+  EXPECT_EQ(home->memory().read(kBlk, &scratch, 0, 0).read(0), 31415u);
   EXPECT_EQ(home->ownerOf(kBlk), kInvalidNode);
 }
 
@@ -233,8 +233,8 @@ TEST(DirectoryProtocol, TwoWritersSerializeOnSameBlock) {
   ASSERT_NE(owner, kInvalidNode);
   CacheLine* line = sys->l2(owner).array().find(kBlk);
   ASSERT_NE(line, nullptr);
-  EXPECT_EQ(line->data.read(0, 8), 1u);
-  EXPECT_EQ(line->data.read(8, 8), 2u);
+  EXPECT_EQ(line->data.read(0), 1u);
+  EXPECT_EQ(line->data.read(8), 2u);
 }
 
 TEST(DirectoryProtocol, ManyBlocksManyNodesConverge) {
@@ -268,7 +268,7 @@ TEST(DirectoryProtocol, ManyBlocksManyNodesConverge) {
       data = &home->memory().read(blk, &scratch, 0, 0);
     }
     for (NodeId n = 0; n < 4; ++n) {
-      EXPECT_EQ(data->read(n * 8, 8), 100u + n) << "block " << b;
+      EXPECT_EQ(data->read(n * 8), 100u + n) << "block " << b;
     }
   }
 }
@@ -299,7 +299,7 @@ TEST(DirectoryProtocol, SilentSharerEvictionStillAcksInv) {
   RunResult r = sys->run();
   ASSERT_TRUE(r.completed) << "writer deadlocked waiting for InvAck";
   EXPECT_EQ(r.detections, 0u);
-  EXPECT_EQ(sys->l2(0).array().find(kBlk)->data.read(0, 8), 6u);
+  EXPECT_EQ(sys->l2(0).array().find(kBlk)->data.read(0), 6u);
 }
 
 }  // namespace

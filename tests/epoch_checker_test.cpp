@@ -37,7 +37,7 @@ struct CheckerFixture : ::testing::Test {
 
   DataBlock block(std::uint64_t v) {
     DataBlock d;
-    d.write(0, 8, v);
+    d.write(0, v);
     return d;
   }
 

@@ -160,8 +160,8 @@ TEST(Equivalence, DrfFinalMemoryIdenticalAcrossProtocolAndModel) {
         const Addr blk = blockAddr(counterAddr(c));
         ASSERT_TRUE(mem.count(blk)) << "counter " << c << " never written";
         const std::uint64_t init = MemoryStorage::initialPattern(blk).read(
-            blockOffset(counterAddr(c)), 8);
-        EXPECT_EQ(mem.at(blk).read(blockOffset(counterAddr(c)), 8),
+            blockOffset(counterAddr(c)));
+        EXPECT_EQ(mem.at(blk).read(blockOffset(counterAddr(c))),
                   init + static_cast<std::uint64_t>(kNodes) * kRounds)
             << "counter " << c << " lost or duplicated an increment";
       }

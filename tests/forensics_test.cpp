@@ -187,11 +187,11 @@ TEST(ForensicsCapture, AutoRecoveryMatchesFullSnapshotOracle) {
 
   FlatMap<Addr, DataBlock> expected;
   sys.setStoreAuditHook(
-      [&](NodeId, Addr addr, std::size_t size, std::uint64_t value) {
+      [&](NodeId, Addr addr, std::uint64_t value) {
         const Addr blk = blockAddr(addr);
         auto [it, fresh] =
             expected.try_emplace(blk, MemoryStorage::initialPattern(blk));
-        it->second.write(blockOffset(addr), size, value);
+        it->second.write(blockOffset(addr), value);
       });
 
   // Run predicates are evaluated after *every* simulator event, so this

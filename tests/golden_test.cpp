@@ -258,9 +258,9 @@ INSTANTIATE_TEST_SUITE_P(
         Cell{"snoop_TSO_faulted", kSnp, CM::kTSO, Variant::kFaulted,
              0x90039740b218686dull, 0x292b759c4c2aa896ull},
         Cell{"dir_TSO_recovered", kDir, CM::kTSO, Variant::kRecovered,
-             0x08734dee519af40cull, 0x7891eeea5bc21112ull},
+             0xb36c442c753633ebull, 0x8386df47d6000f75ull},
         Cell{"snoop_TSO_recovered", kSnp, CM::kTSO, Variant::kRecovered,
-             0xe43e405a13643678ull, 0xed7fb00bdb3fb1c5ull}),
+             0xeaadfceb6fdc22b5ull, 0x747024994fcccd28ull}),
     cellName);
 
 }  // namespace

@@ -196,8 +196,8 @@ TEST(Integration, CriticalSectionCounterIsExact) {
       const Addr blk = blockAddr(kCounter);
       ASSERT_TRUE(image.count(blk));
       const std::uint64_t init =
-          MemoryStorage::initialPattern(blk).read(blockOffset(kCounter), 8);
-      EXPECT_EQ(image.at(blk).read(blockOffset(kCounter), 8),
+          MemoryStorage::initialPattern(blk).read(blockOffset(kCounter));
+      EXPECT_EQ(image.at(blk).read(blockOffset(kCounter)),
                 init + 4u * kIncrements)
           << protocolName(p) << "/" << modelName(m)
           << " lost an increment (mutual exclusion broken?)";
@@ -339,9 +339,8 @@ TEST(Integration, FinalMemoryValuesHaveStoreLineage) {
     cfg.targetTransactions = 120;
     System sys(cfg);
     std::map<Addr, std::set<std::uint64_t>> written;
-    sys.setStoreAuditHook([&written](NodeId, Addr addr, std::size_t,
-                                     std::uint64_t value) {
-      written[addr & ~Addr{7}].insert(value);
+    sys.setStoreAuditHook([&written](NodeId, Addr addr, std::uint64_t value) {
+      written[wordAddr(addr)].insert(value);
     });
     RunResult r = sys.run();
     ASSERT_TRUE(r.completed);
@@ -352,9 +351,10 @@ TEST(Integration, FinalMemoryValuesHaveStoreLineage) {
     for (const auto& [blk, data] : sys.memoryImage()) {
       const DataBlock initial = MemoryStorage::initialPattern(blk);
       for (std::size_t w = 0; w < kBlockSizeWords; ++w) {
-        const Addr addr = blk + w * 8;
-        const std::uint64_t v = data.read(w * 8, 8);
-        if (v == initial.read(w * 8, 8)) continue;  // never stored
+        const std::size_t off = w * kWordBytes;
+        const Addr addr = blk + off;
+        const std::uint64_t v = data.read(off);
+        if (v == initial.read(off)) continue;  // never stored
         auto it = written.find(addr);
         ASSERT_NE(it, written.end())
             << protocolName(p) << ": word 0x" << std::hex << addr

@@ -34,7 +34,7 @@ constexpr Addr kD = 0x400040;  // home: node 1 (remote for the writer)
 constexpr Addr kF = 0x400080;  // home: node 0 (writer-local)
 
 std::uint64_t init(Addr a) {
-  return MemoryStorage::initialPattern(blockAddr(a)).read(blockOffset(a), 8);
+  return MemoryStorage::initialPattern(blockAddr(a)).read(blockOffset(a));
 }
 
 struct LitmusResult {

@@ -19,7 +19,7 @@ Message makeMsg(Addr addr) {
   m.dest = 1;
   m.addr = addr;
   m.hasData = true;
-  m.data.write(0, 8, addr * 3 + 1);
+  m.data.write(0, addr * 3 + 1);
   return m;
 }
 
@@ -32,7 +32,7 @@ TEST(MessagePool, RoundTripsTheMessage) {
   PooledMessage pm = pool.acquire(makeMsg(0x40));
   ASSERT_TRUE(static_cast<bool>(pm));
   EXPECT_EQ(pm->addr, 0x40u);
-  EXPECT_EQ((*pm).data.read(0, 8), 0x40u * 3 + 1);
+  EXPECT_EQ((*pm).data.read(0), 0x40u * 3 + 1);
   EXPECT_EQ(pool.liveCount(), 1u);
 }
 

@@ -185,7 +185,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, TorusAllSizes,
 // ---------------------------------------------------------------------------
 
 struct TreeFixture : ::testing::Test {
-  TreeFixture() : tree(sim, 4) {
+  TreeFixture() : tree(sim, 4, TorusConfig{}.bytesPerCycle) {
     for (NodeId n = 0; n < 4; ++n) tree.attach(n, &eps[n]);
   }
   Simulator sim;

@@ -350,6 +350,93 @@ TEST(RunReport, RunResultSerializationIncludesMetrics) {
   EXPECT_NE(j.find("\"buckets\""), std::string::npos);
 }
 
+TEST(RunReport, ConfigJsonChangesWithEveryKnob) {
+  // A report tells apart two runs that differ in any one knob: each entry
+  // changes one printed value away from the default configuration.
+  using Edit = void (*)(SystemConfig&);
+  const std::vector<std::pair<const char*, Edit>> knobs = {
+      {"numNodes", [](SystemConfig& c) { c.numNodes = 4; }},
+      {"protocol", [](SystemConfig& c) { c.protocol = Protocol::kSnooping; }},
+      {"model", [](SystemConfig& c) { c.model = ConsistencyModel::kPSO; }},
+      {"l1.sets", [](SystemConfig& c) { c.l1.sets = 32; }},
+      {"l1.ways", [](SystemConfig& c) { c.l1.ways = 4; }},
+      {"l2.sets", [](SystemConfig& c) { c.l2.sets = 128; }},
+      {"l2.ways", [](SystemConfig& c) { c.l2.ways = 2; }},
+      {"torus.bytesPerCycle",
+       [](SystemConfig& c) { c.torus.bytesPerCycle = 0.5; }},
+      {"torus.yieldCheckerTraffic",
+       [](SystemConfig& c) { c.torus.yieldCheckerTraffic = true; }},
+      {"cpu.robSize", [](SystemConfig& c) { c.cpu.robSize = 32; }},
+      {"cpu.wbCapacity", [](SystemConfig& c) { c.cpu.wbCapacity = 8; }},
+      {"cpu.wbConcurrency", [](SystemConfig& c) { c.cpu.wbConcurrency = 1; }},
+      {"cpu.storePrefetch",
+       [](SystemConfig& c) { c.cpu.storePrefetch = false; }},
+      {"cpu.wbCoalescing", [](SystemConfig& c) { c.cpu.wbCoalescing = false; }},
+      {"dvmc.uniprocOrdering",
+       [](SystemConfig& c) { c.dvmc.uniprocOrdering = true; }},
+      {"dvmc.allowableReordering",
+       [](SystemConfig& c) { c.dvmc.allowableReordering = true; }},
+      {"dvmc.cacheCoherence",
+       [](SystemConfig& c) { c.dvmc.cacheCoherence = true; }},
+      {"dvmc.membarInjectionPeriod",
+       [](SystemConfig& c) { c.dvmc.membarInjectionPeriod = 20'000; }},
+      {"dvmc.informQueueCapacity",
+       [](SystemConfig& c) { c.dvmc.informQueueCapacity = 16; }},
+      {"dvmc.informSortDelay",
+       [](SystemConfig& c) { c.dvmc.informSortDelay = 200; }},
+      {"dvmc.scrubAgeTicks",
+       [](SystemConfig& c) { c.dvmc.scrubAgeTicks = 64; }},
+      {"coherenceChecker",
+       [](SystemConfig& c) {
+         c.coherenceChecker = SystemConfig::CoherenceCheckerKind::kShadow;
+       }},
+      {"berEnabled", [](SystemConfig& c) { c.berEnabled = true; }},
+      {"ber.interval", [](SystemConfig& c) { c.ber.interval = 10'000; }},
+      {"ber.maxCheckpoints", [](SystemConfig& c) { c.ber.maxCheckpoints = 2; }},
+      {"autoRecover", [](SystemConfig& c) { c.autoRecover = true; }},
+      {"workload", [](SystemConfig& c) { c.workload = WorkloadKind::kOltp; }},
+      {"workloadOverride",
+       [](SystemConfig& c) {
+         c.workloadOverride = workloadPreset(c.workload);
+       }},
+      {"workloadOverride.txOps",
+       [](SystemConfig& c) {
+         c.workloadOverride = workloadPreset(c.workload);
+         c.workloadOverride->txOps += 1;
+       }},
+      {"seed", [](SystemConfig& c) { c.seed = 2; }},
+      {"sampleEvery", [](SystemConfig& c) { c.sampleEvery = 5'000; }},
+      {"sampleCapacity", [](SystemConfig& c) { c.sampleCapacity = 16; }},
+      {"trace.capture", [](SystemConfig& c) { c.trace.capture = true; }},
+      {"trace.captureLimit", [](SystemConfig& c) { c.trace.captureLimit = 1; }},
+      {"trace.keepInMemory",
+       [](SystemConfig& c) { c.trace.keepInMemory = false; }},
+      {"targetTransactions",
+       [](SystemConfig& c) { c.targetTransactions = 40; }},
+      {"maxCycles", [](SystemConfig& c) { c.maxCycles = 1'000'000; }},
+  };
+  const std::string base = configJson(SystemConfig{}).dump();
+  std::vector<std::string> seen = {base};
+  for (const auto& [name, edit] : knobs) {
+    SystemConfig c;
+    edit(c);
+    const std::string printed = configJson(c).dump();
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), printed), 0)
+        << name << " does not change configJson";
+    seen.push_back(printed);
+  }
+
+  // An override replaces the preset, so it names the workload that runs.
+  SystemConfig c;
+  c.workloadOverride = workloadPreset(WorkloadKind::kJbb);
+  EXPECT_EQ(configJson(c).find("workload")->asString(), "jbb");
+
+  // The worker count cannot change results and is not printed.
+  c = SystemConfig{};
+  c.jobs = 3;
+  EXPECT_EQ(configJson(c).dump(), base);
+}
+
 /// Parses argv with the observability flag group, as every binary does.
 int parseObsFlags(int argc, char** argv) {
   CliParser cli("prog", "observability flags");

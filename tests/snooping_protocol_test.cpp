@@ -44,7 +44,7 @@ TEST(SnoopingProtocol, MemorySuppliesUnownedBlock) {
   auto& prog = static_cast<ScriptedProgram&>(sys->core(0).program());
   ASSERT_EQ(prog.results().size(), 1u);
   EXPECT_EQ(prog.results()[0].second,
-            MemoryStorage::initialPattern(kBlk).read(0, 8));
+            MemoryStorage::initialPattern(kBlk).read(0));
   EXPECT_EQ(sys->l2(0).array().find(kBlk)->state, MosiState::kS);
 }
 
@@ -107,7 +107,7 @@ TEST(SnoopingProtocol, EvictionWritesBackThroughPutM) {
   NodeId home = MemoryMap{4}.homeOf(kBlk);
   ErrorSink scratch;
   EXPECT_EQ(sys->snoopMem(home)->memory().read(kBlk, &scratch, 0, 0)
-                .read(0, 8),
+                .read(0),
             7777u);
   EXPECT_EQ(sys->snoopMem(home)->cacheOwnerOf(kBlk), kInvalidNode);
 }
@@ -150,8 +150,8 @@ TEST(SnoopingProtocol, OUpgradeSelfSupplies) {
   CacheLine* line = sys->l2(0).array().find(kBlk);
   ASSERT_NE(line, nullptr);
   EXPECT_EQ(line->state, MosiState::kM);
-  EXPECT_EQ(line->data.read(0, 8), 1u);
-  EXPECT_EQ(line->data.read(8, 8), 2u);
+  EXPECT_EQ(line->data.read(0), 1u);
+  EXPECT_EQ(line->data.read(8), 2u);
 }
 
 TEST(SnoopingProtocol, ContendedWritersConverge) {
@@ -185,7 +185,7 @@ TEST(SnoopingProtocol, ContendedWritersConverge) {
     data = &sys->snoopMem(home)->memory().read(kBlk, &scratch, 0, 0);
   }
   for (NodeId n = 0; n < 4; ++n) {
-    EXPECT_EQ(data->read(n * 8, 8), n * 10u + 5u) << "node " << n;
+    EXPECT_EQ(data->read(n * 8), n * 10u + 5u) << "node " << n;
   }
 }
 
@@ -234,7 +234,7 @@ TEST(SnoopingProtocol, TotalOrderGivesCoherentFinalValue) {
   const NodeId owner = sys->snoopMem(home)->cacheOwnerOf(kBlk);
   ASSERT_NE(owner, kInvalidNode);
   const std::uint64_t v =
-      sys->l2(owner).array().find(kBlk)->data.read(0, 8);
+      sys->l2(owner).array().find(kBlk)->data.read(0);
   EXPECT_GE(v, 1000u);
   EXPECT_LE(v, 1003u);
 }

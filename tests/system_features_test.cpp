@@ -452,13 +452,13 @@ TEST(TrafficClasses, Classification) {
 
 TEST(LogicalClocks, PhysicalClockDividesAndSkews) {
   Simulator sim;
-  PhysicalLogicalClock a(sim, 16, 0);
-  PhysicalLogicalClock b(sim, 16, 3);
+  PhysicalLogicalClock a(sim, 0);
+  PhysicalLogicalClock b(sim, 3);
   EXPECT_EQ(a.now(), 0u);
   sim.schedule(100, [] {});
   sim.run();
-  EXPECT_EQ(a.now(), 100u / 16);
-  EXPECT_EQ(b.now(), (100u + 3) / 16);
+  EXPECT_EQ(a.now(), 100u / kDirClockDivisor);
+  EXPECT_EQ(b.now(), (100u + 3) / kDirClockDivisor);
   // Causality bound: with skew < min network latency the reader can never
   // observe a smaller time than the writer did earlier.
   EXPECT_GE(b.now() + 1, a.now());

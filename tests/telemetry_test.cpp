@@ -211,18 +211,6 @@ TEST(ResourceTest, SampleSeesALiveProcess) {
   EXPECT_NE(j.find("sysCpuMs"), nullptr);
 }
 
-TEST(ResourceTest, SeriesKeepsAWindowAndTheScalarPeak) {
-  ResourceSeries series(8);
-  series.sample(1);
-  series.sample(2);
-  EXPECT_EQ(series.size(), 2u);
-  EXPECT_GT(series.peakRssBytes(), 0u);
-  const Json j = series.toJson();
-  EXPECT_NE(j.find("columns"), nullptr);
-  EXPECT_NE(j.find("samples"), nullptr);
-  EXPECT_EQ(j.find("peakRssBytes")->asUint(), series.peakRssBytes());
-}
-
 TEST(StatusWriterTest, PublishesTheEnvelopeAtomically) {
   const std::string path = ::testing::TempDir() + "telemetry_status.json";
   StatusWriter w(path, /*minIntervalMs=*/0);

@@ -38,11 +38,7 @@ int main(int argc, char** argv) {
   cfg.workload = wl;
   cfg.targetTransactions = 60;
   cfg.maxCycles = 30'000'000;
-  cfg.tracer = obs::activeTracer();
-  cfg.forensics = obs::activeForensics();
-  cfg.sampleEvery = obs::options().sampleEvery;
-  cfg.sampleCapacity = obs::options().sampleCapacity;
-  armCaptureFromObs(cfg);
+  wireObsFlags(cfg);
   System sys(cfg);
   RunResult r = sys.run();
   writeCaptureFileOnce(r.trace);
