@@ -89,7 +89,10 @@ int main(int argc, char** argv) {
                       "fault-injected run that stays available under "
                       "DVMC + SafetyNet rollback");
   cli.usageLine("availability_demo [fault_budget]");
-  dvmc::obs::addObsFlags(cli);
+  dvmc::obs::addObsFlags(
+      cli,
+      "every automatic SafetyNet rollback re-executes committed "
+      "instructions, so this run has no linear commit trace");
   argc = cli.parse(argc, argv);
   const int rc = runDemo(argc, argv);
   const int obsRc = dvmc::obs::finalizeObs();

@@ -170,7 +170,10 @@ int main(int argc, char** argv) {
                       "inject one hardware fault, watch a DVMC checker "
                       "detect it and SafetyNet roll it back");
   cli.usageLine("error_detection_demo [fault_type]");
-  dvmc::obs::addObsFlags(cli);
+  dvmc::obs::addObsFlags(
+      cli,
+      "the SafetyNet rollback re-executes committed instructions, so this "
+      "run has no linear commit trace");
   argc = cli.parse(argc, argv);
   const int rc = runDemo(argc, argv);
   const int obsRc = dvmc::obs::finalizeObs();

@@ -1,6 +1,6 @@
 #include "coherence/cache_array.hpp"
 
-#include <algorithm>
+#include <bit>
 
 #include "common/assert.hpp"
 #include "common/crc16.hpp"
@@ -17,17 +17,22 @@ const char* mosiName(MosiState s) {
   return "?";
 }
 
-CacheArray::CacheArray(CacheGeometry geom) : geom_(geom) {
+CacheArray::CacheArray(CacheGeometry geom)
+    : geom_(geom),
+      setMask_(geom.sets - 1),
+      ways_(geom.sets * geom.ways),
+      lines_(geom.sets * geom.ways) {
   DVMC_ASSERT(geom_.sets > 0 && geom_.ways > 0, "bad cache geometry");
-  lines_.resize(geom_.sets * geom_.ways);
+  DVMC_ASSERT(std::has_single_bit(geom_.sets),
+              "the cache set count must be a power of two");
 }
 
 CacheLine* CacheArray::find(Addr blk) {
   DVMC_ASSERT(blockAddr(blk) == blk, "find expects a block address");
-  const std::size_t base = setIndex(blk) * geom_.ways;
+  // An invalid way's tag is odd, so it never equals a block address.
+  const std::size_t base = setBase(blk);
   for (std::size_t w = 0; w < geom_.ways; ++w) {
-    CacheLine& line = lines_[base + w];
-    if (line.valid && line.tag == blk) return &line;
+    if (ways_[base + w].tag == blk) return &lines_[base + w];
   }
   return nullptr;
 }
@@ -36,107 +41,114 @@ const CacheLine* CacheArray::find(Addr blk) const {
   return const_cast<CacheArray*>(this)->find(blk);
 }
 
-CacheLine* CacheArray::victim(
-    Addr blk, const std::function<bool(const CacheLine&)>& evictable) {
-  const std::size_t base = setIndex(blk) * geom_.ways;
-  CacheLine* best = nullptr;
-  for (std::size_t w = 0; w < geom_.ways; ++w) {
-    CacheLine& line = lines_[base + w];
-    if (!line.valid) return &line;
-    if (!evictable(line)) continue;
-    if (best == nullptr || line.lastUse < best->lastUse) best = &line;
-  }
-  return best;
-}
-
 void CacheArray::install(CacheLine& line, Addr blk, MosiState st,
                          const DataBlock& d) {
   DVMC_ASSERT(blockAddr(blk) == blk, "install expects a block address");
-  line.valid = true;
-  line.tag = blk;
+  const std::size_t i = index(line);
+  ways_[i] = Way{blk, ++useCounter_};
   line.state = st;
   line.data = d;
-  line.lastUse = ++useCounter_;
-  line.pendingFlips.clear();
+  if (!flips_.empty()) flips_.erase(i);
+}
+
+void CacheArray::invalidate(CacheLine& line) {
+  const std::size_t i = index(line);
+  ways_[i].tag = kNoTag;
+  line.state = MosiState::kI;
+  if (!flips_.empty()) flips_.erase(i);
+}
+
+void CacheArray::invalidateAll() {
+  for (std::size_t i = 0; i < ways_.size(); ++i) {
+    ways_[i].tag = kNoTag;
+    lines_[i].state = MosiState::kI;
+  }
+  flips_.clear();
 }
 
 void CacheArray::touch(CacheLine& line, ErrorSink* sink, NodeId node,
                        Cycle now) {
-  line.lastUse = ++useCounter_;
-  if (line.pendingFlips.empty()) return;
-  if (line.pendingFlips.size() == 1) {
+  const std::size_t i = index(line);
+  ways_[i].lastUse = ++useCounter_;
+  if (flips_.empty()) return;
+  auto it = flips_.find(i);
+  if (it == flips_.end()) return;
+  if (it->second.size() == 1) {
     // Single-bit error: SEC code corrects it in place.
-    line.data.flipBit(line.pendingFlips.front());
-    line.pendingFlips.clear();
+    line.data.flipBit(it->second.front());
     ++eccCorrections_;
-  } else {
+  } else if (sink != nullptr) {
     // Multi-bit error: detected but uncorrectable.
-    if (sink != nullptr) {
-      sink->report({CheckerKind::kEcc, now, node, line.tag,
-                    "uncorrectable multi-bit cache error"});
-    }
-    line.pendingFlips.clear();  // report once
+    sink->report({CheckerKind::kEcc, now, node, ways_[i].tag,
+                  "uncorrectable multi-bit cache error"});
   }
+  flips_.erase(it);  // corrected, or reported once
+}
+
+void CacheArray::flip(std::size_t i, std::size_t bit) {
+  lines_[i].data.flipBit(bit);
+  flips_[i].push_back(bit);
 }
 
 std::optional<Addr> CacheArray::injectBitFlip(std::uint64_t rand) {
   // Prefer recently used lines: a corrupted-but-never-touched line is a
   // latent fault that vanishes on eviction, which makes for a useless
   // injection experiment.
-  CacheLine* target = nullptr;
-  for (auto& line : lines_) {
-    if (!line.valid) continue;
-    if (target == nullptr || line.lastUse > target->lastUse) target = &line;
+  const Way* target = nullptr;
+  for (const Way& w : ways_) {
+    if (w.tag == kNoTag) continue;
+    if (target == nullptr || w.lastUse > target->lastUse) target = &w;
   }
   if (target == nullptr) return std::nullopt;
-  CacheLine& line = *target;
-  const std::size_t bit = rand % (kBlockSizeBytes * 8);
-  line.data.flipBit(bit);
-  line.pendingFlips.push_back(bit);  // the code can still repair this
-  return line.tag;
+  flip(static_cast<std::size_t>(target - ways_.data()),
+       rand % (kBlockSizeBytes * 8));  // the code can still repair this
+  return target->tag;
+}
+
+bool CacheArray::injectBitFlip(Addr blk, std::size_t bit) {
+  const CacheLine* line = find(blk);
+  if (line == nullptr) return false;
+  flip(index(*line), bit);
+  return true;
 }
 
 std::optional<std::pair<Addr, MosiState>> CacheArray::injectStateFlip(
     std::uint64_t rand) {
-  std::vector<CacheLine*> candidates;
-  for (auto& line : lines_) {
-    if (line.valid && line.state != MosiState::kI) candidates.push_back(&line);
+  std::vector<std::size_t> candidates;
+  for (std::size_t i = 0; i < lines_.size(); ++i) {
+    if (ways_[i].tag != kNoTag && lines_[i].state != MosiState::kI) {
+      candidates.push_back(i);
+    }
   }
   if (candidates.empty()) return std::nullopt;
-  CacheLine& line = *candidates[rand % candidates.size()];
+  const std::size_t i = candidates[rand % candidates.size()];
+  CacheLine& line = lines_[i];
   // Promote read-only states to M (grants illegal write permission) or
   // demote M to S (write permission lost without protocol action).
   line.state =
       (line.state == MosiState::kM) ? MosiState::kS : MosiState::kM;
-  return std::make_pair(line.tag, line.state);
-}
-
-void CacheArray::forEachValid(const std::function<void(CacheLine&)>& fn) {
-  for (auto& line : lines_) {
-    if (line.valid) fn(line);
-  }
+  return std::make_pair(ways_[i].tag, line.state);
 }
 
 void CacheArray::dumpForensics(Json& out, Addr focus) const {
   std::size_t valid = 0;
-  const CacheLine* hit = nullptr;
-  for (const auto& line : lines_) {
-    if (!line.valid) continue;
-    ++valid;
-    if (line.tag == blockAddr(focus)) hit = &line;
-  }
+  for (const Way& w : ways_) valid += w.tag != kNoTag ? 1 : 0;
+  const CacheLine* hit = find(blockAddr(focus));
   out.set("sets", Json::num(static_cast<std::uint64_t>(geom_.sets)))
       .set("ways", Json::num(static_cast<std::uint64_t>(geom_.ways)))
       .set("validLines", Json::num(static_cast<std::uint64_t>(valid)))
       .set("eccCorrections", Json::num(eccCorrections_))
       .set("focusResident", Json::boolean(hit != nullptr));
   if (hit != nullptr) {
+    const std::size_t i = index(*hit);
+    const auto flips = flips_.find(i);
     Json line = Json::object();
     line.set("state", Json::str(mosiName(hit->state)))
         .set("dataCrc16", Json::num(std::uint64_t{hashBlock(hit->data)}))
-        .set("lastUse", Json::num(hit->lastUse))
+        .set("lastUse", Json::num(ways_[i].lastUse))
         .set("pendingEccFlips",
-             Json::num(static_cast<std::uint64_t>(hit->pendingFlips.size())));
+             Json::num(static_cast<std::uint64_t>(
+                 flips == flips_.end() ? 0 : flips->second.size())));
     out.set("focusLine", std::move(line));
   }
 }

@@ -127,8 +127,8 @@ void CoherentCache::startTransaction(Addr blk, bool wantM,
   issueRequest(blk, m);
 }
 
-bool CoherentCache::evictable(const CacheLine& l) const {
-  return mshrs_.count(l.tag) == 0 && wbBuffer_.count(l.tag) == 0;
+bool CoherentCache::evictable(Addr blk) const {
+  return mshrs_.count(blk) == 0 && wbBuffer_.count(blk) == 0;
 }
 
 void CoherentCache::completeFill(Addr blk) {
@@ -137,17 +137,17 @@ void CoherentCache::completeFill(Addr blk) {
   // or data turn), hardware holds the response in the MSHR until a way
   // frees; model that as a bounded-latency retry. The blocked transactions
   // never depend on this fill, so one of them always completes.
-  if (CacheLine* l = array_.find(blk); l == nullptr || !mosiCanRead(l->state)) {
-    if (array_.victim(blk, [this](const CacheLine& c) {
-          return evictable(c);
-        }) == nullptr) {
-      cFillStall_.inc();
-      sim_.schedule(kFillRetryCycles, [this, blk, g = gen_] {
-        if (g != gen_) return;  // squashed by BER recovery
-        if (mshrs_.count(blk) != 0) completeFill(blk);
-      });
-      return;
-    }
+  CacheLine* line = array_.find(blk);
+  const bool upgrade = line != nullptr && mosiCanRead(line->state);
+  if (!upgrade &&
+      array_.victim(blk, [this](Addr tag) { return evictable(tag); }) ==
+          nullptr) {
+    cFillStall_.inc();
+    sim_.schedule(kFillRetryCycles, [this, blk, g = gen_] {
+      if (g != gen_) return;  // squashed by BER recovery
+      if (mshrs_.count(blk) != 0) completeFill(blk);
+    });
+    return;
   }
 
   // Move the MSHR out first: eviction and op replay below may start new
@@ -156,8 +156,7 @@ void CoherentCache::completeFill(Addr blk) {
   mshrs_.erase(blk);
   const std::uint64_t ltime = fillTime(m);
 
-  CacheLine* line = array_.find(blk);
-  if (line != nullptr && mosiCanRead(line->state)) {
+  if (upgrade) {
     // Upgrade path (S -> M or O -> M): close the Read-Only epoch, adopt the
     // freshest data, open the Read-Write epoch.
     DVMC_ASSERT(m.wantM, "GetS completion with a valid line");
@@ -182,10 +181,10 @@ void CoherentCache::replayOps(Mshr& m) {
 void CoherentCache::installWithEviction(Addr blk, MosiState st,
                                         const DataBlock& d,
                                         std::uint64_t ltime) {
-  CacheLine* victim = array_.victim(
-      blk, [this](const CacheLine& l) { return evictable(l); });
+  CacheLine* victim =
+      array_.victim(blk, [this](Addr tag) { return evictable(tag); });
   DVMC_ASSERT(victim != nullptr, "no evictable way in set");
-  if (victim->valid) evictLine(*victim);
+  if (array_.valid(*victim)) evictLine(*victim);
   array_.install(*victim, blk, st, d);
   if (epochs_ != nullptr) {
     epochs_->onEpochBegin(blk, st == MosiState::kM, d, ltime);
@@ -193,7 +192,7 @@ void CoherentCache::installWithEviction(Addr blk, MosiState st,
 }
 
 void CoherentCache::evictLine(CacheLine& line) {
-  const Addr blk = line.tag;
+  const Addr blk = array_.tag(line);
   if (epochs_ != nullptr) epochs_->onEpochEnd(blk, line.data, clock_.now());
   if (mosiIsOwner(line.state)) {
     wbBuffer_[blk] = WbEntry{line.data, true};
@@ -202,8 +201,7 @@ void CoherentCache::evictLine(CacheLine& line) {
   } else {
     cEvictClean_.inc();
   }
-  line.valid = false;
-  line.state = MosiState::kI;
+  array_.invalidate(line);
   notifyCpuLost(blk, /*remoteWrite=*/false);  // local eviction
 }
 
@@ -235,10 +233,7 @@ std::optional<std::pair<Addr, MosiState>> CoherentCache::injectStateFlip(
 }
 
 void CoherentCache::invalidateAll() {
-  array_.forEachValid([](CacheLine& line) {
-    line.valid = false;
-    line.state = MosiState::kI;
-  });
+  array_.invalidateAll();
   mshrs_.clear();
   wbBuffer_.clear();
   ++gen_;  // squash scheduled controller events from the rolled-back past

@@ -161,9 +161,9 @@ class CoherentCache {
   void processOp(const CacheOp& op);
   void completeOp(const CacheOp& op, std::uint64_t value, bool performed);
   void startTransaction(Addr blk, bool wantM, const CacheOp& op);
-  /// True when no transaction or writeback of the line's block is in
-  /// flight, so the line may be evicted.
-  bool evictable(const CacheLine& l) const;
+  /// True when no transaction or writeback of `blk` is in flight, so its
+  /// line may be evicted.
+  bool evictable(Addr blk) const;
   void installWithEviction(Addr blk, MosiState st, const DataBlock& d,
                            std::uint64_t ltime);
   void evictLine(CacheLine& line);

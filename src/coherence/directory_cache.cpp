@@ -179,8 +179,7 @@ void DirectoryCacheController::handleFwdGetM(const Message& msg) {
     array_.touch(*line, sink_, node_, sim_.now());
     supplyData(MsgType::kData, msg.requester, blk, line->data, msg.ackCount);
     if (epochs_ != nullptr) epochs_->onEpochEnd(blk, line->data, clock().now());
-    line->valid = false;
-    line->state = MosiState::kI;
+    array_.invalidate(*line);
     notifyCpuLost(blk, /*remoteWrite=*/true);  // a remote GetM took it
     return;
   }
@@ -219,8 +218,7 @@ void DirectoryCacheController::handleInv(const Message& msg) {
       }
     }
     if (epochs_ != nullptr) epochs_->onEpochEnd(blk, line->data, clock().now());
-    line->valid = false;
-    line->state = MosiState::kI;
+    array_.invalidate(*line);
   }
   // An Inv after a silent S-eviction finds no line, but the CPU may still
   // hold speculatively performed loads on the block — the squash hint must

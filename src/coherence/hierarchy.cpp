@@ -14,10 +14,7 @@ CacheHierarchy::CacheHierarchy(Simulator& sim, CoherentCache& l2,
 
 void CacheHierarchy::onReadPermissionLost(Addr blk, bool remoteWrite) {
   // Inclusion: whatever leaves L2 leaves L1 — for any reason.
-  CacheLine* line = l1_.find(blk);
-  if (line != nullptr) {
-    line->valid = false;
-  }
+  if (CacheLine* line = l1_.find(blk)) l1_.invalidate(*line);
   if (cpu_ != nullptr) cpu_->onReadPermissionLost(blk, remoteWrite);
 }
 
@@ -65,8 +62,7 @@ void CacheHierarchy::onCacheOpDone(const CacheOp& op, std::uint64_t value) {
     // permission.
     const DataBlock* data = l2_.peekReadable(blk);
     if (data != nullptr && l1_.find(blk) == nullptr) {
-      CacheLine* victim =
-          l1_.victim(blk, [](const CacheLine&) { return true; });
+      CacheLine* victim = l1_.victim(blk, [](Addr) { return true; });
       DVMC_ASSERT(victim != nullptr, "L1 victim selection failed");
       l1_.install(*victim, blk, MosiState::kS, *data);
     }

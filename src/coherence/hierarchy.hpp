@@ -59,9 +59,7 @@ class CacheHierarchy final : public CpuNotifier, public CacheClient {
   std::uint64_t replayLoadL1Misses() const { return cReplayMiss_.value(); }
 
   /// BER recovery: drop every L1 line (the L2 was invalidated).
-  void invalidateL1() {
-    l1_.forEachValid([](CacheLine& line) { line.valid = false; });
-  }
+  void invalidateL1() { l1_.invalidateAll(); }
 
  private:
   void finishLoadFromL1(const CacheOp& op, CacheLine& line);

@@ -106,8 +106,7 @@ void SnoopCacheController::applySnoop(const Message& msg,
           supplyData(MsgType::kSnpData, msg.src, blk, line->data);
         }
         if (epochs_ != nullptr) epochs_->onEpochEnd(blk, line->data, ltime);
-        line->valid = false;
-        line->state = MosiState::kI;
+        array_.invalidate(*line);
       } else if (auto wb = wbBuffer_.find(blk);
                  wb != wbBuffer_.end() && wb->second.stillOwner) {
         supplyData(MsgType::kSnpData, msg.src, blk, wb->second.data);

@@ -18,6 +18,12 @@ constexpr std::uint8_t kLoadAfterBits = membar::kLoadLoad | membar::kStoreLoad;
 bool isAtomic(const Instr& i) {
   return i.kind == Instr::Kind::kSwap || i.kind == Instr::Kind::kCas;
 }
+
+/// An instruction that writes its word: a load may forward from it, or
+/// must wait for it (storeFilter_).
+bool writesWord(const Instr& i) {
+  return i.kind == Instr::Kind::kStore || isAtomic(i);
+}
 }  // namespace
 
 Core::Core(Simulator& sim, NodeId node, ConsistencyModel model, CpuConfig cfg,
@@ -37,6 +43,9 @@ Core::Core(Simulator& sim, NodeId node, ConsistencyModel model, CpuConfig cfg,
       dvmc_(dvmc),
       lastDispatchModel_(model) {
   DVMC_ASSERT(cfg_.robSize <= 64, "the ROB state masks hold 64 entries");
+  DVMC_ASSERT(cfg_.robSize + cfg_.wbCapacity <= UINT16_MAX,
+              "the store filter counts ROB and write-buffer entries in 16 "
+              "bits");
   // Steady-state ring capacity: the window depths are configuration
   // bounds, so neither queue reallocates on the per-cycle path.
   rob_.reserve(cfg_.robSize);
@@ -142,8 +151,13 @@ void Core::checkBookkeeping() const {
   std::uint64_t timed = 0;
   Cycle nextReadyAt = kNoReadyAt;
   bool gateStore = false;
+  decltype(loadFilter_) loads;
+  decltype(storeFilter_) stores;
+  for (const WbEntry& w : wb_) stores.add(wordAddr(w.addr));
   for (std::size_t i = 0; i < rob_.size(); ++i) {
     const RobEntry& e = rob_[i];
+    if (squashableLoad(e)) loads.add(blockAddr(e.inst.addr));
+    if (writesWord(e.inst)) stores.add(wordAddr(e.inst.addr));
     masks[static_cast<int>(e.st)] |= std::uint64_t{1} << i;
     if (isAtomic(e.inst)) atomics |= std::uint64_t{1} << i;
     if (e.modeSwitch) switches |= std::uint64_t{1} << i;
@@ -165,6 +179,9 @@ void Core::checkBookkeeping() const {
               "earliest readyAt disagrees with the ROB");
   DVMC_ASSERT(gateStore == gateStoreInFlight_,
               "gate store flag disagrees with the ROB");
+  DVMC_ASSERT(loads == loadFilter_, "load filter disagrees with the ROB");
+  DVMC_ASSERT(stores == storeFilter_,
+              "store filter disagrees with the ROB and write buffer");
   const auto inFlight = static_cast<std::size_t>(std::count_if(
       wb_.begin(), wb_.end(), [](const WbEntry& w) { return w.inFlight; }));
   DVMC_ASSERT(inFlight == wbInFlight_,
@@ -287,6 +304,8 @@ void Core::phaseDispatch() {
     lastDispatchModel_ = e.model;
     if (inst->token != 0) ++pendingTokens_;
     rob_.push_back(e);
+    if (squashableLoad(e)) loadFilter_.add(blockAddr(e.inst.addr));
+    if (writesWord(e.inst)) storeFilter_.add(wordAddr(e.inst.addr));
     moved_ = true;
     const std::uint64_t bit = robBit(rob_.back());
     stMask_[static_cast<int>(St::kDispatched)] |= bit;
@@ -311,6 +330,7 @@ bool Core::atomicMayExecute(const RobEntry& e) const {
 std::optional<std::uint64_t> Core::forwardFromPipeline(
     const RobEntry& e) const {
   const Addr word = wordAddr(e.inst.addr);
+  if (!storeFilter_.mayHold(word)) return std::nullopt;
   // Youngest older store in the ROB wins over anything in the write buffer.
   for (auto it = rob_.rbegin(); it != rob_.rend(); ++it) {
     if (it->seq >= e.seq) continue;
@@ -433,11 +453,15 @@ void Core::executeLoad(RobEntry& e) {
   // Stall behind an unresolved older CAS on the same word: neither
   // forwarding nor the cache can supply the post-CAS value yet. (Atomics
   // execute only when all older work is verified, so this resolves fast.)
-  for (const RobEntry& o : rob_) {
-    if (o.seq >= e.seq) break;
-    if (o.inst.kind == Instr::Kind::kCas && !o.performedAtExec &&
-        wordAddr(o.inst.addr) == wordAddr(e.inst.addr)) {
-      return;
+  // storeFilter_ counts CASes too, so a word it does not hold has none.
+  const Addr word = wordAddr(e.inst.addr);
+  if (storeFilter_.mayHold(word)) {
+    for (const RobEntry& o : rob_) {
+      if (o.seq >= e.seq) break;
+      if (o.inst.kind == Instr::Kind::kCas && !o.performedAtExec &&
+          wordAddr(o.inst.addr) == word) {
+        return;
+      }
     }
   }
   if (auto fwd = forwardFromPipeline(e)) {
@@ -835,6 +859,7 @@ void Core::phaseRetire() {
         w.seq = e.seq;
         w.ordered = ordered;
         wb_.push_back(w);
+        storeFilter_.add(wordAddr(w.addr));
       }
     }
     moved_ = true;
@@ -844,6 +869,8 @@ void Core::phaseRetire() {
     atomicMask_ >>= 1;
     switchMask_ >>= 1;
     timedMask_ >>= 1;
+    if (squashableLoad(e)) loadFilter_.remove(blockAddr(e.inst.addr));
+    if (writesWord(e.inst)) storeFilter_.remove(wordAddr(e.inst.addr));
     rob_.pop_front();
   }
 }
@@ -989,6 +1016,7 @@ void Core::onStoreDrained(SeqNum seq) {
     DVMC_ASSERT(it->inFlight && wbInFlight_ > 0,
                 "write-buffer in-flight bookkeeping underflow");
     --wbInFlight_;
+    storeFilter_.remove(wordAddr(it->addr));
     wb_.erase(it);
     wbHeadHolds_ = !wb_.empty() && wb_.front().inFlight && wb_.front().ordered;
     DVMC_ASSERT(outstandingStores_ > 0, "store bookkeeping underflow");
@@ -1009,6 +1037,8 @@ void Core::onReadPermissionLost(Addr blk, bool remoteWrite) {
   // any later remote write to the untracked block with a flush (squashing
   // here would livelock a thrashing cache set).
   if (!remoteWrite) return;
+  // Most remote writes are to blocks no load in the ROB reads.
+  if (!loadFilter_.mayHold(blk)) return;
   // Tracks, walking in program order, whether some older operation's
   // perform point is still pending. Only then is a replayed (kGateDone)
   // load's perform not yet anchored in program order; squashing exactly
@@ -1017,8 +1047,7 @@ void Core::onReadPermissionLost(Addr blk, bool remoteWrite) {
   bool olderUnperformed = false;
   bool squashed = false;  // an entry went back to dispatch
   for (RobEntry& e : rob_) {
-    if (e.inst.kind == Instr::Kind::kLoad &&
-        e.model != ConsistencyModel::kRMO && blockAddr(e.inst.addr) == blk) {
+    if (squashableLoad(e) && blockAddr(e.inst.addr) == blk) {
       switch (e.st) {
         case St::kIssued:
         case St::kGateIssued:
@@ -1094,6 +1123,8 @@ void Core::restoreState(const ArchSnapshot& snap) {
   updateStalls();  // the restore ends every stall
   ++restartGen_;
   rob_.clear();
+  loadFilter_.clear();
+  storeFilter_.clear();
   stMask_ = {};
   atomicMask_ = 0;
   switchMask_ = 0;

@@ -58,6 +58,31 @@ class TraceRecorder;
 /// Dispatch, gate and retire width: instructions per cycle.
 inline constexpr std::size_t kCoreWidth = 4;
 
+/// A counting filter over the addresses of a set of pipeline entries: one
+/// counter per hashed slot, equal to the number of entries whose address
+/// hashes there. A slot that counts zero proves that no entry holds the
+/// address, so a walk looking for one can be skipped; a slot that two
+/// addresses share only costs the walk.
+template <class Count>
+class AddrFilter {
+ public:
+  static constexpr unsigned kSlotBits = 10;
+
+  /// Fibonacci hashing: the top bits of the product mix every address bit.
+  static std::size_t slot(Addr a) {
+    return static_cast<std::size_t>((a * 0x9E3779B97F4A7C15ULL) >>
+                                    (64 - kSlotBits));
+  }
+  void add(Addr a) { ++counts_[slot(a)]; }
+  void remove(Addr a) { --counts_[slot(a)]; }
+  bool mayHold(Addr a) const { return counts_[slot(a)] != 0; }
+  void clear() { counts_ = {}; }
+  bool operator==(const AddrFilter&) const = default;
+
+ private:
+  std::array<Count, std::size_t{1} << kSlotBits> counts_{};
+};
+
 struct CpuConfig {
   std::size_t robSize = 64;
   std::size_t wbCapacity = 64;
@@ -248,6 +273,11 @@ class Core final : public CpuNotifier,
   /// sends it back to dispatch and returns true.
   bool restartIfSquashed(RobEntry& e);
   std::optional<std::uint64_t> forwardFromPipeline(const RobEntry& e) const;
+  /// A load that a remote write to its block squashes (loadFilter_).
+  static bool squashableLoad(const RobEntry& e) {
+    return e.inst.kind == Instr::Kind::kLoad &&
+           e.model != ConsistencyModel::kRMO;
+  }
   RobEntry* entryBySeq(SeqNum seq);
   const OrderingTable& tableFor(ConsistencyModel m) const;
   void performEvent(const RobEntry& e);
@@ -272,6 +302,20 @@ class Core final : public CpuNotifier,
   RingQueue<RobEntry> rob_;
   RingQueue<WbEntry> wb_;
   RingQueue<Instr> replayQueue_;  // re-injected in-flight work (recovery)
+
+  // Address filters in front of the ROB walks that usually find nothing.
+  // loadFilter_ counts the ordered-model loads in the ROB by block (the
+  // entries a remote write can squash), so onReadPermissionLost skips its
+  // walk for a block none of them reads; a slot counts at most robSize
+  // (<= 64) entries. storeFilter_ counts the stores and atomics in the ROB
+  // and the stores in the write buffer by word, so a load's CAS-stall check
+  // and forwardFromPipeline skip their walks for a word none of them
+  // writes; a slot counts at most robSize + wbCapacity entries. Dispatch
+  // and retirement update both, the write buffer's push and drain update
+  // storeFilter_, and a BER restore clears them; checkBookkeeping recounts
+  // them in builds without NDEBUG.
+  AddrFilter<std::uint8_t> loadFilter_;
+  AddrFilter<std::uint16_t> storeFilter_;
 
   // Readiness bookkeeping, so a tick visits only entries that can move.
   // Bit i of each mask stands for rob_[i], counting from the head:

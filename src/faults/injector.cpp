@@ -80,13 +80,8 @@ bool FaultInjector::injectNow(FaultType t) {
       const std::uint64_t r = rng_.next();
       auto first = array.injectBitFlip(r);
       if (!first) return false;
-      // Second flip in the same line: re-find it and flip an adjacent bit.
-      CacheLine* line = array.find(*first);
-      if (line == nullptr) return false;
-      const std::size_t bit = (r % (kBlockSizeBytes * 8 - 1)) + 1;
-      line->data.flipBit(bit);
-      line->pendingFlips.push_back(bit);
-      return true;
+      // Second flip in the same line.
+      return array.injectBitFlip(*first, (r % (kBlockSizeBytes * 8 - 1)) + 1);
     }
     case FaultType::kCacheStateFlip: {
       CoherentCache& l2 = sys_.l2(node);

@@ -58,7 +58,7 @@ std::string validateWritablePath(const std::string& path) {
   return {};
 }
 
-void addObsFlags(CliParser& cli) {
+void addObsFlags(CliParser& cli, const char* noCaptureReason) {
   // Every binary on the shared flag surface gets crash-surviving
   // artifacts: the handler chains to the previous disposition, so it is
   // invisible unless --log-json / --status-file are armed and the process
@@ -79,8 +79,15 @@ void addObsFlags(CliParser& cli) {
             "snapshot telemetry counters every N cycles into the report");
   cli.count("--sample-capacity", &opts.sampleCapacity, "M",
             "telemetry ring size in rows");
-  cli.path("--capture-trace", &opts.captureTraceFile, "FILE",
-           "record the first run's commit-point memory-op trace (dvmc-trace)");
+  if (noCaptureReason == nullptr) {
+    cli.path("--capture-trace", &opts.captureTraceFile, "FILE",
+             "record the first run's commit-point memory-op trace "
+             "(dvmc-trace)");
+  } else {
+    const std::string why = noCaptureReason;
+    cli.optionFn("--capture-trace", "FILE", "refused: " + why,
+                 [why](const std::string&) { return why; });
+  }
   cli.count("--capture-trace-limit", &opts.captureTraceLimit, "N",
             "max records before the capture is marked truncated");
   cli.optionFn("--log-level", "LEVEL",

@@ -86,8 +86,11 @@ ObsOptions& options();
 /// Registers the observability flag group on a CliParser, targeting
 /// options(). Every binary that builds its own parser calls this (plus
 /// addRunnerFlags / bench::addBenchFlags) so the flag set and the --help
-/// table stay identical across the fleet.
-void addObsFlags(CliParser& cli);
+/// table stay identical across the fleet. A binary whose run rolls back
+/// committed history passes `noCaptureReason`: no linear commit trace of
+/// such a run exists, so --capture-trace is refused at parse time with
+/// that reason (exit 2), before any file is created.
+void addObsFlags(CliParser& cli, const char* noCaptureReason = nullptr);
 
 /// Strict positive-count parser for flag values: accepts decimal digits
 /// only, rejects empty, non-numeric, zero, and overflowing input.

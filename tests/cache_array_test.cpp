@@ -9,7 +9,7 @@
 namespace dvmc {
 namespace {
 
-constexpr auto kAlways = [](const CacheLine&) { return true; };
+constexpr auto kAlways = [](Addr) { return true; };
 
 TEST(CacheArray, InstallAndFind) {
   CacheArray c({4, 2});
@@ -31,7 +31,7 @@ TEST(CacheArray, VictimPrefersInvalidWays) {
   CacheLine* v1 = c.victim(0x0, kAlways);
   c.install(*v1, 0x0, MosiState::kS, d);
   CacheLine* v2 = c.victim(0x40, kAlways);
-  EXPECT_FALSE(v2->valid);  // second way still free
+  EXPECT_FALSE(c.valid(*v2));  // second way still free
 }
 
 TEST(CacheArray, LruEviction) {
@@ -43,8 +43,8 @@ TEST(CacheArray, LruEviction) {
   // Touch 0x000 so 0x040 becomes LRU.
   c.touch(*c.find(0x000), &sink, 0, 0);
   CacheLine* v = c.victim(0x080, kAlways);
-  ASSERT_TRUE(v->valid);
-  EXPECT_EQ(v->tag, 0x040u);
+  ASSERT_TRUE(c.valid(*v));
+  EXPECT_EQ(c.tag(*v), 0x040u);
 }
 
 TEST(CacheArray, VictimRespectsPredicate) {
@@ -52,11 +52,11 @@ TEST(CacheArray, VictimRespectsPredicate) {
   DataBlock d;
   c.install(*c.victim(0x000, kAlways), 0x000, MosiState::kM, d);
   c.install(*c.victim(0x040, kAlways), 0x040, MosiState::kM, d);
-  auto onlyShared = [](const CacheLine& l) { return l.tag == 0x040; };
+  auto onlyShared = [](Addr tag) { return tag == 0x040; };
   CacheLine* v = c.victim(0x080, onlyShared);
   ASSERT_NE(v, nullptr);
-  EXPECT_EQ(v->tag, 0x040u);
-  auto none = [](const CacheLine&) { return false; };
+  EXPECT_EQ(c.tag(*v), 0x040u);
+  auto none = [](Addr) { return false; };
   EXPECT_EQ(c.victim(0x080, none), nullptr);
 }
 
@@ -70,6 +70,36 @@ TEST(CacheArray, SetIndexingSeparatesSets) {
   for (Addr a : {Addr{0x000}, Addr{0x040}, Addr{0x080}, Addr{0x0C0}}) {
     EXPECT_NE(c.find(a), nullptr) << a;
   }
+}
+
+TEST(CacheArray, SetCountMustBeAPowerOfTwo) {
+  EXPECT_DEATH({ CacheArray bad({3, 2}); }, "power of two");
+  EXPECT_DEATH({ CacheArray bad({96, 4}); }, "power of two");
+  CacheArray ok({1, 3});  // any way count
+  EXPECT_EQ(ok.numSets(), 1u);
+}
+
+TEST(CacheArray, InvalidateMissesAndFreesTheWayFirst) {
+  CacheArray c({1, 2});
+  DataBlock d;
+  c.install(*c.victim(0x000, kAlways), 0x000, MosiState::kS, d);
+  c.install(*c.victim(0x040, kAlways), 0x040, MosiState::kM, d);
+  CacheLine* newest = c.find(0x040);
+  ASSERT_NE(newest, nullptr);
+  c.invalidate(*newest);
+  EXPECT_EQ(c.find(0x040), nullptr);
+  EXPECT_NE(c.find(0x000), nullptr);
+  EXPECT_FALSE(c.valid(*newest));
+  EXPECT_EQ(newest->state, MosiState::kI);
+  // 0x000 is the LRU line, but the invalidated way is offered first.
+  EXPECT_EQ(c.victim(0x080, kAlways), newest);
+  // Fault injection skips the invalidated way.
+  const auto flipped = c.injectStateFlip(1);
+  ASSERT_TRUE(flipped.has_value());
+  EXPECT_EQ(flipped->first, 0x000u);
+  c.invalidateAll();
+  EXPECT_EQ(c.find(0x000), nullptr);
+  EXPECT_FALSE(c.injectBitFlip(1).has_value());
 }
 
 TEST(CacheArrayEcc, SingleBitFlipCorrectedOnAccess) {
@@ -92,16 +122,47 @@ TEST(CacheArrayEcc, MultiBitFlipDetectedUncorrectable) {
   ErrorSink sink;
   DataBlock d;
   c.install(*c.victim(0x1000, kAlways), 0x1000, MosiState::kS, d);
+  ASSERT_TRUE(c.injectBitFlip(0x1000, 3));
+  ASSERT_TRUE(c.injectBitFlip(0x1000, 9));
+  EXPECT_FALSE(c.injectBitFlip(0x2000, 3));  // not resident
   CacheLine* line = c.find(0x1000);
-  line->data.flipBit(3);
-  line->pendingFlips.push_back(3);
-  line->data.flipBit(9);
-  line->pendingFlips.push_back(9);
   c.touch(*line, &sink, 2, 77);
   ASSERT_TRUE(sink.any());
   EXPECT_EQ(sink.first().kind, CheckerKind::kEcc);
   EXPECT_EQ(sink.first().node, 2u);
+  EXPECT_EQ(sink.first().addr, 0x1000u);
   EXPECT_EQ(c.eccCorrections(), 0u);
+  // Reported once: the next access finds an empty ledger.
+  c.touch(*line, &sink, 2, 78);
+  EXPECT_EQ(sink.count(), 1u);
+  EXPECT_EQ(line->data.read(0), 0x200u | 0x8u);  // bits 3 and 9 stay flipped
+}
+
+TEST(CacheArrayEcc, InstallClearsPendingFlips) {
+  CacheArray c({4, 2});
+  ErrorSink sink;
+  DataBlock d;
+  d.write(0, 0x77);
+  c.install(*c.victim(0x1000, kAlways), 0x1000, MosiState::kS, d);
+  ASSERT_TRUE(c.injectBitFlip(0x1000, 0));
+  ASSERT_TRUE(c.injectBitFlip(0x1000, 1));
+  CacheLine* line = c.find(0x1000);
+  c.install(*line, 0x1000, MosiState::kM, d);  // fresh data, fresh code
+  c.touch(*line, &sink, 0, 0);
+  EXPECT_FALSE(sink.any());
+  EXPECT_EQ(c.eccCorrections(), 0u);
+  EXPECT_EQ(line->data.read(0), 0x77u);
+}
+
+TEST(CacheArrayEcc, BitFlipTargetsTheMostRecentlyUsedLine) {
+  CacheArray c({4, 2});
+  ErrorSink sink;
+  DataBlock d;
+  for (Addr a : {Addr{0x000}, Addr{0x040}, Addr{0x080}}) {
+    c.install(*c.victim(a, kAlways), a, MosiState::kS, d);
+  }
+  c.touch(*c.find(0x040), &sink, 0, 0);
+  EXPECT_EQ(c.injectBitFlip(7), std::optional<Addr>{0x040});
 }
 
 TEST(CacheArray, StateFlipPromotesToM) {

@@ -446,5 +446,77 @@ TEST(CoreWakes, WritePermissionForAnOwnedBlockStore) {
   EXPECT_EQ(performed, (std::vector<Addr>{kC, kB}));
 }
 
+// ---------------------------------------------------------------------------
+// Address filters: a shared slot costs a ROB walk, never a wrong answer.
+// ---------------------------------------------------------------------------
+
+// The first address after `a`, in steps of `step`, that shares a's slot.
+template <class Filter>
+Addr collidingAddr(Addr a, Addr step) {
+  Addr b = a + step;
+  while (Filter::slot(b) != Filter::slot(a)) b += step;
+  return b;
+}
+
+TEST(CoreFilters, RemoteWriteSquashesOnlyItsOwnBlockInASharedSlot) {
+  // As in CoreWakes.RemoteWriteThatSquashes, node 0's late loads execute
+  // early and wait behind a Membar #StoreLoad while node 1 stores to kA.
+  // A load of another block in kA's load-filter slot waits beside them:
+  // the write must squash the kA load alone.
+  const Addr other =
+      collidingAddr<AddrFilter<std::uint8_t>>(kA, kBlockSizeBytes);
+  ASSERT_NE(blockAddr(other), blockAddr(kA));
+  SystemConfig cfg = config(ConsistencyModel::kTSO);
+  cfg.cpu.storePrefetch = false;
+  const Addr remote = 0x400040;  // homed at node 1
+  System& sys = twoCoreSystem(
+      cfg,
+      {Instr::load(kA, 1), Instr::load(other, 2), Instr::store(remote, 1),
+       Instr::membar(membar::kStoreLoad), Instr::load(kA, 3),
+       Instr::load(other, 4)},
+      {Instr::compute(250), Instr::store(kA, 7)});
+  auto stat = [&](const char* name) { return sys.core(0).stats().get(name); };
+  sys.runUntil([&] { return stat("cpu.squashes") > 0; });
+  ASSERT_EQ(stat("cpu.squashes"), 1u);
+  const std::uint64_t issued = stat("cpu.loadIssued");
+  sys.runTo(sys.sim().now());
+  EXPECT_EQ(stat("cpu.loadIssued"), issued + 1) << "one load re-executes";
+  ASSERT_TRUE(sys.run().completed);
+  EXPECT_EQ(stat("cpu.squashes"), 1u);
+  const std::uint64_t otherValue =
+      MemoryStorage::initialPattern(blockAddr(other))
+          .read(blockOffset(other));
+  auto& p = static_cast<ScriptedProgram&>(sys.core(0).program());
+  ASSERT_EQ(p.results().size(), 4u);
+  EXPECT_EQ(p.results()[1].second, otherValue);
+  EXPECT_EQ(p.results()[2], (std::pair<std::uint64_t, std::uint64_t>{3, 7}));
+  EXPECT_EQ(p.results()[3].second, otherValue);
+}
+
+TEST(CoreFilters, LoadForwardsFromTheRightStoreInASharedSlot) {
+  // Two words in one store-filter slot: a load of one never forwards from
+  // a store to the other, and each forwards from its own store.
+  const Addr other =
+      collidingAddr<AddrFilter<std::uint16_t>>(kA, kWordBytes);
+  ASSERT_NE(other, kA);
+  System* sys = nullptr;
+  RunResult r = runScript(
+      config(ConsistencyModel::kTSO),
+      {Instr::store(kA, 111), Instr::load(other, 1), Instr::store(other, 222),
+       Instr::load(other, 2), Instr::load(kA, 3)},
+      &sys);
+  ASSERT_TRUE(r.completed);
+  EXPECT_EQ(r.detections, 0u);
+  auto& p = static_cast<ScriptedProgram&>(sys->core(0).program());
+  using Result = std::pair<std::uint64_t, std::uint64_t>;
+  const std::vector<Result> expected = {
+      {1, MemoryStorage::initialPattern(blockAddr(other))
+              .read(blockOffset(other))},
+      {2, 222},
+      {3, 111}};
+  EXPECT_EQ(p.results(), expected);
+  EXPECT_EQ(sys->core(0).stats().get("cpu.loadForwarded"), 2u);
+}
+
 }  // namespace
 }  // namespace dvmc

@@ -86,8 +86,7 @@ TEST(SnoopingProtocol, GetMInvalidatesAllOtherCopies) {
   ASSERT_TRUE(r.completed);
   EXPECT_EQ(r.detections, 0u);
   for (NodeId n = 1; n <= 2; ++n) {
-    CacheLine* line = sys->l2(n).array().find(kBlk);
-    EXPECT_TRUE(line == nullptr || !line->valid) << "node " << n;
+    EXPECT_EQ(sys->l2(n).array().find(kBlk), nullptr) << "node " << n;
   }
   EXPECT_EQ(sys->l2(0).array().find(kBlk)->state, MosiState::kM);
 }

@@ -582,5 +582,29 @@ TEST(InspectTimeline, DetectionBlockInCycleOrder) {
 
 #endif  // DVMC_CAMPAIGN_BIN && DVMC_INSPECT_BIN
 
+#if defined(DVMC_ERROR_DEMO_BIN) && defined(DVMC_AVAILABILITY_DEMO_BIN)
+
+TEST(DemoFlags, RollbackDemosRefuseCaptureTrace) {
+  // Both demos roll committed history back (by hand, or by autoRecover),
+  // so a linear capture of their run would be unsound: --capture-trace is
+  // refused before the run, with the reason, and no file is created.
+  TempDir tmp("refuse_capture");
+  for (const char* bin : {DVMC_ERROR_DEMO_BIN, DVMC_AVAILABILITY_DEMO_BIN}) {
+    const std::string file = tmp.str("run.trace");
+    SubprocessOptions o;
+    o.argv = {bin, "--capture-trace=" + file};
+    o.deadlineMs = 120'000;
+    const SubprocessResult r = runSubprocess(o);
+    EXPECT_EQ(r.status.reason, ExitReason::kNonZeroExit) << bin;
+    EXPECT_EQ(r.status.exitCode, 2) << bin;
+    EXPECT_NE(r.stderrTail.find("no linear commit trace"), std::string::npos)
+        << bin << ": " << r.stderrTail;
+    EXPECT_TRUE(r.stdoutTail.empty()) << bin << " ran: " << r.stdoutTail;
+    EXPECT_FALSE(fs::exists(file)) << bin;
+  }
+}
+
+#endif  // DVMC_ERROR_DEMO_BIN && DVMC_AVAILABILITY_DEMO_BIN
+
 }  // namespace
 }  // namespace dvmc

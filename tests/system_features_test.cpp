@@ -501,8 +501,7 @@ TEST(L1Inclusion, InvalidationDropsL1Copy) {
   ASSERT_TRUE(r.completed);
   EXPECT_EQ(r.detections, 0u);
   // After node 1's store, node 0's L1 must not hold the stale block.
-  CacheLine* l1line = sys.hierarchy(0).l1().find(kBlk);
-  EXPECT_TRUE(l1line == nullptr || !l1line->valid);
+  EXPECT_EQ(sys.hierarchy(0).l1().find(kBlk), nullptr);
 }
 
 TEST(L1Inclusion, L1HitsReduceL2Pressure) {
