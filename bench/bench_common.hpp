@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "common/cli.hpp"
-#include "common/thread_pool.hpp"
+#include "common/parallel_for.hpp"
 #include "common/version.hpp"
 #include "obs/json.hpp"
 #include "obs/run_report.hpp"

@@ -101,7 +101,7 @@ int benchRunSeeds() {
                                         ConsistencyModel::kTSO,
                                         WorkloadKind::kOltp,
                                         /*dvmcOn=*/true, /*berOn=*/true);
-  const unsigned hw = ThreadPool::hardwareWorkers();
+  const unsigned hw = hardwareWorkers();
   std::printf(
       "\n-- runSeeds scaling (%d seeds, oltp/directory/TSO+DVMC, hw=%u) --\n",
       seeds, hw);

@@ -47,7 +47,6 @@ struct CacheLine {
 struct CacheGeometry {
   std::size_t sets = 128;  // a power of two
   std::size_t ways = 4;
-  std::size_t capacityBytes() const { return sets * ways * kBlockSizeBytes; }
 };
 
 class CacheArray {
@@ -108,8 +107,6 @@ class CacheArray {
       std::uint64_t rand);
 
   std::size_t numSets() const { return geom_.sets; }
-  std::size_t numWays() const { return geom_.ways; }
-  std::size_t capacityBytes() const { return geom_.capacityBytes(); }
   std::uint64_t eccCorrections() const { return eccCorrections_; }
 
   /// Forensics dump: valid-line occupancy and, when the focus block is

@@ -55,8 +55,8 @@ class CoherentCache {
   LogicalClock& clock() { return clock_; }
 
   /// Observes every performed store/atomic (word address, value). The
-  /// system layer uses this to maintain the architectural memory shadow
-  /// that SafetyNet checkpoints.
+  /// system layer installs one only while something listens: SafetyNet's
+  /// architectural memory image, or a test's store audit hook.
   using StorePerformHook = std::function<void(Addr, std::uint64_t)>;
   void setStorePerformHook(StorePerformHook h) { storeHook_ = std::move(h); }
 

@@ -12,8 +12,8 @@
 #include <chrono>
 #include <thread>
 
+#include "common/parallel_for.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 
 extern char** environ;
 

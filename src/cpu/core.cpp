@@ -65,14 +65,17 @@ void Core::start() {
   if (started_) return;
   started_ = true;
   wakeIn(1);
-  if (ar_ != nullptr) {
-    // Artificial membar injection for lost-operation detection (§4.2).
-    sim_.schedule(dvmc_.membarInjectionPeriod, [this] { injectTick(); });
-  }
+  // Artificial membar injection for lost-operation detection (§4.2).
+  if (ar_ != nullptr) armInjectTick();
+}
+
+void Core::armInjectTick() {
+  injectArmed_ = true;
+  sim_.schedule(dvmc_.membarInjectionPeriod, [this] { injectTick(); });
 }
 
 void Core::injectTick() {
-  if (ar_ == nullptr) return;
+  injectArmed_ = false;
   ar_->injectCheckpointMembar();
   // Pipeline-hang watchdog: a core that retires nothing across a whole
   // injection period while holding instructions has lost an operation
@@ -85,9 +88,9 @@ void Core::injectTick() {
     cHangDetections_.inc();
   }
   lastRetiredAtInject_ = retiredCount_;
-  if (!done()) {
-    sim_.schedule(dvmc_.membarInjectionPeriod, [this] { injectTick(); });
-  }
+  // A done core lets the chain end; restoreState re-arms it if a rollback
+  // hands the core work again.
+  if (!done()) armInjectTick();
 }
 
 bool Core::injectWbValueFault(std::uint64_t rand) {
@@ -1146,6 +1149,11 @@ void Core::restoreState(const ArchSnapshot& snap) {
   lastDispatchModel_ = model_;
   cRestarts_.inc();
   reportProgress();
+  // The injection chain ended when the core was done; a restored core with
+  // work needs it again. A chain still armed keeps running alone.
+  if (ar_ != nullptr && started_ && !injectArmed_ && !done()) {
+    armInjectTick();
+  }
   wake();
 }
 

@@ -248,6 +248,8 @@ class Core final : public CpuNotifier,
   void reportProgress();
   /// Asserts the readiness bookkeeping against a full scan.
   void checkBookkeeping() const;
+  /// Schedules the next injectTick, one period out.
+  void armInjectTick();
   void injectTick();
   void phaseRetire();
   void phaseGate();
@@ -357,6 +359,7 @@ class Core final : public CpuNotifier,
   bool loadFaultArmed_ = false;
   bool wbReorderArmed_ = false;
   std::uint64_t lastRetiredAtInject_ = 0;  // pipeline-hang watchdog
+  bool injectArmed_ = false;  // an injectTick is scheduled
   // Stall intervals, one bit per Stall: seen by the running tick, and open
   // since stallSince_.
   std::uint8_t stalledNow_ = 0;

@@ -61,9 +61,6 @@ class MemoryEpochChecker final : public HomeObserver {
   }
   std::size_t queuedInforms() const { return queue_.size(); }
 
-  /// Modeled MET storage (48 bits per entry, Section 6.3).
-  static std::size_t modeledBitsPerEntry() { return 48; }
-
   /// Forensics dump: MET occupancy, inform-queue depth, and the focus
   /// block's epoch row (latest RO/RW end times, end-of-RW CRC-16 hash,
   /// open-epoch sharers/owner) — the state a DVCC violation is judged

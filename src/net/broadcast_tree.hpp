@@ -39,7 +39,6 @@ class BroadcastTree {
   std::uint64_t broadcastsIssued() const { return order_; }
   void bumpEpoch() { ++epoch_; }
   std::uint64_t totalBytes() const { return totalBytes_; }
-  void resetStats() { totalBytes_ = 0; }
 
  private:
   Simulator& sim_;

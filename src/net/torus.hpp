@@ -57,8 +57,6 @@ class TorusNetwork {
   std::uint64_t classBytes(TrafficClass c) const {
     return classBytes_[static_cast<std::size_t>(c)];
   }
-  const std::vector<std::uint64_t>& linkBytes() const { return linkBytes_; }
-  Cycle statsStart() const { return statsStart_; }
   std::uint64_t messagesSent() const { return messagesSent_; }
 
   /// Mean bytes/cycle on the most heavily loaded directed link since the

@@ -140,8 +140,4 @@ void setCrashStatusPath(const char* path) {
            path != nullptr ? path : "");
 }
 
-bool crashHandlerInstalled() {
-  return crashState().installed.load();
-}
-
 }  // namespace dvmc::obs

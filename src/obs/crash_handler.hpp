@@ -35,7 +35,4 @@ void installCrashHandler();
 /// Called automatically when --status-file creates the StatusWriter.
 void setCrashStatusPath(const char* path);
 
-/// Tests: true once installCrashHandler() ran.
-bool crashHandlerInstalled();
-
 }  // namespace dvmc::obs

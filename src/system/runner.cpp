@@ -9,7 +9,7 @@
 #include <sstream>
 #include <vector>
 
-#include "common/thread_pool.hpp"
+#include "common/parallel_for.hpp"
 #include "obs/log.hpp"
 #include "obs/resource.hpp"
 #include "obs/run_report.hpp"
@@ -268,7 +268,7 @@ int initialDefaultJobs() {
     const int v = std::atoi(env);
     if (v > 0) return v;
   }
-  return static_cast<int>(ThreadPool::hardwareWorkers());
+  return static_cast<int>(hardwareWorkers());
 }
 
 }  // namespace

@@ -17,8 +17,8 @@ namespace {
 class DirNodeRouter final : public NetworkEndpoint {
  public:
   DirNodeRouter(DirectoryHome* home, DirectoryCacheController* cache,
-                MemoryEpochChecker* met, Counter* ckptMsgs)
-      : home_(home), cache_(cache), met_(met), ckpt_(ckptMsgs) {}
+                MemoryEpochChecker* met, SafetyNet* ber)
+      : home_(home), cache_(cache), met_(met), ber_(ber) {}
 
   void onMessage(const Message& msg) override {
     switch (msg.type) {
@@ -35,7 +35,7 @@ class DirNodeRouter final : public NetworkEndpoint {
         return;
       case MsgType::kCkptSync:
       case MsgType::kCkptLog:
-        if (ckpt_ != nullptr) ckpt_->inc();
+        if (ber_ != nullptr) ber_->onCheckpointMessage();
         return;
       default:
         cache_->onMessage(msg);
@@ -47,7 +47,7 @@ class DirNodeRouter final : public NetworkEndpoint {
   DirectoryHome* home_;
   DirectoryCacheController* cache_;
   MemoryEpochChecker* met_;
-  Counter* ckpt_;
+  SafetyNet* ber_;
 };
 
 /// Snooping address-network endpoint: every broadcast reaches both the
@@ -71,8 +71,8 @@ class SnoopAddrRouter final : public NetworkEndpoint {
 class SnoopDataRouter final : public NetworkEndpoint {
  public:
   SnoopDataRouter(SnoopCacheController* cache, SnoopMemoryController* mem,
-                  MemoryEpochChecker* met, Counter* ckptMsgs)
-      : cache_(cache), mem_(mem), met_(met), ckpt_(ckptMsgs) {}
+                  MemoryEpochChecker* met, SafetyNet* ber)
+      : cache_(cache), mem_(mem), met_(met), ber_(ber) {}
   void onMessage(const Message& msg) override {
     switch (msg.type) {
       case MsgType::kSnpWbData:
@@ -85,7 +85,7 @@ class SnoopDataRouter final : public NetworkEndpoint {
         return;
       case MsgType::kCkptSync:
       case MsgType::kCkptLog:
-        if (ckpt_ != nullptr) ckpt_->inc();
+        if (ber_ != nullptr) ber_->onCheckpointMessage();
         return;
       default:
         cache_->onMessage(msg);
@@ -97,7 +97,7 @@ class SnoopDataRouter final : public NetworkEndpoint {
   SnoopCacheController* cache_;
   SnoopMemoryController* mem_;
   MemoryEpochChecker* met_;
-  Counter* ckpt_;
+  SafetyNet* ber_;
 };
 
 }  // namespace
@@ -154,8 +154,17 @@ System::System(SystemConfig cfg) : cfg_(std::move(cfg)) {
                                 ? *cfg_.workloadOverride
                                 : workloadPreset(cfg_.workload);
   targetStops_ = wp.barrierEveryTx == 0;
+  if (cfg_.berEnabled) {
+    ber_ = std::make_unique<SafetyNet>(
+        sim_, *torus_, cfg_.ber, [this] { return snapshotCores(); },
+        [this](const SafetyNet::MemoryImage& image,
+               const SafetyNet::CoreSnapshots& cores) {
+          rollback(image, cores);
+        });
+  }
   nodes_.resize(cfg_.numNodes);
   for (NodeId n = 0; n < cfg_.numNodes; ++n) buildNode(n);
+  installStoreHooks();
 
   if (cfg_.trace.capture) {
     // BER rollback re-executes in-flight work under fresh sequence
@@ -168,16 +177,6 @@ System::System(SystemConfig cfg) : cfg_(std::move(cfg)) {
         static_cast<std::uint8_t>(cfg_.protocol), cfg_.seed,
         cfg_.trace.captureLimit);
     for (Node& n : nodes_) n.core->setTraceRecorder(traceRecorder_.get());
-  }
-
-  if (cfg_.berEnabled) {
-    ber_ = std::make_unique<SafetyNet>(
-        sim_, cfg_.ber, [this] { return captureSnapshot(); },
-        [this](const SafetyNet::Snapshot& target,
-               const std::vector<const SafetyNet::Snapshot*>& newer) {
-          restoreSnapshot(target, newer);
-        },
-        [this] { sendCheckpointTraffic(); });
   }
 }
 
@@ -262,30 +261,6 @@ void System::buildNode(NodeId n) {
     node.ar = std::make_unique<ReorderChecker>(sim_, n, &sink_);
   }
 
-  // Architectural memory shadow for SafetyNet (plus the audit hook). With
-  // BER on, the first store to a block per checkpoint interval logs the
-  // block's prior state into the live undo segment BEFORE mutating it —
-  // SafetyNet-style incremental old-value logging.
-  node.l2->setStorePerformHook(
-      [this, n](Addr addr, std::uint64_t value) {
-        const Addr blk = blockAddr(addr);
-        auto it = shadow_.find(blk);
-        const bool absent = (it == shadow_.end());
-        if (cfg_.berEnabled && dirtySinceCkpt_.try_emplace(blk, true).second) {
-          SafetyNet::UndoRecord rec;
-          rec.blk = blk;
-          rec.wasAbsent = absent;
-          if (!absent) rec.oldValue = it->second;
-          liveUndo_.push_back(std::move(rec));
-        }
-        if (absent) {
-          it = shadow_.emplace(blk, MemoryStorage::initialPattern(blk)).first;
-        }
-        it->second.write(blockOffset(addr), value);
-        ++storesSinceCkpt_;
-        if (auditHook_) auditHook_(n, addr, value);
-      });
-
   node.core = std::make_unique<Core>(sim_, n, cfg_.model, cfg_.cpu,
                                      *node.hierarchy, makeProgram(n), &sink_,
                                      node.vc.get(), node.ar.get(), cfg_.dvmc);
@@ -300,11 +275,11 @@ void System::buildNode(NodeId n) {
 
   if (dirCache != nullptr) {
     node.dataRouter = std::make_unique<DirNodeRouter>(
-        dirHome, dirCache, node.met.get(), &cCkptMsgsReceived_);
+        dirHome, dirCache, node.met.get(), ber_.get());
     torus_->attach(n, node.dataRouter.get());
   } else {
     node.dataRouter = std::make_unique<SnoopDataRouter>(
-        snpCache, snpMem, node.met.get(), &cCkptMsgsReceived_);
+        snpCache, snpMem, node.met.get(), ber_.get());
     torus_->attach(n, node.dataRouter.get());
     node.addrRouter = std::make_unique<SnoopAddrRouter>(snpCache, snpMem);
     tree_->attach(n, node.addrRouter.get());
@@ -448,7 +423,6 @@ void System::buildSamplePlan() {
         if (n.ar) add(n.ar->stats());
       }
       if (ber_) add(ber_->stats());
-      add(ckptMsgStats_);
     }
     samplePlan_.push_back(std::move(col));
   }
@@ -615,7 +589,6 @@ MetricSnapshot System::metricsSnapshot(bool perNode) const {
     if (perNode) collect(nodes_[i], "node" + std::to_string(i) + "/");
   }
   if (ber_) ber_->stats().snapshotInto(snap);
-  ckptMsgStats_.snapshotInto(snap);
   snap.counters["net.totalBytes"] += torus_->totalBytes();
   snap.counters["net.coherenceBytes"] +=
       torus_->classBytes(TrafficClass::kCoherence);
@@ -624,54 +597,42 @@ MetricSnapshot System::metricsSnapshot(bool perNode) const {
   return snap;
 }
 
-void System::resetNetStats() {
-  torus_->resetStats();
-  if (tree_) tree_->resetStats();
+void System::setStoreAuditHook(StoreAuditHook h) {
+  auditHook_ = std::move(h);
+  installStoreHooks();
 }
 
-SafetyNet::Snapshot System::captureSnapshot() {
-  // Seal the live undo segment into the checkpoint: O(blocks dirtied since
-  // the previous capture), not O(memory image). The new interval starts
-  // with an empty segment and dirty set.
-  SafetyNet::Snapshot s;
-  s.cycle = sim_.now();
-  s.undo = std::move(liveUndo_);
-  liveUndo_.clear();
-  dirtySinceCkpt_.clear();
-  s.cores.reserve(nodes_.size());
-  for (Node& n : nodes_) s.cores.push_back(n.core->snapshotState());
-  return s;
+void System::installStoreHooks() {
+  const bool listening = ber_ != nullptr || auditHook_ != nullptr;
+  for (NodeId n = 0; n < nodes_.size(); ++n) {
+    CoherentCache::StorePerformHook hook;
+    if (listening) {
+      hook = [this, n](Addr addr, std::uint64_t value) {
+        if (ber_) ber_->onStorePerformed(addr, value);
+        if (auditHook_) auditHook_(n, addr, value);
+      };
+    }
+    nodes_[n].l2->setStorePerformHook(std::move(hook));
+  }
 }
 
-void System::restoreSnapshot(
-    const SafetyNet::Snapshot& target,
-    const std::vector<const SafetyNet::Snapshot*>& newerNewestFirst) {
+SafetyNet::CoreSnapshots System::snapshotCores() const {
+  SafetyNet::CoreSnapshots cores;
+  cores.reserve(nodes_.size());
+  for (const Node& n : nodes_) cores.push_back(n.core->snapshotState());
+  return cores;
+}
+
+void System::rollback(const SafetyNet::MemoryImage& image,
+                      const SafetyNet::CoreSnapshots& cores) {
   // 1. Squash every in-flight message and pending controller event.
   torus_->bumpEpoch();
   if (tree_) tree_->bumpEpoch();
 
-  // 2. Roll the architectural memory image back by replaying undo records.
-  //    The live segment undoes stores since the newest checkpoint; each
-  //    newer checkpoint's segment then undoes one more interval, newest
-  //    first, until the shadow is bit-identical to its state at
-  //    target.cycle. Within a segment every block appears exactly once, so
-  //    application order inside a segment is immaterial.
-  auto applyUndo = [this](const std::vector<SafetyNet::UndoRecord>& undo) {
-    for (const SafetyNet::UndoRecord& rec : undo) {
-      if (rec.wasAbsent) {
-        shadow_.erase(rec.blk);
-      } else {
-        shadow_[rec.blk] = rec.oldValue;
-      }
-    }
-  };
-  applyUndo(liveUndo_);
-  for (const SafetyNet::Snapshot* s : newerNewestFirst) applyUndo(s->undo);
-  liveUndo_.clear();
-  dirtySinceCkpt_.clear();
-
+  // 2. Memory at every home takes its slice of the image; caches,
+  //    directories and checkers start over empty.
   std::vector<FlatMap<Addr, DataBlock>> perHome(cfg_.numNodes);
-  for (const auto& [blk, data] : shadow_) {
+  for (const auto& [blk, data] : image) {
     perHome[map_.homeOf(blk)].emplace(blk, data);
   }
   for (NodeId n = 0; n < cfg_.numNodes; ++n) {
@@ -692,7 +653,7 @@ void System::restoreSnapshot(
   //    generations bumped in step 2); the cores' own stale completions
   //    fail their restart-generation check.
   for (NodeId n = 0; n < cfg_.numNodes; ++n) {
-    nodes_[n].core->restoreState(target.cores[n]);
+    nodes_[n].core->restoreState(cores[n]);
   }
 }
 
@@ -723,37 +684,6 @@ void System::armAutoRecovery() {
       }
     });
   });
-}
-
-void System::sendCheckpointTraffic() {
-  // Coordination: every node notifies every home slice (unicast control
-  // messages); logging: ~one message per few performed stores, modeling
-  // SafetyNet's old-value logging at the memory controllers.
-  const std::uint64_t stores = storesSinceCkpt_;
-  storesSinceCkpt_ = 0;
-  for (NodeId n = 0; n < cfg_.numNodes; ++n) {
-    for (NodeId h = 0; h < cfg_.numNodes; ++h) {
-      if (h == n) continue;
-      Message m;
-      m.type = MsgType::kCkptSync;
-      m.src = n;
-      m.dest = h;
-      m.addr = 0;
-      torus_->send(m);
-    }
-  }
-  const std::uint64_t logMsgs =
-      std::min<std::uint64_t>(stores / 4, 64 * cfg_.numNodes);
-  for (std::uint64_t i = 0; i < logMsgs; ++i) {
-    Message m;
-    m.type = MsgType::kCkptLog;
-    m.src = static_cast<NodeId>(i % cfg_.numNodes);
-    m.dest = static_cast<NodeId>((i * 7 + 3) % cfg_.numNodes);
-    if (m.dest == m.src) m.dest = (m.dest + 1) % cfg_.numNodes;
-    m.addr = 0;
-    m.hasData = true;  // old-value log entries carry block data
-    torus_->send(m);
-  }
 }
 
 }  // namespace dvmc

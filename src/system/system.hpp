@@ -15,7 +15,6 @@
 #include "coherence/home_controller.hpp"
 #include "coherence/snoop_memory.hpp"
 #include "common/error_sink.hpp"
-#include "common/flat_map.hpp"
 #include "cpu/core.hpp"
 #include "dvmc/cache_epoch_checker.hpp"
 #include "dvmc/memory_epoch_checker.hpp"
@@ -72,8 +71,6 @@ class System {
   /// right before the final collectResult().
   void drainCheckers();
 
-  // --- measurement control ---
-  void resetNetStats();
   /// Sum of the cores' transactions(), and whether every core is done();
   /// both read counters the cores keep current.
   std::uint64_t totalTransactions() const;
@@ -104,24 +101,11 @@ class System {
   SafetyNet* ber() { return ber_.get(); }
   std::size_t numNodes() const { return cfg_.numNodes; }
 
-  /// Test/tooling hook observing every performed store (runs in addition
-  /// to the internal architectural-shadow bookkeeping).
+  /// Test/tooling hook observing every performed store (node, word
+  /// address, value), after SafetyNet's image has taken it. The L2s call a
+  /// per-store hook only while something listens: SafetyNet, or this hook.
   using StoreAuditHook = std::function<void(NodeId, Addr, std::uint64_t)>;
-  void setStoreAuditHook(StoreAuditHook h) { auditHook_ = std::move(h); }
-
-  /// SafetyNet plumbing (public for tests). captureSnapshot() seals the
-  /// live undo segment into the returned checkpoint (O(blocks dirtied
-  /// since the previous capture)); restoreSnapshot() rolls the shadow
-  /// image back by replaying the live segment plus every newer
-  /// checkpoint's segment, newest first, and restores every core at once.
-  SafetyNet::Snapshot captureSnapshot();
-  void restoreSnapshot(
-      const SafetyNet::Snapshot& target,
-      const std::vector<const SafetyNet::Snapshot*>& newerNewestFirst = {});
-
-  /// The architectural memory image (performed-store shadow). Tests
-  /// compare recovered state against independently reconstructed images.
-  const FlatMap<Addr, DataBlock>& memoryImage() const { return shadow_; }
+  void setStoreAuditHook(StoreAuditHook h);
 
   /// Triggers BER recovery to the newest checkpoint before `errorCycle`.
   bool recover(Cycle errorCycle);
@@ -152,7 +136,15 @@ class System {
 
   void buildNode(NodeId n);
   std::unique_ptr<ThreadProgram> makeProgram(NodeId n) const;
-  void sendCheckpointTraffic();
+  /// Gives every L2 a store-perform hook while SafetyNet or the audit hook
+  /// listens, and none otherwise.
+  void installStoreHooks();
+  // SafetyNet's callbacks: the cores' checkpoint state, and the rollback of
+  // everything SafetyNet does not own (memory at the homes, caches,
+  // directories, checkers, in-flight messages, cores) in one step.
+  SafetyNet::CoreSnapshots snapshotCores() const;
+  void rollback(const SafetyNet::MemoryImage& image,
+                const SafetyNet::CoreSnapshots& cores);
   Json buildForensicsBundle(const Detection& d);
 
   // Interval sampler (--sample-every). Column names are resolved to raw
@@ -170,10 +162,6 @@ class System {
   SystemConfig cfg_;
   Simulator sim_;
   ErrorSink sink_;
-  // Checkpoint messages are absorbed at the endpoint and only counted.
-  // Per-system (not global): parallel runSeeds runs Systems concurrently.
-  MetricSet ckptMsgStats_;
-  Counter cCkptMsgsReceived_ = ckptMsgStats_.counter("ber.msgsReceived");
   MemoryMap map_;
   // Private tracer backing the forensics last-K window when the run has no
   // --trace tracer of its own (sized to the recorder's window).
@@ -189,18 +177,9 @@ class System {
   std::vector<Node> nodes_;
   std::unique_ptr<SafetyNet> ber_;
 
-  // Architectural memory shadow: updated at every performed store; the
-  // basis for SafetyNet checkpoints.
   void armAutoRecovery();
 
-  FlatMap<Addr, DataBlock> shadow_;
-  // Undo log for the open (live) checkpoint interval: the first store to a
-  // block since the last checkpoint records the block's prior state here
-  // (maintained only when BER is enabled).
-  std::vector<SafetyNet::UndoRecord> liveUndo_;
-  FlatMap<Addr, bool> dirtySinceCkpt_;
   StoreAuditHook auditHook_;
-  std::uint64_t storesSinceCkpt_ = 0;
   std::size_t handledDetections_ = 0;
   std::uint64_t unrecoverable_ = 0;
   bool recoveryPending_ = false;  // a burst-consuming check is scheduled

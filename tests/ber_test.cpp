@@ -3,6 +3,7 @@
 // recovery-window bound.
 #include <gtest/gtest.h>
 
+#include "store_image.hpp"
 #include "system/system.hpp"
 #include "workload/scripted.hpp"
 
@@ -135,10 +136,10 @@ TEST(SafetyNet, SnoopingRecoveryWorksToo) {
 }
 
 TEST(SafetyNet, SnapshotRestoreRoundTripPreservesMemory) {
-  // Write values, checkpoint, corrupt, restore: the memory image must
-  // match the checkpoint point exactly. captureSnapshot() seals the live
-  // undo segment, so restoring the returned checkpoint (with no newer
-  // segments) reproduces the image at the capture instant.
+  // Write values, checkpoint, corrupt, recover: the memory image must
+  // match the checkpoint exactly. No store performs after that checkpoint,
+  // so its rollback applies no undo record and reproduces the image at the
+  // checkpoint instant.
   SystemConfig cfg = berConfig();
   cfg.berEnabled = true;
   cfg.programFactory = [](NodeId n) -> std::unique_ptr<ThreadProgram> {
@@ -153,8 +154,12 @@ TEST(SafetyNet, SnapshotRestoreRoundTripPreservesMemory) {
   System sys(cfg);
   RunResult r = sys.run();  // run to completion: all stores performed
   ASSERT_TRUE(r.completed);
-  SafetyNet::Snapshot snap = sys.captureSnapshot();
-  const FlatMap<Addr, DataBlock> imageAtCapture = sys.memoryImage();
+  // run() stops once every core is done; drive the kernel on to the next
+  // checkpoint.
+  const Cycle ckpt = sys.ber()->newestCheckpoint() + cfg.ber.interval;
+  sys.sim().run(ckpt);
+  ASSERT_EQ(sys.ber()->newestCheckpoint(), ckpt);
+  const FlatMap<Addr, DataBlock> imageAtCapture = sys.ber()->image();
   for (int i = 0; i < 10; ++i) {
     const Addr blk = 0x400000 + i * kBlockSizeBytes;
     ASSERT_TRUE(imageAtCapture.count(blk)) << i;
@@ -163,8 +168,9 @@ TEST(SafetyNet, SnapshotRestoreRoundTripPreservesMemory) {
   // Corrupt the live memory, restore, verify.
   MemoryMap map{4};
   sys.home(map.homeOf(0x400000))->memory().injectBitFlip(0x400000, 3);
-  sys.restoreSnapshot(snap);
-  EXPECT_EQ(sys.memoryImage(), imageAtCapture);
+  ASSERT_TRUE(sys.recover(ckpt + 1));  // the error follows the checkpoint
+  EXPECT_EQ(sys.ber()->newestCheckpoint(), ckpt);
+  EXPECT_EQ(sys.ber()->image(), imageAtCapture);
   ErrorSink scratch;
   EXPECT_EQ(sys.home(map.homeOf(0x400000))
                 ->memory()
@@ -185,8 +191,8 @@ TEST(SafetyNet, UndoLogRestoreMatchesFullImageAcrossCheckpoints) {
   System sys(cfg);
 
   // Full-image reference: every performed store, in perform order, with
-  // its cycle — exactly the input the old captureSnapshot() folded into
-  // its deep copy.
+  // its cycle — exactly the input a deep-copy checkpoint would fold into
+  // its copy.
   struct AuditedStore {
     Cycle cycle;
     Addr addr;
@@ -209,13 +215,9 @@ TEST(SafetyNet, UndoLogRestoreMatchesFullImageAcrossCheckpoints) {
   // the checkpoint event may sit on either side of the capture within that
   // cycle, so accept any split of the equal-cycle stores.
   auto replayUpTo = [&](std::size_t count) {
-    FlatMap<Addr, DataBlock> image;
+    StoreImage image;
     for (std::size_t i = 0; i < count; ++i) {
-      const AuditedStore& s = log[i];
-      const Addr blk = blockAddr(s.addr);
-      auto [it, fresh] =
-          image.try_emplace(blk, MemoryStorage::initialPattern(blk));
-      it->second.write(blockOffset(s.addr), s.value);
+      applyStore(image, log[i].addr, log[i].value);
     }
     return image;
   };
@@ -229,7 +231,7 @@ TEST(SafetyNet, UndoLogRestoreMatchesFullImageAcrossCheckpoints) {
   }
   bool matched = false;
   for (std::size_t split = firstAtOrAfter; split <= lastEqual; ++split) {
-    if (sys.memoryImage() == replayUpTo(split)) {
+    if (sys.ber()->image() == replayUpTo(split)) {
       matched = true;
       break;
     }
@@ -269,25 +271,67 @@ TEST(SafetyNet, UndoLogMultiIntervalRollbackIsExact) {
   const Cycle target = sys.ber()->newestCheckpoint();
   EXPECT_EQ(target, sys.ber()->oldestCheckpoint());  // all newer trimmed
 
-  FlatMap<Addr, DataBlock> expected;
+  StoreImage expected;
   std::size_t replayed = 0;
   for (const AuditedStore& s : log) {
     if (s.cycle >= target) break;  // (no stores landed exactly at target)
-    const Addr blk = blockAddr(s.addr);
-    auto [it, fresh] =
-        expected.try_emplace(blk, MemoryStorage::initialPattern(blk));
-    it->second.write(blockOffset(s.addr), s.value);
+    applyStore(expected, s.addr, s.value);
     ++replayed;
   }
   const bool splitAmbiguous =
       replayed < log.size() && log[replayed].cycle == target;
   if (!splitAmbiguous) {
-    EXPECT_EQ(sys.memoryImage(), expected);
+    EXPECT_EQ(sys.ber()->image(), expected);
   }
   RunResult r = sys.runUntil([] { return false; });
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(sys.sink().count(), 0u)
       << (sys.sink().any() ? sys.sink().first().what : "");
+}
+
+TEST(SafetyNet, RollbackPastCompletionRearmsMembarInjection) {
+  // A core's membar-injection chain (the AR checker's lost-operation check
+  // and the pipeline-hang watchdog) ends once the core is done. A rollback
+  // to before it was done hands it work again, and the chain must run
+  // again with it; a chain that never ended must not run twice.
+  SystemConfig cfg = SystemConfig::withDvmc(Protocol::kDirectory,
+                                            ConsistencyModel::kTSO);
+  cfg.numNodes = 2;
+  cfg.targetTransactions = 1'000'000;  // only the programs end the run
+  cfg.dvmc.membarInjectionPeriod = 1'000;
+  cfg.programFactory = [](NodeId n) -> std::unique_ptr<ThreadProgram> {
+    // Node 0 stores for about 3,000 cycles; node 1 computes far longer.
+    if (n == 1) {
+      return std::make_unique<ScriptedProgram>(
+          std::vector<Instr>{Instr::compute(100)}, 100'000);
+    }
+    std::vector<Instr> p;
+    for (int i = 0; i < 100; ++i) {
+      p.push_back(Instr::store(0x400000 + i * kBlockSizeBytes, i));
+    }
+    return std::make_unique<ScriptedProgram>(p);
+  };
+  System sys(cfg);
+  auto injected = [&](NodeId n) {
+    return sys.metricsSnapshot(/*perNode=*/true)
+        .value("node" + std::to_string(n) + "/ar.injectedMembars");
+  };
+  sys.runUntil([&] { return sys.core(0).done(); });
+  const Cycle doneAt = sys.sim().now();
+  // Past node 0's first injection after it was done, which ends its chain.
+  sys.runTo(doneAt + 2'500);
+  ASSERT_TRUE(sys.core(0).done());
+  ASSERT_FALSE(sys.core(1).done());
+  ASSERT_LT(sys.ber()->newestCheckpoint(), doneAt);
+  ASSERT_TRUE(sys.recover(doneAt));
+
+  const std::uint64_t before0 = injected(0);
+  const std::uint64_t before1 = injected(1);
+  sys.runTo(sys.sim().now() + 2'000);
+  ASSERT_FALSE(sys.core(0).done()) << "node 0 must still be re-executing";
+  EXPECT_EQ(injected(0) - before0, 2u) << "node 0's chain was not re-armed";
+  EXPECT_EQ(injected(1) - before1, 2u) << "node 1 runs one chain";
+  EXPECT_EQ(sys.sink().count(), 0u) << sys.sink().first().what;
 }
 
 TEST(SafetyNet, CheckpointTrafficIsVisible) {

@@ -18,6 +18,7 @@
 
 #include "coherence/memory_storage.hpp"
 #include "common/flat_map.hpp"
+#include "store_image.hpp"
 #include "system/runner.hpp"
 #include "system/stats_report.hpp"
 #include "system/system.hpp"
@@ -130,13 +131,19 @@ SystemConfig drfConfig(Protocol p, ConsistencyModel m,
   return cfg;
 }
 
+// The final architectural memory, built from the performed stores (BER is
+// off, so nothing rolls back).
 FlatMap<Addr, DataBlock> finalMemory(const SystemConfig& cfg,
                                      const std::string& label) {
   System sys(cfg);
+  StoreImage image;
+  sys.setStoreAuditHook([&image](NodeId, Addr addr, std::uint64_t value) {
+    applyStore(image, addr, value);
+  });
   RunResult r = sys.run();
   EXPECT_TRUE(r.completed) << label;
   EXPECT_EQ(r.detections, 0u) << label;
-  return sys.memoryImage();
+  return image;
 }
 
 TEST(Equivalence, DrfFinalMemoryIdenticalAcrossProtocolAndModel) {

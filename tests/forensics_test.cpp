@@ -9,12 +9,11 @@
 #include <utility>
 #include <vector>
 
-#include "coherence/memory_storage.hpp"
-#include "common/flat_map.hpp"
 #include "faults/injector.hpp"
 #include "obs/forensics.hpp"
 #include "obs/json.hpp"
 #include "obs/timeseries.hpp"
+#include "store_image.hpp"
 #include "system/system.hpp"
 
 namespace dvmc {
@@ -185,19 +184,15 @@ TEST(ForensicsCapture, AutoRecoveryMatchesFullSnapshotOracle) {
   System sys(cfg);
   FaultInjector inj(sys, 0xBEEF);
 
-  FlatMap<Addr, DataBlock> expected;
-  sys.setStoreAuditHook(
-      [&](NodeId, Addr addr, std::uint64_t value) {
-        const Addr blk = blockAddr(addr);
-        auto [it, fresh] =
-            expected.try_emplace(blk, MemoryStorage::initialPattern(blk));
-        it->second.write(blockOffset(addr), value);
-      });
+  StoreImage expected;
+  sys.setStoreAuditHook([&](NodeId, Addr addr, std::uint64_t value) {
+    applyStore(expected, addr, value);
+  });
 
   // Run predicates are evaluated after *every* simulator event, so this
   // observer sees the world immediately after each checkpoint / recovery
   // event with no intervening stores.
-  std::vector<std::pair<Cycle, FlatMap<Addr, DataBlock>>> fullSnaps;
+  std::vector<std::pair<Cycle, StoreImage>> fullSnaps;
   std::uint64_t seenCkpts = 0;
   std::uint64_t seenRecoveries = 0;
   std::uint64_t oracleMismatches = 0;
@@ -221,7 +216,7 @@ TEST(ForensicsCapture, AutoRecoveryMatchesFullSnapshotOracle) {
         return;
       }
       expected = fullSnaps.back().second;
-      if (!(sys.memoryImage() == expected)) ++oracleMismatches;
+      if (!(sys.ber()->image() == expected)) ++oracleMismatches;
     }
   };
 
@@ -242,10 +237,10 @@ TEST(ForensicsCapture, AutoRecoveryMatchesFullSnapshotOracle) {
   ASSERT_GT(seenRecoveries, 0u) << "injected faults never triggered recovery";
   EXPECT_EQ(oracleMismatches, 0u)
       << "undo-log restore diverged from the full-snapshot oracle";
-  EXPECT_TRUE(sys.memoryImage() == expected);
+  EXPECT_TRUE(sys.ber()->image() == expected);
 
   // The rolled-back machine resumes: cores retire further instructions, the
-  // audit mirror keeps agreeing with the architectural shadow, and nothing
+  // audit mirror keeps agreeing with SafetyNet's image, and nothing
   // lands outside the recovery window.
   auto totalRetired = [&] {
     std::uint64_t sum = 0;
@@ -261,7 +256,7 @@ TEST(ForensicsCapture, AutoRecoveryMatchesFullSnapshotOracle) {
   });
   EXPECT_GT(totalRetired(), retiredAtRecovery);
   EXPECT_EQ(oracleMismatches, 0u);
-  EXPECT_TRUE(sys.memoryImage() == expected);
+  EXPECT_TRUE(sys.ber()->image() == expected);
   EXPECT_GE(r.recoveries, 1u);
   EXPECT_EQ(r.unrecoverable, 0u);
 

@@ -1,4 +1,4 @@
-// Tests for the parallel experiment runner: the thread pool itself, and the
+// Tests for the parallel experiment runner: parallelFor itself, and the
 // determinism contract that a parallel runSeeds merges bit-identically to a
 // sequential one. Also the TSan smoke target in CI (see ci.yml).
 #include <gtest/gtest.h>
@@ -9,45 +9,11 @@
 #include <vector>
 
 #include "common/cli.hpp"
-#include "common/thread_pool.hpp"
+#include "common/parallel_for.hpp"
 #include "system/runner.hpp"
 
 namespace dvmc {
 namespace {
-
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.workerCount(), 4u);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&] { ran.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait();
-  EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(ThreadPool, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  pool.submit([&] { ++ran; });
-  pool.wait();
-  EXPECT_EQ(ran.load(), 1);
-  pool.submit([&] { ++ran; });
-  pool.submit([&] { ++ran; });
-  pool.wait();
-  EXPECT_EQ(ran.load(), 3);
-}
-
-TEST(ThreadPool, DestructorDrainsOutstandingWork) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&] { ran.fetch_add(1, std::memory_order_relaxed); });
-    }
-  }
-  EXPECT_EQ(ran.load(), 50);
-}
 
 TEST(ParallelFor, EachIndexExactlyOnce) {
   for (unsigned jobs : {1u, 2u, 4u, 9u}) {

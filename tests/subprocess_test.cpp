@@ -9,6 +9,7 @@
 // watchdog, the fatal-signal crash handler's "crashed" finalization, and
 // `dvmc_inspect timeline` ordering a detection's block by cycle.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <csignal>
@@ -48,10 +49,14 @@ std::string readFile(const fs::path& p) {
   return ss.str();
 }
 
-/// Fresh scratch directory per test, removed on destruction.
+/// Fresh scratch directory per test, removed on destruction. The process
+/// id in its name keeps test runs of different build trees, which may run
+/// at once, out of each other's directories.
 struct TempDir {
   explicit TempDir(const char* name)
-      : path(fs::temp_directory_path() / "dvmc_subprocess_test" / name) {
+      : path(fs::temp_directory_path() /
+             ("dvmc_subprocess_test_" + std::to_string(::getpid()) + "_" +
+              name)) {
     fs::remove_all(path);
     fs::create_directories(path);
   }

@@ -69,9 +69,9 @@
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/parallel_for.hpp"
 #include "common/rng.hpp"
 #include "common/subprocess.hpp"
-#include "common/thread_pool.hpp"
 #include "common/version.hpp"
 #include "faults/injector.hpp"
 #include "obs/journal.hpp"
