@@ -1,5 +1,5 @@
 // Microbenchmarks for the event kernel and the network hot paths — the
-// ones the zero-allocation work targets. Four rows:
+// ones the zero-allocation work targets. Five rows:
 //
 //   SimDispatchSteadyState   schedule/dispatch churn entirely inside the
 //                            64-cycle calendar window (the shape of cache
@@ -8,8 +8,13 @@
 //                            the slab event node, so the steady state may
 //                            not touch the heap at all.
 //   SimDispatchFarFutureMix  same churn with ~3/4 of delays past the
-//                            window, exercising the binary-heap spill
-//                            path (checkpoint-interval-like timers).
+//                            window (up to 256 cycles, the shape of memory
+//                            replies and queued link hops), exercising the
+//                            second level's first round.
+//   SimDispatchLaterRounds   same churn with ~3/4 of delays past the
+//                            second level's 4,096-cycle reach (up to
+//                            16,384 cycles), so most events wait in their
+//                            slot for later rounds.
 //   TorusMessageRouting      16-node torus, 16 messages (a 1:3 data/
 //                            control mix) ping-ponging between corner
 //                            pairs; every hop is an event carrying a
@@ -70,8 +75,8 @@ void measureEvents(const char* name, Simulator& sim, std::uint64_t events) {
 /// Self-perpetuating scheduler: each dispatch mixes its payload and
 /// reschedules itself. The capture (this + 28 payload bytes) is shaped
 /// like the mid-size hot-path captures; delayMask picks the delay
-/// distribution (7 -> all within the calendar window, 255 -> ~3/4 spill
-/// to the far-future heap).
+/// distribution (7 -> all within the calendar window, 255 -> ~3/4 in the
+/// second level, 16383 -> ~3/4 past its first round).
 class DispatchAgent {
  public:
   DispatchAgent(Simulator& sim, std::uint64_t seed, std::uint64_t delayMask)
@@ -209,6 +214,8 @@ int runAll() {
   benchDispatch("SimDispatchSteadyState", /*delayMask=*/7,
                 /*warmupEvents=*/1'000'000, /*events=*/4'000'000);
   benchDispatch("SimDispatchFarFutureMix", /*delayMask=*/255,
+                /*warmupEvents=*/500'000, /*events=*/2'000'000);
+  benchDispatch("SimDispatchLaterRounds", /*delayMask=*/16383,
                 /*warmupEvents=*/500'000, /*events=*/2'000'000);
   benchTorus(/*warmupEvents=*/200'000, /*events=*/1'000'000);
   benchBroadcast(/*warmupEvents=*/50'000, /*events=*/200'000);

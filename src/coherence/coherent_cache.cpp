@@ -1,5 +1,6 @@
 #include "coherence/coherent_cache.hpp"
 
+#include "coherence/hierarchy.hpp"
 #include "common/assert.hpp"
 #include "obs/trace.hpp"
 
@@ -202,7 +203,7 @@ void CoherentCache::evictLine(CacheLine& line) {
     cEvictClean_.inc();
   }
   array_.invalidate(line);
-  notifyCpuLost(blk, /*remoteWrite=*/false);  // local eviction
+  notifyCpuLost(blk, /*remoteWrite=*/false, /*hadCopy=*/true);  // eviction
 }
 
 void CoherentCache::supplyData(MsgType type, NodeId dest, Addr blk,
@@ -219,8 +220,10 @@ void CoherentCache::supplyData(MsgType type, NodeId dest, Addr blk,
   cDataSupplied_.inc();
 }
 
-void CoherentCache::notifyCpuLost(Addr blk, bool remoteWrite) {
-  if (cpu_ != nullptr) cpu_->onReadPermissionLost(blk, remoteWrite);
+void CoherentCache::notifyCpuLost(Addr blk, bool remoteWrite, bool hadCopy) {
+  if (hierarchy_ != nullptr) {
+    hierarchy_->onReadPermissionLost(blk, remoteWrite, hadCopy);
+  }
 }
 
 std::optional<std::pair<Addr, MosiState>> CoherentCache::injectStateFlip(

@@ -33,6 +33,8 @@
 
 namespace dvmc {
 
+class CacheHierarchy;
+
 /// L2 access latency in cycles for loads, which pay the full array access.
 inline constexpr Cycle kL2Latency = 12;
 /// Store and atomic latency in cycles through the L2's write port (a hit in
@@ -49,7 +51,9 @@ class CoherentCache {
   void request(const CacheOp& op);
 
   void setClient(CacheClient* c) { client_ = c; }
-  void setCpuNotifier(CpuNotifier* n) { cpu_ = n; }
+  /// The hierarchy in front of this cache hears each loss of read
+  /// permission.
+  void setHierarchy(CacheHierarchy* h) { hierarchy_ = h; }
   void setEpochObserver(EpochObserver* o) { epochs_ = o; }
   EpochObserver* epochObserver() const { return epochs_; }
   LogicalClock& clock() { return clock_; }
@@ -138,7 +142,9 @@ class CoherentCache {
   /// Sends a data response carrying `d` on the data network.
   void supplyData(MsgType type, NodeId dest, Addr blk, const DataBlock& d,
                   int ackCount = 0);
-  void notifyCpuLost(Addr blk, bool remoteWrite);
+  /// Tells the hierarchy that `blk` lost read permission; `hadCopy` says
+  /// whether this cache held a readable copy just before.
+  void notifyCpuLost(Addr blk, bool remoteWrite, bool hadCopy);
 
   Simulator& sim_;
   TorusNetwork& dataNet_;
@@ -170,7 +176,7 @@ class CoherentCache {
 
   LogicalClock& clock_;
   CacheClient* client_ = nullptr;
-  CpuNotifier* cpu_ = nullptr;
+  CacheHierarchy* hierarchy_ = nullptr;
   StorePerformHook storeHook_;
   Counter cHit_ = stats_.counter("l2.hit");
   Counter cMiss_ = stats_.counter("l2.miss");

@@ -180,7 +180,8 @@ void DirectoryCacheController::handleFwdGetM(const Message& msg) {
     supplyData(MsgType::kData, msg.requester, blk, line->data, msg.ackCount);
     if (epochs_ != nullptr) epochs_->onEpochEnd(blk, line->data, clock().now());
     array_.invalidate(*line);
-    notifyCpuLost(blk, /*remoteWrite=*/true);  // a remote GetM took it
+    // A remote GetM took it.
+    notifyCpuLost(blk, /*remoteWrite=*/true, /*hadCopy=*/true);
     return;
   }
   auto wb = wbBuffer_.find(blk);
@@ -203,7 +204,8 @@ void DirectoryCacheController::handleFwdGetM(const Message& msg) {
 void DirectoryCacheController::handleInv(const Message& msg) {
   const Addr blk = blockAddr(msg.addr);
   CacheLine* line = array_.find(blk);
-  if (line != nullptr && mosiCanRead(line->state)) {
+  const bool hadCopy = line != nullptr && mosiCanRead(line->state);
+  if (hadCopy) {
     if (auto it = mshrs_.find(blk); it != mshrs_.end()) {
       // The Inv raced our own outstanding transaction. If it was ordered
       // before the grant that gave us this copy (stale Inv from a slow
@@ -223,7 +225,7 @@ void DirectoryCacheController::handleInv(const Message& msg) {
   // An Inv after a silent S-eviction finds no line, but the CPU may still
   // hold speculatively performed loads on the block — the squash hint must
   // fire regardless of line presence.
-  notifyCpuLost(blk, /*remoteWrite=*/true);
+  notifyCpuLost(blk, /*remoteWrite=*/true, hadCopy);
   Message ack;
   ack.type = MsgType::kInvAck;
   ack.src = node_;

@@ -8,13 +8,20 @@ CacheHierarchy::CacheHierarchy(Simulator& sim, CoherentCache& l2,
                                CacheGeometry l1Geom, ErrorSink* sink,
                                NodeId node)
     : sim_(sim), l2_(l2), sink_(sink), node_(node), l1_(l1Geom) {
-  l2_.setCpuNotifier(this);
+  l2_.setHierarchy(this);
   l2_.setClient(this);
 }
 
-void CacheHierarchy::onReadPermissionLost(Addr blk, bool remoteWrite) {
+void CacheHierarchy::onReadPermissionLost(Addr blk, bool remoteWrite,
+                                          bool hadCopy) {
   // Inclusion: whatever leaves L2 leaves L1 — for any reason.
-  if (CacheLine* line = l1_.find(blk)) l1_.invalidate(*line);
+  if (hadCopy) {
+    if (CacheLine* line = l1_.find(blk)) l1_.invalidate(*line);
+  }
+#ifndef NDEBUG
+  DVMC_ASSERT(l1_.find(blk) == nullptr,
+              "the L1 holds a block its L2 held no readable copy of");
+#endif
   if (cpu_ != nullptr) cpu_->onReadPermissionLost(blk, remoteWrite);
 }
 

@@ -27,7 +27,7 @@ namespace dvmc {
 /// after it issued.
 inline constexpr Cycle kL1Latency = 2;
 
-class CacheHierarchy final : public CpuNotifier, public CacheClient {
+class CacheHierarchy final : public CacheClient {
  public:
   CacheHierarchy(Simulator& sim, CoherentCache& l2, CacheGeometry l1Geom,
                  ErrorSink* sink, NodeId node);
@@ -42,8 +42,12 @@ class CacheHierarchy final : public CpuNotifier, public CacheClient {
   /// the L1 before forwarding them).
   void setCpuNotifier(CpuNotifier* n) { cpu_ = n; }
 
-  // --- CpuNotifier (wired to the L2 controller) ---
-  void onReadPermissionLost(Addr blk, bool remoteWrite) override;
+  /// The L2 lost read permission for `blk` (see CpuNotifier). `hadCopy`
+  /// is false when the L2 held no readable copy just before: a remote
+  /// write it only heard about (a snooped GetM, an Inv after a silent
+  /// eviction). The L1 fills only from a readable L2 copy, so it then
+  /// holds none either.
+  void onReadPermissionLost(Addr blk, bool remoteWrite, bool hadCopy);
 
   // --- CacheClient (wired to the L2 controller) ---
   void onCacheOpDone(const CacheOp& op, std::uint64_t value) override;

@@ -100,8 +100,9 @@ void SnoopCacheController::applySnoop(const Message& msg,
         supplyData(MsgType::kSnpData, msg.src, blk, wb->second.data);
       }
       return;
-    case MsgType::kSnpGetM:
-      if (line != nullptr && mosiCanRead(line->state)) {
+    case MsgType::kSnpGetM: {
+      const bool hadCopy = line != nullptr && mosiCanRead(line->state);
+      if (hadCopy) {
         if (mosiIsOwner(line->state)) {
           supplyData(MsgType::kSnpData, msg.src, blk, line->data);
         }
@@ -115,8 +116,9 @@ void SnoopCacheController::applySnoop(const Message& msg,
       // A remote writer is taking the block. Even with no line present
       // (silent eviction) the CPU may hold speculatively performed loads on
       // it, so the squash hint fires regardless of line presence.
-      notifyCpuLost(blk, /*remoteWrite=*/true);
+      notifyCpuLost(blk, /*remoteWrite=*/true, hadCopy);
       return;
+    }
     default:
       return;  // memory handles writebacks
   }

@@ -1,6 +1,5 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
 #include <bit>
 
 namespace dvmc {
@@ -21,7 +20,6 @@ Simulator::Event* Simulator::allocEvent(Cycle when, Action fn) {
   Event* e = freeList_;
   freeList_ = e->next;
   e->when = when;
-  e->order = nextOrder_++;
   e->fn = std::move(fn);
   e->next = nullptr;
   return e;
@@ -35,8 +33,8 @@ void Simulator::releaseEvent(Event* e) {
 
 void Simulator::pushBucket(Event* e) {
   const std::size_t idx = static_cast<std::size_t>(e->when % kNearWindow);
-  // schedule() hands out monotonically increasing order numbers, so a plain
-  // tail append keeps each bucket sorted by order.
+  // Events reach a bucket directly in scheduling order, so a plain tail
+  // append keeps it FIFO (beginBlock puts earlier-scheduled ones in front).
   if (bucketHead_[idx] == nullptr) {
     bucketHead_[idx] = bucketTail_[idx] = e;
     bucketMask_ |= std::uint64_t{1} << idx;
@@ -46,51 +44,16 @@ void Simulator::pushBucket(Event* e) {
   }
 }
 
-void Simulator::insertBucketOrdered(Event* e) {
-  // Far-future events migrating out of the heap may carry a smaller order
-  // number than same-cycle events appended directly; splice by order so
-  // same-cycle execution still follows scheduling order. Same-cycle chains
-  // are short, so the linear scan is cheap.
-  const std::size_t idx = static_cast<std::size_t>(e->when % kNearWindow);
-  Event* head = bucketHead_[idx];
-  if (head == nullptr) {
-    bucketHead_[idx] = bucketTail_[idx] = e;
-    bucketMask_ |= std::uint64_t{1} << idx;
-    return;
+void Simulator::pushSlot(Event* e) {
+  const std::size_t slot =
+      static_cast<std::size_t>(e->when / kNearWindow % kFarSlots);
+  if (slotHead_[slot] == nullptr) {
+    slotHead_[slot] = e;
+    slotMask_ |= std::uint64_t{1} << slot;
+  } else {
+    slotTail_[slot]->next = e;
   }
-  if (e->order < head->order) {
-    e->next = head;
-    bucketHead_[idx] = e;
-    return;
-  }
-  Event* prev = head;
-  while (prev->next != nullptr && prev->next->order < e->order) {
-    prev = prev->next;
-  }
-  e->next = prev->next;
-  prev->next = e;
-  if (e->next == nullptr) bucketTail_[idx] = e;
-}
-
-void Simulator::pushHeap(Event* e) {
-  const auto later = [](const Event* a, const Event* b) {
-    if (a->when != b->when) return a->when > b->when;
-    return a->order > b->order;
-  };
-  heap_.push_back(e);
-  std::push_heap(heap_.begin(), heap_.end(), later);
-}
-
-Simulator::Event* Simulator::popHeap() {
-  const auto later = [](const Event* a, const Event* b) {
-    if (a->when != b->when) return a->when > b->when;
-    return a->order > b->order;
-  };
-  std::pop_heap(heap_.begin(), heap_.end(), later);
-  Event* e = heap_.back();
-  heap_.pop_back();
-  e->next = nullptr;
-  return e;
+  slotTail_[slot] = e;
 }
 
 Cycle Simulator::nextBucketTime() const {
@@ -110,10 +73,75 @@ Cycle Simulator::nextTickTime() const {
   return now_ + static_cast<Cycle>(std::countr_zero(rotated));
 }
 
-Cycle Simulator::peekWhen() const {
-  const Cycle bucketT = nextBucketTime();
-  const Cycle heapT = heap_.empty() ? kNoEvent : heap_.front()->when;
-  return bucketT < heapT ? bucketT : heapT;
+Cycle Simulator::nextBlockTime() const {
+  // Every second-level event lies in a block after now_'s, at most kFarSlots
+  // blocks out or in a later round of its slot, so the first nonempty slot
+  // from the next block on names the earliest block that can hold one.
+  const Cycle next = now_ / kNearWindow + 1;
+  const int base = static_cast<int>(next % kFarSlots);
+  const std::uint64_t rotated = std::rotr(slotMask_, base);
+  return (next + static_cast<Cycle>(std::countr_zero(rotated))) * kNearWindow;
+}
+
+void Simulator::beginBlock(Cycle start) {
+  // The block's events go in front of their cycles' buckets, each cycle's
+  // chain in slot order. That is scheduling order, exactly:
+  //  - an event enters the second level only when it is scheduled 64 or
+  //    more cycles before its cycle, and the calendar only when scheduled
+  //    fewer than 64 cycles before;
+  //  - so every second-level event for cycle c was scheduled earlier than
+  //    every calendar event for c;
+  //  - a slot is append-only between block begins, so its chain, and each
+  //    cycle's chain cut out of it, stays in scheduling order.
+  // Events scheduled for the block from here on are appended behind.
+  now_ = start;
+  const std::size_t slot =
+      static_cast<std::size_t>(start / kNearWindow % kFarSlots);
+  const Cycle end = start + kNearWindow;
+  Event* keepHead = nullptr;
+  Event* keepTail = nullptr;
+  std::uint64_t touched = 0;  // cycles whose spread chain has begun
+  for (Event* e = slotHead_[slot]; e != nullptr;) {
+    Event* next = e->next;
+    if (e->when < end) {
+      const std::size_t idx = static_cast<std::size_t>(e->when % kNearWindow);
+      const std::uint64_t bit = std::uint64_t{1} << idx;
+      if ((touched & bit) == 0) {
+        spreadHead_[idx] = e;
+        touched |= bit;
+      } else {
+        spreadTail_[idx]->next = e;
+      }
+      spreadTail_[idx] = e;
+    } else {
+      // A later round's event stays, in order.
+      if (keepHead == nullptr) {
+        keepHead = e;
+      } else {
+        keepTail->next = e;
+      }
+      keepTail = e;
+    }
+    e = next;
+  }
+  slotHead_[slot] = keepHead;
+  if (keepHead == nullptr) {
+    slotMask_ &= ~(std::uint64_t{1} << slot);
+  } else {
+    keepTail->next = nullptr;
+    slotTail_[slot] = keepTail;
+  }
+  while (touched != 0) {
+    const auto idx = static_cast<std::size_t>(std::countr_zero(touched));
+    touched &= touched - 1;
+    Event*& head = bucketHead_[idx];
+    spreadTail_[idx]->next = head;
+    if (head == nullptr) {
+      bucketTail_[idx] = spreadTail_[idx];
+      bucketMask_ |= std::uint64_t{1} << idx;
+    }
+    head = spreadHead_[idx];
+  }
 }
 
 Simulator::TickerId Simulator::addTicker(Ticker& t) {
@@ -141,18 +169,13 @@ void Simulator::scheduleAt(Cycle when, Action fn) {
   if (when - now_ < kNearWindow) {
     pushBucket(e);
   } else {
-    pushHeap(e);
+    pushSlot(e);
   }
   ++size_;
 }
 
 void Simulator::dispatch(Cycle t) {
   now_ = t;
-  // Heap events whose cycle has arrived join the calendar so that events
-  // from both structures interleave in global scheduling order.
-  while (!heap_.empty() && heap_.front()->when == t) {
-    insertBucketOrdered(popHeap());
-  }
   const std::size_t idx = static_cast<std::size_t>(t % kNearWindow);
   Event* e = bucketHead_[idx];
   bucketHead_[idx] = e->next;
@@ -173,17 +196,23 @@ void Simulator::clear() {
   tickArms_ = {};
   tickBuckets_ = 0;
   phasePending_ = 0;
-  for (std::size_t i = 0; i < kNearWindow; ++i) {
-    for (Event* e = bucketHead_[i]; e != nullptr;) {
+  const auto release = [this](Event* e) {
+    while (e != nullptr) {
       Event* next = e->next;
       releaseEvent(e);
       e = next;
     }
+  };
+  for (std::size_t i = 0; i < kNearWindow; ++i) {
+    release(bucketHead_[i]);
     bucketHead_[i] = bucketTail_[i] = nullptr;
   }
   bucketMask_ = 0;
-  for (Event* e : heap_) releaseEvent(e);
-  heap_.clear();
+  for (std::size_t i = 0; i < kFarSlots; ++i) {
+    release(slotHead_[i]);
+    slotHead_[i] = slotTail_[i] = nullptr;
+  }
+  slotMask_ = 0;
   size_ = 0;
 }
 
@@ -195,11 +224,23 @@ bool Simulator::runNext(Cycle limit) {
     runTicker();
     return true;
   }
-  const Cycle eventT = peekWhen();
-  if (tickBuckets_ != 0) {
-    const Cycle tickT = nextTickTime();
+  for (;;) {
+    const Cycle eventT = nextBucketTime();
+    const Cycle tickT = tickBuckets_ != 0 ? nextTickTime() : kNoEvent;
+    const Cycle nearT = tickT < eventT ? tickT : eventT;
+    if (slotMask_ != 0) {
+      // A block begins before any event or tick of its cycles runs. A
+      // begin runs nothing, so the caller's stop checks see only events
+      // and ticks.
+      const Cycle blockT = nextBlockTime();
+      if (blockT <= nearT) {
+        if (blockT > limit) return false;
+        beginBlock(blockT);
+        continue;
+      }
+    }
+    if (nearT > limit) return false;
     if (tickT < eventT) {
-      if (tickT > limit) return false;
       // Every event of cycle tickT has run: begin its tick phase.
       now_ = tickT;
       const std::size_t idx = static_cast<std::size_t>(tickT % kNearWindow);
@@ -210,10 +251,9 @@ bool Simulator::runNext(Cycle limit) {
       runTicker();
       return true;
     }
+    dispatch(eventT);
+    return true;
   }
-  if (eventT > limit) return false;
-  dispatch(eventT);
-  return true;
 }
 
 void Simulator::finishAt(Cycle limit) {

@@ -5,17 +5,24 @@
 // makes every run bit-for-bit deterministic for a given seed — a property
 // the error-injection experiments and SafetyNet recovery tests rely on.
 //
-// Storage is a two-level calendar queue tuned for the hot path. Nearly all
+// Storage is a calendar queue in two levels, tuned for the hot path. Most
 // events in this machine are scheduled a handful of cycles out (cache and
-// link latencies), so the kernel keeps a 64-cycle window of FIFO buckets —
-// one per upcoming cycle, nonemptiness tracked in a single 64-bit mask —
-// and spills only far-future events (checkpoint intervals, membar-injection
-// timers) to a binary heap. Event nodes come from a slab-backed free list,
-// and the action is an InlineTask whose captures live *inside* the slab
-// node (one node = exactly two cache lines), so steady-state scheduling
-// performs zero allocations — including for the captures, which under the
-// old std::function Action heap-allocated whenever they exceeded ~16 bytes
-// (i.e. nearly always).
+// link latencies), so the first level is a 64-cycle window of FIFO
+// buckets, one per upcoming cycle, nonemptiness tracked in a single 64-bit
+// mask. Everything scheduled 64 or more cycles out goes to the second
+// level: memory replies (160 cycles), data hops queued behind a link's
+// serialization, broadcast deliveries queued at the tree root, the CET
+// scrub sweep, checkpoint, MET and membar-injection timers. It has 64 FIFO
+// slots, one per aligned 64-cycle block, so it reaches 4,096 cycles ahead;
+// an event further out waits in its slot for a later round. When a block
+// begins, its slot's events move into the calendar, and same-cycle order
+// follows from where each event was put (see beginBlock): nothing is
+// sorted and no event carries a sequence number. Event nodes come from a
+// slab-backed free list, and the action is an InlineTask whose captures
+// live *inside* the slab node (one node = exactly two cache lines), so
+// steady-state scheduling performs zero allocations — including for the
+// captures, which under the old std::function Action heap-allocated
+// whenever they exceeded ~16 bytes (i.e. nearly always).
 //
 // Each cycle ends with a fixed tick phase. Components that act once per
 // cycle (the cores) register as tickers and arm the cycles they want to
@@ -141,11 +148,12 @@ class Simulator {
   void setTracer(EventTracer* t) { tracer_ = t; }
 
  private:
-  struct Event {
+  // Cache-line aligned, so a node never straddles a third line; its last
+  // 8 bytes are padding.
+  struct alignas(64) Event {
     Cycle when = 0;
-    std::uint64_t order = 0;
     Action fn;              // captures stored inline — see kActionCapacityBytes
-    Event* next = nullptr;  // bucket chain / free list
+    Event* next = nullptr;  // bucket or slot chain / free list
   };
   static_assert(sizeof(Event) == 128,
                 "Event should stay exactly two cache lines; re-tune "
@@ -154,6 +162,9 @@ class Simulator {
   // Delays below kNearWindow go to the calendar; the window width matches
   // the bucket count so each bucket holds at most one distinct cycle.
   static constexpr Cycle kNearWindow = 64;
+  // Second-level slots, one per kNearWindow-cycle block: the level reaches
+  // kFarSlots * kNearWindow = 4,096 cycles ahead.
+  static constexpr Cycle kFarSlots = 64;
   static constexpr std::size_t kSlabEvents = 256;
 
   /// The loop behind run(), runUntil() and runUntilFlag(): reads
@@ -169,17 +180,20 @@ class Simulator {
   void runTicker();
   Event* allocEvent(Cycle when, Action fn);
   void releaseEvent(Event* e);
-  /// Executes the earliest pending event; `t` must equal peekWhen().
+  /// Executes the earliest pending event; `t` must equal nextBucketTime().
   void dispatch(Cycle t);
   void pushBucket(Event* e);
-  void insertBucketOrdered(Event* e);
-  void pushHeap(Event* e);
-  Event* popHeap();
-  /// Time of the earliest pending event (~Cycle{0} if none).
-  Cycle peekWhen() const;
+  void pushSlot(Event* e);
+  /// Earliest cycle with a bucketed event (~Cycle{0} if none).
   Cycle nextBucketTime() const;
   /// Earliest cycle with an armed ticker; some ticker must be armed.
   Cycle nextTickTime() const;
+  /// First cycle of the earliest block whose slot holds events; some slot
+  /// must.
+  Cycle nextBlockTime() const;
+  /// Moves now() to `start`, the first cycle of a block whose slot holds
+  /// events, and that block's events from the slot into the calendar.
+  void beginBlock(Cycle start);
 
   std::array<Event*, kNearWindow> bucketHead_{};
   std::array<Event*, kNearWindow> bucketTail_{};
@@ -191,11 +205,17 @@ class Simulator {
   // The cycle whose tick phase began last, and its tickers still to run.
   Cycle phaseCycle_ = ~Cycle{0};
   std::uint64_t phasePending_ = 0;
-  std::vector<Event*> heap_;      // min-heap on (when, order)
+  // Slot i chains, in scheduling order, the second-level events whose
+  // block (when / kNearWindow) is i modulo kFarSlots.
+  std::array<Event*, kFarSlots> slotHead_{};
+  std::array<Event*, kFarSlots> slotTail_{};
+  std::uint64_t slotMask_ = 0;  // bit i set iff slotHead_[i] != nullptr
+  // beginBlock's per-cycle chains: it reads only the entries it wrote.
+  std::array<Event*, kNearWindow> spreadHead_{};
+  std::array<Event*, kNearWindow> spreadTail_{};
   std::vector<std::unique_ptr<Event[]>> slabs_;
   Event* freeList_ = nullptr;
   Cycle now_ = 0;
-  std::uint64_t nextOrder_ = 0;
   std::uint64_t executed_ = 0;
   std::size_t size_ = 0;  // pending events plus armed ticks
   EventTracer* tracer_ = nullptr;  // non-owning; see tracer()

@@ -2,8 +2,10 @@
 // reentrant scheduling, and the run/runUntil drivers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -103,8 +105,8 @@ TEST(Simulator, ScheduleAtAbsoluteTime) {
   EXPECT_EQ(seen, 123u);
 }
 
-// --- calendar-queue specifics: the 64-cycle near window, the far-future
-// heap, and the seam between them ------------------------------------------
+// --- calendar-queue specifics: the 64-cycle near window, the second
+// level, and the seam between them -----------------------------------------
 
 TEST(Simulator, FarFutureEventsRunInTimeOrder) {
   Simulator sim;
@@ -120,8 +122,8 @@ TEST(Simulator, FarFutureEventsRunInTimeOrder) {
 }
 
 TEST(Simulator, WindowBoundaryDelays) {
-  // Delays straddling the 64-cycle near window (63 → calendar, 64 → heap)
-  // must still execute in time order.
+  // Delays straddling the 64-cycle near window (63 → calendar, 64 → second
+  // level) must still execute in time order.
   Simulator sim;
   std::vector<Cycle> order;
   for (Cycle d : {Cycle{64}, Cycle{63}, Cycle{65}, Cycle{62}, Cycle{127},
@@ -133,12 +135,12 @@ TEST(Simulator, WindowBoundaryDelays) {
 }
 
 TEST(Simulator, SameCycleFifoAcrossHeapAndCalendar) {
-  // A far-future event (heap) scheduled BEFORE a near event for the same
-  // cycle must run first: same-cycle execution follows scheduling order
-  // regardless of which structure held the event.
+  // A far-future event (second level) scheduled BEFORE a near event for the
+  // same cycle must run first: same-cycle execution follows scheduling
+  // order regardless of which structure held the event.
   Simulator sim;
   std::vector<int> order;
-  sim.schedule(100, [&] { order.push_back(1); });  // far → heap
+  sim.schedule(100, [&] { order.push_back(1); });  // far → second level
   sim.schedule(40, [&] {
     // At cycle 40, cycle 100 is within the near window → calendar.
     sim.schedule(60, [&] { order.push_back(2); });
@@ -151,13 +153,14 @@ TEST(Simulator, SameCycleFifoWhenNearScheduledFirst) {
   Simulator sim;
   std::vector<int> order;
   sim.schedule(30, [&] {
-    sim.schedule(70, [&] { order.push_back(1); });   // cycle 100 via heap
+    sim.schedule(70, [&] { order.push_back(1); });   // cycle 100, 2nd level
     sim.schedule(40, [&] {                            // cycle 70
       sim.schedule(30, [&] { order.push_back(2); });  // cycle 100 via calendar
     });
   });
   sim.run();
-  // Heap event (order earlier) still precedes the calendar event at 100.
+  // The second-level event (scheduled earlier) still precedes the calendar
+  // event at 100.
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
@@ -212,9 +215,9 @@ TEST(Simulator, NodeRecyclingKeepsOrdering) {
 }
 
 TEST(Simulator, ClearDestroysPendingActionsWithoutRunningThem) {
-  // Near (calendar) and far (heap) events alike: clear() runs each pending
-  // action's destructor, releasing what it captured, and the kernel keeps
-  // working afterwards.
+  // Near (calendar) and far (second level) events alike: clear() runs each
+  // pending action's destructor, releasing what it captured, and the kernel
+  // keeps working afterwards.
   Simulator sim;
   auto token = std::make_shared<int>(0);
   bool ran = false;
@@ -416,6 +419,236 @@ TEST(SimulatorTickPhase, BoundIsReachedWhenNoEventFallsOnIt) {
   // A predicate still ends the run early, at the event that satisfied it.
   EXPECT_TRUE(sim.runUntil([&] { return log.size() == 4; }, 500));
   EXPECT_EQ(sim.now(), 90u);
+}
+
+// --- the second level: blocks, slots and rounds ----------------------------
+//
+// Events 64 or more cycles out wait in one of 64 slots, one per aligned
+// 64-cycle block, and move into the calendar when their block begins; an
+// event more than 4,096 cycles out waits in its slot for a later round.
+
+// An action that logs (now(), name).
+auto noteAt(Simulator& sim, Log& log, int name) {
+  return [&sim, &log, name] { log.emplace_back(sim.now(), name); };
+}
+
+TEST(SimulatorSecondLevel, DelayOfExactlyOneWindow) {
+  // 64 cycles is the shortest delay the second level takes. Its event runs
+  // at its cycle, ahead of a calendar event for that cycle scheduled later,
+  // and a block's first cycle (64) is reached from the second level too.
+  Simulator sim;
+  Log log;
+  sim.schedule(64, noteAt(sim, log, 1));  // 64: block 1's first cycle
+  sim.schedule(63, noteAt(sim, log, 0));  // 63: calendar
+  sim.schedule(10, [&] {
+    sim.schedule(64, noteAt(sim, log, 3));  // 74: second level
+    sim.schedule(63, noteAt(sim, log, 2));  // 73: calendar
+  });
+  sim.schedule(20, [&] { sim.schedule(54, noteAt(sim, log, 4)); });  // 74
+  sim.run();
+  EXPECT_EQ(log, (Log{{63, 0}, {64, 1}, {73, 2}, {74, 3}, {74, 4}}));
+}
+
+TEST(SimulatorSecondLevel, DelayOf4096LandsInTheCurrentBlocksSlot) {
+  // 4,096 cycles is the CET scrub period. Scheduled from block 0, cycles
+  // 4,096 and 4,101 (block 64) go to slot 0, the current block's own slot;
+  // they wait there a whole round and run in scheduling order with the
+  // events that reach those cycles from nearer.
+  Simulator sim;
+  Log log;
+  sim.schedule(4096, noteAt(sim, log, 1));                    // 4,096
+  sim.schedule(1, [&] { sim.schedule(4095, noteAt(sim, log, 2)); });
+  sim.schedule(5, [&] { sim.schedule(4096, noteAt(sim, log, 3)); });
+  sim.scheduleAt(63 * 64, noteAt(sim, log, 0));               // slot 63
+  sim.scheduleAt(4000, [&] { sim.schedule(101, noteAt(sim, log, 4)); });
+  sim.scheduleAt(4090, [&] { sim.schedule(11, noteAt(sim, log, 5)); });
+  sim.run();
+  EXPECT_EQ(log, (Log{{4032, 0}, {4096, 1}, {4096, 2}, {4101, 3},
+                      {4101, 4}, {4101, 5}}));
+}
+
+TEST(SimulatorSecondLevel, LaterRoundsShareASlotWithTheCurrentRound) {
+  // Cycles 70, 100, 100 + 4,096 and 100 + 3 * 4,096 all map to slot 1. The
+  // later rounds, scheduled first, stay in the slot, in order, each time
+  // block 1 of a round begins.
+  Simulator sim;
+  Log log;
+  sim.scheduleAt(100 + 3 * 4096, noteAt(sim, log, 4));
+  sim.scheduleAt(100 + 4096, noteAt(sim, log, 2));
+  sim.scheduleAt(100, noteAt(sim, log, 1));
+  sim.scheduleAt(100 + 4096, noteAt(sim, log, 3));
+  sim.scheduleAt(70, noteAt(sim, log, 0));
+  EXPECT_EQ(sim.run(100), 2u);
+  EXPECT_EQ(sim.now(), 100u);
+  EXPECT_EQ(sim.pendingEvents(), 3u);
+  EXPECT_EQ(sim.run(), 3u);
+  EXPECT_EQ(log, (Log{{70, 0}, {100, 1}, {4196, 2}, {4196, 3}, {12388, 4}}));
+  EXPECT_EQ(sim.now(), 12388u);
+}
+
+TEST(SimulatorSecondLevel, EventAtABlocksFirstCycleRunsBeforeItsTick) {
+  // Cycle 128 begins block 2, and its tick is armed in the calendar before
+  // the block begins. The second-level event for 128 runs first, then the
+  // calendar one, then the tick. Block 3's slot holds only a later round's
+  // event when the tick armed for cycle 192 runs.
+  Simulator sim;
+  Log log;
+  LogTicker t(sim, log, 100);
+  sim.scheduleAt(128, noteAt(sim, log, 1));
+  sim.scheduleAt(192 + 4096, noteAt(sim, log, 3));
+  sim.scheduleAt(100, [&] { sim.armTick(t.id, 128); });
+  sim.scheduleAt(110, [&] { sim.schedule(18, noteAt(sim, log, 2)); });
+  sim.scheduleAt(150, [&] { sim.armTick(t.id, 192); });
+  sim.run();
+  EXPECT_EQ(log, (Log{{128, 1}, {128, 2}, {128, 100}, {192, 100},
+                      {4288, 3}}));
+}
+
+TEST(SimulatorSecondLevel, ClearReleasesSecondLevelEventsOfBothRounds) {
+  Simulator sim;
+  auto token = std::make_shared<int>(0);
+  bool ran = false;
+  sim.schedule(500, [&ran, token] { ran = true; });         // this round
+  sim.schedule(500 + 4096, [&ran, token] { ran = true; });  // same slot
+  sim.schedule(200'000, [&ran, token] { ran = true; });     // many rounds
+  EXPECT_EQ(token.use_count(), 4);
+  EXPECT_EQ(sim.pendingEvents(), 3u);
+  sim.clear();
+  EXPECT_TRUE(sim.empty());
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(sim.run(), 0u);
+  EXPECT_FALSE(ran);
+  // The emptied slots take new events.
+  Log log;
+  sim.schedule(500, noteAt(sim, log, 1));
+  sim.schedule(100, noteAt(sim, log, 0));
+  sim.run();
+  EXPECT_EQ(log, (Log{{100, 0}, {500, 1}}));
+}
+
+TEST(SimulatorSecondLevel, RunLimitInsideABlockWhoseEventsAreNotYetDue) {
+  // Cycle 200 lies in block 3 ([192, 255]). A run bounded at 195 begins the
+  // block and runs nothing; an event scheduled from there for 200 goes to
+  // the calendar, behind the second-level one.
+  Simulator sim;
+  Log log;
+  sim.scheduleAt(200, noteAt(sim, log, 1));
+  sim.scheduleAt(250, noteAt(sim, log, 2));
+  EXPECT_EQ(sim.run(150), 0u);
+  EXPECT_EQ(sim.now(), 150u);
+  EXPECT_EQ(sim.run(195), 0u);
+  EXPECT_EQ(sim.now(), 195u);
+  EXPECT_EQ(sim.pendingEvents(), 2u);
+  sim.schedule(5, noteAt(sim, log, 3));   // 200: calendar
+  sim.schedule(2, noteAt(sim, log, 4));   // 197
+  sim.schedule(64, noteAt(sim, log, 5));  // 259: second level, block 4
+  EXPECT_EQ(sim.run(), 5u);
+  EXPECT_EQ(log, (Log{{197, 4}, {200, 1}, {200, 3}, {250, 2}, {259, 5}}));
+}
+
+TEST(SimulatorSecondLevel, StopChecksSeeNoBlockBegin) {
+  // A block begin moves now() to the block's first cycle and runs nothing;
+  // the stop check runs only after events and ticks, so a predicate on
+  // now() stops at the first event at or past its cycle.
+  Simulator sim;
+  Log log;
+  sim.scheduleAt(200, noteAt(sim, log, 1));
+  sim.scheduleAt(201, noteAt(sim, log, 2));
+  EXPECT_TRUE(sim.runUntil([&] { return sim.now() >= 192; }));
+  EXPECT_EQ(sim.now(), 200u);
+  EXPECT_EQ(log, (Log{{200, 1}}));
+}
+
+TEST(SimulatorSecondLevel, RandomizedAllRangesBoundedRunsAndTicks) {
+  // Delays from all three ranges: the calendar (under 64 cycles), the
+  // second level's first round (64 to 4,096) and later rounds (up to about
+  // 200,000). They come from the start, from reentrant children and from
+  // outside between runs that stop at random bounds, with same-cycle
+  // collisions at multiples of 997 reached from different distances and a
+  // ticker armed at random cycles. The execution order must equal a stable
+  // sort on (cycle, scheduling index), each cycle's tick after its events.
+  struct Ref {
+    Cycle when;
+    int kind;  // 0: event, 1: tick
+    std::uint64_t order;
+    bool operator==(const Ref& o) const {
+      return when == o.when && kind == o.kind && order == o.order;
+    }
+  };
+  Simulator sim;
+  Log tickLog;
+  LogTicker ticker(sim, tickLog, 0);
+  std::vector<Ref> ref;
+  std::vector<Ref> executed;
+  std::set<Cycle> tickCycles;
+  std::uint64_t farArms = 0;  // each is one event that arms the ticker
+  std::uint64_t lcg = 977;
+  std::uint64_t nextId = 0;
+  constexpr std::uint64_t kMaxEvents = 4000;
+  auto rnd = [&] {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    return lcg >> 33;
+  };
+  auto delay = [&]() -> Cycle {
+    switch (rnd() % 4) {
+      case 0:
+        return rnd() % 64;
+      case 1:
+        return 64 + rnd() % 4033;  // 64 to 4,096
+      case 2:
+        return 4097 + rnd() % 196'000;
+      default: {
+        const Cycle ahead = rnd() % 3 == 0 ? rnd() % 200 : rnd() % 5;
+        return (sim.now() / 997 + 1 + ahead) * 997 - sim.now();
+      }
+    }
+  };
+  std::function<void(std::uint64_t)> body;
+  auto add = [&](Cycle d) {
+    const std::uint64_t id = nextId++;
+    ref.push_back({sim.now() + d, 0, id});
+    sim.schedule(d, [&body, id] { body(id); });
+  };
+  auto arm = [&](Cycle d) {
+    tickCycles.insert(sim.now() + d);
+    if (d >= 64) ++farArms;
+    sim.armTick(ticker.id, sim.now() + d);
+  };
+  body = [&](std::uint64_t id) {
+    executed.push_back({sim.now(), 0, id});
+    if (nextId < kMaxEvents && rnd() % 2 == 0) add(delay());
+    if (nextId < kMaxEvents && rnd() % 16 == 0) add(delay());
+    if (rnd() % 8 == 0) arm(rnd() % 2 == 0 ? rnd() % 64 : delay());
+  };
+  ticker.onTick = [&] { executed.push_back({sim.now(), 1, 0}); };
+  for (int i = 0; i < 400; ++i) add(delay());
+  for (int i = 0; i < 20; ++i) arm(1 + rnd() % 5000);
+  int bounds = 0;
+  while (!sim.empty()) {
+    const Cycle limit = sim.now() + rnd() % 20'000;
+    sim.run(limit);
+    ASSERT_EQ(sim.now(), limit);
+    ++bounds;
+    // The bound's tick phase is over, so arms from here start a cycle on.
+    if (nextId < kMaxEvents) add(delay());
+    if (rnd() % 2 == 0) arm(1 + rnd() % 300);
+  }
+  EXPECT_GT(bounds, 10);
+
+  for (Cycle c : tickCycles) ref.push_back({c, 1, 0});
+  std::stable_sort(ref.begin(), ref.end(), [](const Ref& a, const Ref& b) {
+    if (a.when != b.when) return a.when < b.when;
+    if (a.kind != b.kind) return a.kind < b.kind;
+    return a.order < b.order;
+  });
+  ASSERT_EQ(executed.size(), ref.size());
+  EXPECT_EQ(sim.eventsExecuted(), executed.size() + farArms);
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_TRUE(executed[i] == ref[i])
+        << "position " << i << ": ran (" << executed[i].when << ", "
+        << executed[i].kind << ", " << executed[i].order << "), expected ("
+        << ref[i].when << ", " << ref[i].kind << ", " << ref[i].order << ")";
+  }
 }
 
 }  // namespace
