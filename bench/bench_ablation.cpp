@@ -5,7 +5,7 @@
 //  (3) write-buffer drain concurrency under PSO (the Table 5 optimization);
 //  (4) store prefetching (the baseline optimization both systems rely on).
 #include "bench_common.hpp"
-#include "faults/injector.hpp"
+#include "faults/trial.hpp"
 
 namespace dvmc {
 namespace {
@@ -19,29 +19,24 @@ void ablateMembarPeriod() {
     RunningStat lat;
     int detected = 0;
     int trials = 0;
-    for (int trial = 0; trial < 3; ++trial) {
+    for (int rep = 0; rep < 3; ++rep) {
       SystemConfig cfg = SystemConfig::withDvmc(Protocol::kDirectory,
                                                 ConsistencyModel::kTSO);
       cfg.numNodes = 4;
       cfg.workload = WorkloadKind::kOltp;
       cfg.targetTransactions = 1'000'000;
       cfg.maxCycles = 10'000'000;
-      cfg.seed = 7 + trial;
+      cfg.seed = 7 + rep;
       cfg.dvmc.membarInjectionPeriod = period;
       System sys(cfg);
-      FaultInjector inj(sys, 0xAB1 + trial);
       sys.runTo(20'000);
-      Cycle injectedAt = 0;
-      for (int round = 0; round < 40 && !sys.sink().any(); ++round) {
-        if (inj.inject(FaultType::kMsgDrop)) injectedAt = sys.sim().now();
-        sys.runTo(sys.sim().now() + period,
-                  [&] { return sys.sink().any(); });
-      }
+      FaultTrial trial(sys, FaultType::kMsgDrop, 0xAB1 + rep);
+      trial.run(period, 40);
       ++trials;
-      if (sys.sink().any() && sys.sink().first().cycle >= injectedAt) {
+      if (trial.noticed() && trial.noticedAt() >= trial.lastInjection()) {
         ++detected;
         lat.addTracked(
-            static_cast<double>(sys.sink().first().cycle - injectedAt));
+            static_cast<double>(trial.noticedAt() - trial.lastInjection()));
       }
     }
     std::printf("%-12llu | %10.0f    | %d/%d\n",

@@ -8,7 +8,7 @@
 // masked (e.g., a corrupted line evicted before reuse) are re-drawn, as
 // in the paper's run-until-detected methodology.
 #include "bench_common.hpp"
-#include "faults/injector.hpp"
+#include "faults/trial.hpp"
 
 namespace dvmc {
 namespace {
@@ -33,55 +33,33 @@ int run() {
     for (Protocol p : {Protocol::kDirectory, Protocol::kSnooping}) {
       for (ConsistencyModel m : bench::allModels()) {
         if (!faultApplicable(f, m, p)) continue;
-        for (int trial = 0; trial < trialsPerCase; ++trial) {
+        for (int rep = 0; rep < trialsPerCase; ++rep) {
           SystemConfig cfg = SystemConfig::withDvmc(p, m);
           cfg.numNodes = 4;
           cfg.workload = WorkloadKind::kOltp;
           cfg.targetTransactions = 1'000'000;
           cfg.maxCycles = 20'000'000;
-          cfg.seed = 100 + trial;
+          cfg.seed = 100 + rep;
           cfg.dvmc.membarInjectionPeriod = 50'000;
           cfg.ber.interval = 20'000;
           cfg.ber.maxCheckpoints = 10;
           System sys(cfg);
-          FaultInjector inj(sys, 0xC0FFEE + trial);
           sys.runTo(30'000);
-
-          auto flushes = [&] {
-            std::uint64_t t = 0;
-            for (NodeId n = 0; n < sys.numNodes(); ++n) {
-              t += sys.core(n).stats().get("cpu.uoFlushes") +
-                   sys.core(n).stats().get("cpu.rmoReplayFlushes");
-            }
-            return t;
-          };
-          const std::uint64_t f0 = flushes();
-          const bool viaFlush = f == FaultType::kLsqWrongForward;
-          auto detected = [&] {
-            return sys.sink().any() || (viaFlush && flushes() > f0);
-          };
-
-          Cycle lastInjection = 0;
-          int injections = 0;
-          for (int round = 0; round < 60 && !detected(); ++round) {
-            if (inj.inject(f)) {
-              lastInjection = sys.sim().now();
-              ++injections;
-            }
-            sys.runTo(sys.sim().now() + 25'000, detected);
-          }
+          FaultTrial trial(sys, f, 0xC0FFEE + rep);
+          trial.run(25'000, 60);
           ++row.trials;
-          row.reinjections += injections > 0 ? injections - 1 : 0;
-          if (!detected()) continue;
+          row.reinjections +=
+              trial.injections() > 0 ? trial.injections() - 1 : 0;
+          if (!trial.noticed()) continue;
           ++row.detected;
-          const Cycle at =
-              sys.sink().any() ? sys.sink().first().cycle : sys.sim().now();
-          if (at >= lastInjection) {
-            row.latency.addTracked(static_cast<double>(at - lastInjection));
+          const Cycle at = trial.noticedAt();
+          if (at >= trial.lastInjection()) {
+            row.latency.addTracked(
+                static_cast<double>(at - trial.lastInjection()));
           }
-          if (!sys.sink().any() ||
-              (sys.ber()->oldestCheckpoint() < lastInjection &&
-               sys.recover(lastInjection))) {
+          if (trial.notice() == FaultTrial::Notice::kFlush ||
+              (sys.ber()->oldestCheckpoint() < trial.lastInjection() &&
+               sys.recover(trial.lastInjection()))) {
             ++row.recoveryValid;
           }
         }

@@ -16,7 +16,7 @@
 #include <cstring>
 #include <string>
 
-#include "faults/injector.hpp"
+#include "faults/trial.hpp"
 #include "system/runner.hpp"
 #include "system/system.hpp"
 #include "obs/run_report.hpp"
@@ -56,7 +56,6 @@ int runDemo(int argc, char** argv) {
   }
 
   System sys(cfg);
-  FaultInjector injector(sys, /*seed=*/42);
 
   std::printf("[phase 1] running oltp on a 4-node DVMC-protected system\n");
   sys.runTo(40'000);
@@ -68,52 +67,24 @@ int runDemo(int argc, char** argv) {
               static_cast<unsigned long long>(sys.sink().count()));
 
   // A fault can be masked: the flipped line is never written, the dropped
-  // message is never needed. As in the paper's run-until-detected design
-  // (bench_tab_error_detection), a fault no checker notices within
-  // kDetectWindow cycles is drawn again; the window leaves the SafetyNet
+  // message is never needed. As in the paper's run-until-detected design,
+  // the trial draws a fault no checker notices within kDetectWindow
+  // cycles again at a fresh target; the window leaves the SafetyNet
   // checkpoints before the injection in reach.
   constexpr Cycle kDetectWindow = 60'000;
   constexpr int kMaxInjections = 10;
-  auto flushes = [&] {
-    std::uint64_t t = 0;
-    for (NodeId n = 0; n < sys.numNodes(); ++n) {
-      t += sys.core(n).stats().get("cpu.uoFlushes");
-    }
-    return t;
-  };
-  const bool viaFlush = fault == FaultType::kLsqWrongForward;
-  Cycle injectedAt = 0;
-  std::uint64_t f0 = 0;
-  auto noticed = [&] {
-    return sys.sink().any() || (viaFlush && flushes() > f0);
-  };
-  for (int round = 0; round < kMaxInjections; ++round) {
-    std::printf("[phase 2] injecting fault: %s\n", faultTypeName(fault));
-    injectedAt = 0;
-    for (int attempt = 0; attempt < 50 && injectedAt == 0; ++attempt) {
-      if (injector.inject(fault)) {
-        injectedAt = sys.sim().now();
-      } else {
-        sys.runTo(sys.sim().now() + 1000);
-      }
-    }
-    if (injectedAt == 0) {
-      std::fprintf(stderr, "could not inject\n");
-      return 1;
-    }
-    std::printf("          injected at cycle %llu\n",
-                static_cast<unsigned long long>(injectedAt));
+  std::printf("[phase 2] injecting fault: %s, drawn again every %llu "
+              "cycles while it stays masked\n",
+              faultTypeName(fault),
+              static_cast<unsigned long long>(kDetectWindow));
+  std::printf("[phase 3] waiting for a DVMC checker to notice...\n");
+  FaultTrial trial(sys, fault, /*seed=*/42);
+  trial.run(kDetectWindow, kMaxInjections);
+  std::printf("          %d injection(s), the last at cycle %llu\n",
+              trial.injections(),
+              static_cast<unsigned long long>(trial.lastInjection()));
 
-    std::printf("[phase 3] waiting for a DVMC checker to notice...\n");
-    f0 = flushes();
-    const RunResult r = sys.runTo(injectedAt + kDetectWindow, noticed);
-    if (noticed() || r.completed) break;
-    std::printf("          nothing within %llu cycles: the fault was "
-                "masked; drawing another\n",
-                static_cast<unsigned long long>(kDetectWindow));
-  }
-
-  if (viaFlush && !sys.sink().any() && flushes() > f0) {
+  if (trial.notice() == FaultTrial::Notice::kFlush) {
     std::printf("          the verification stage caught a wrong load value "
                 "and repaired it with a pipeline flush\n");
     std::printf("          (speculative-path faults never reach committed "
@@ -123,11 +94,12 @@ int runDemo(int argc, char** argv) {
                 static_cast<unsigned long long>(sys.totalTransactions()));
     return 0;
   }
-  if (!sys.sink().any()) {
+  if (!trial.noticed()) {
     std::printf("          nothing detected (every injection was masked); "
                 "try another fault\n");
     return 1;
   }
+  const Cycle injectedAt = trial.lastInjection();
   const Detection& d = sys.sink().first();
   std::printf("          DETECTED by %s at cycle %llu (latency %llu):\n",
               checkerKindName(d.kind),

@@ -68,9 +68,14 @@ void CacheArray::invalidateAll() {
 
 void CacheArray::touch(CacheLine& line, ErrorSink* sink, NodeId node,
                        Cycle now) {
-  const std::size_t i = index(line);
-  ways_[i].lastUse = ++useCounter_;
+  ways_[index(line)].lastUse = ++useCounter_;
+  checkEcc(line, sink, node, now);
+}
+
+void CacheArray::checkEcc(CacheLine& line, ErrorSink* sink, NodeId node,
+                          Cycle now) {
   if (flips_.empty()) return;
+  const std::size_t i = index(line);
   auto it = flips_.find(i);
   if (it == flips_.end()) return;
   if (it->second.size() == 1) {

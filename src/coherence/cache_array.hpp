@@ -92,6 +92,10 @@ class CacheArray {
   /// Marks a line recently used and runs the ECC access check.
   /// Reports uncorrectable errors to `sink` (may be null).
   void touch(CacheLine& line, ErrorSink* sink, NodeId node, Cycle now);
+  /// The ECC access check alone, for reads of the line's data that are no
+  /// use of the line (an eviction, a supply to a snooped GetM): corrects a
+  /// single flip, reports a multi-bit one, leaves the LRU order alone.
+  void checkEcc(CacheLine& line, ErrorSink* sink, NodeId node, Cycle now);
 
   /// Fault-injection entry point: flip one bit of a random resident line.
   /// Returns the affected block address, or nullopt if the cache is empty.

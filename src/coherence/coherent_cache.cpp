@@ -194,6 +194,8 @@ void CoherentCache::installWithEviction(Addr blk, MosiState st,
 
 void CoherentCache::evictLine(CacheLine& line) {
   const Addr blk = array_.tag(line);
+  // The epoch-end hash and the writeback read the data out through ECC.
+  array_.checkEcc(line, sink_, node_, sim_.now());
   if (epochs_ != nullptr) epochs_->onEpochEnd(blk, line.data, clock_.now());
   if (mosiIsOwner(line.state)) {
     wbBuffer_[blk] = WbEntry{line.data, true};

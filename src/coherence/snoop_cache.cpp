@@ -104,6 +104,7 @@ void SnoopCacheController::applySnoop(const Message& msg,
       const bool hadCopy = line != nullptr && mosiCanRead(line->state);
       if (hadCopy) {
         if (mosiIsOwner(line->state)) {
+          array_.checkEcc(*line, sink_, node_, sim_.now());
           supplyData(MsgType::kSnpData, msg.src, blk, line->data);
         }
         if (epochs_ != nullptr) epochs_->onEpochEnd(blk, line->data, ltime);

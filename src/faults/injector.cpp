@@ -65,12 +65,6 @@ FaultInjector::FaultInjector(System& sys, std::uint64_t seed)
     : sys_(sys), rng_(seed) {}
 
 bool FaultInjector::inject(FaultType t) {
-  const bool ok = injectNow(t);
-  if (ok) ++injections_;
-  return ok;
-}
-
-bool FaultInjector::injectNow(FaultType t) {
   const NodeId node =
       static_cast<NodeId>(rng_.below(sys_.numNodes()));
   switch (t) {

@@ -51,21 +51,17 @@ class FaultInjector {
   FaultInjector(System& sys, std::uint64_t seed);
 
   /// Attempts to inject the fault right now at a random location; returns
-  /// false if no suitable target exists yet (caller retries later).
+  /// false if no suitable target exists yet (FaultTrial draws it again in
+  /// its next round).
   bool inject(FaultType t);
 
   /// Arms a one-shot network fault (drop/dup/misroute/reorder/corrupt):
   /// the next eligible coherence message triggers it.
   void armNetworkFault(FaultType t);
 
-  std::uint64_t injections() const { return injections_; }
-
  private:
-  bool injectNow(FaultType t);
-
   System& sys_;
   Rng rng_;
-  std::uint64_t injections_ = 0;
   bool netFaultArmed_ = false;
   FaultType armedType_ = FaultType::kMsgDrop;
 };

@@ -37,7 +37,12 @@ class BroadcastTree {
   void setFaultFilter(FaultFilter f) { faultFilter_ = std::move(f); }
 
   std::uint64_t broadcastsIssued() const { return order_; }
-  void bumpEpoch() { ++epoch_; }
+  /// BER recovery: squashes every broadcast in flight and releases the
+  /// root's arbitration backlog.
+  void bumpEpoch() {
+    ++epoch_;
+    rootFree_ = 0;
+  }
   std::uint64_t totalBytes() const { return totalBytes_; }
 
  private:

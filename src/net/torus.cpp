@@ -156,6 +156,7 @@ void TorusNetwork::inject(PooledMessage pm) {
 }
 
 void TorusNetwork::traverse(PooledMessage pm, NodeId cur) {
+  if (pm->netEpoch != epoch_) return;  // squashed by BER recovery
   if (cur == pm->dest) {
     deliver(*pm);  // pm's destruction recycles the node
     return;
@@ -173,6 +174,11 @@ void TorusNetwork::traverse(PooledMessage pm, NodeId cur) {
   sim_.scheduleAt(arrive, [this, pm = std::move(pm), next]() mutable {
     traverse(std::move(pm), next);
   });
+}
+
+void TorusNetwork::bumpEpoch() {
+  ++epoch_;
+  std::fill(linkFree_.begin(), linkFree_.end(), 0);
 }
 
 void TorusNetwork::deliver(const Message& msg) {

@@ -65,9 +65,10 @@ class TorusNetwork {
 
   std::size_t numNodes() const { return n_; }
 
-  /// BER recovery: squashes every in-flight message (stale epochs are
-  /// dropped at delivery).
-  void bumpEpoch() { ++epoch_; }
+  /// BER recovery: squashes every in-flight message, dropped at its next
+  /// hop, and releases the links they reserved, so the restarted machine
+  /// starts on an idle network.
+  void bumpEpoch();
 
  private:
   // Directions for directed links out of each node.

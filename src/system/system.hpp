@@ -75,6 +75,10 @@ class System {
   /// both read counters the cores keep current.
   std::uint64_t totalTransactions() const;
   bool allCoresDone() const;
+  /// run()'s stop condition: the transaction target is reached (barrier
+  /// workloads: never) or every core is done. runTo() returns at once
+  /// while it holds.
+  bool runEnded() const { return stop_; }
 
   // --- component access (tests, fault injection, benches) ---
   Simulator& sim() { return sim_; }

@@ -191,6 +191,34 @@ TEST(DirectoryProtocol, EvictionWritesBackDirtyData) {
   EXPECT_EQ(home->ownerOf(kBlk), kInvalidNode);
 }
 
+TEST(DirectoryProtocol, DirtyEvictionRunsTheEccCheck) {
+  // An uncorrectable flip in an M line must not leave with its writeback
+  // (the invalidation drops the flips).
+  SystemConfig cfg = baseConfig();
+  cfg.l2 = {2, 2};
+  cfg.l1 = {1, 1};
+  std::vector<Instr> prog = {Instr::store(kBlk, 31415)};
+  for (int i = 1; i <= 8; ++i) {
+    prog.push_back(Instr::load(kBlk + i * 2 * kBlockSizeBytes));
+  }
+  auto sys = makeSystem(cfg, {{0, prog}});
+  CacheArray& array = sys->l2(0).array();
+  sys->runUntil([&] {
+    const CacheLine* line = array.find(kBlk);
+    return line != nullptr && line->data.read(0) == 31415;
+  });
+  ASSERT_EQ(array.find(kBlk)->state, MosiState::kM);
+  ASSERT_TRUE(array.injectBitFlip(kBlk, 3));
+  ASSERT_TRUE(array.injectBitFlip(kBlk, 9));
+  RunResult r = sys->run();
+  ASSERT_TRUE(r.completed);
+  EXPECT_EQ(array.find(kBlk), nullptr);
+  ASSERT_TRUE(sys->sink().any());
+  EXPECT_EQ(sys->sink().first().kind, CheckerKind::kEcc);
+  EXPECT_EQ(sys->sink().first().node, 0u);
+  EXPECT_EQ(sys->sink().first().addr, kBlk);
+}
+
 TEST(DirectoryProtocol, ReloadAfterEvictionSeesWrittenValue) {
   SystemConfig cfg = baseConfig();
   cfg.l2 = {2, 2};

@@ -13,7 +13,7 @@
 
 #include <string>
 
-#include "faults/injector.hpp"
+#include "faults/trial.hpp"
 #include "system/system.hpp"
 
 namespace dvmc {
@@ -50,56 +50,28 @@ TEST_P(FaultDetection, DetectedWithinRecoveryWindow) {
   cfg.ber.interval = 20'000;
   cfg.ber.maxCheckpoints = 10;  // window = 200k cycles
   System sys(cfg);
-  FaultInjector inj(sys, 0xFA017 + static_cast<int>(fc.fault));
 
   // Warm up error-free.
   sys.runTo(30'000);
   ASSERT_EQ(sys.sink().count(), 0u)
       << "fault-free phase dirty: " << sys.sink().first().what;
 
-  // Flush counters double as the detection signal for speculative-path
-  // faults, which the verification stage repairs in place (§4.1).
-  auto flushes = [&] {
-    std::uint64_t total = 0;
-    for (NodeId n = 0; n < sys.numNodes(); ++n) {
-      total += sys.core(n).stats().get("cpu.uoFlushes");
-      total += sys.core(n).stats().get("cpu.rmoReplayFlushes");
-    }
-    return total;
-  };
-  const bool lsqFault = fc.fault == FaultType::kLsqWrongForward;
-  const std::uint64_t flushesBefore = flushes();
+  FaultTrial trial(sys, fc.fault, 0xFA017 + static_cast<int>(fc.fault));
+  trial.run(25'000, 60);
+  ASSERT_GT(trial.injections(), 0) << "fault never found a target";
+  ASSERT_TRUE(trial.noticed()) << "undetected after " << trial.injections()
+                               << " injections of " << faultTypeName(fc.fault);
 
-  auto detected = [&] {
-    return sys.sink().any() || (lsqFault && flushes() > flushesBefore);
-  };
-
-  // Inject; if the fault is masked (no manifestation within a grace
-  // period), re-inject at a fresh random location — mirroring a campaign
-  // that draws injection sites until the error manifests.
-  Cycle lastInjection = 0;
-  int injections = 0;
-  for (int round = 0; round < 60 && !detected(); ++round) {
-    if (inj.inject(fc.fault)) {
-      lastInjection = sys.sim().now();
-      ++injections;
-    }
-    sys.runTo(sys.sim().now() + 25'000, detected);
-  }
-  ASSERT_GT(injections, 0) << "fault never found a target";
-  ASSERT_TRUE(detected()) << "undetected after " << injections
-                          << " injections of " << faultTypeName(fc.fault);
-
-  const bool bySink = sys.sink().any();
-  const Cycle detectedAt = bySink ? sys.sink().first().cycle : sys.sim().now();
-  if (detectedAt > lastInjection) {
-    EXPECT_LE(detectedAt - lastInjection, 200'000u)
+  const Cycle lastInjection = trial.lastInjection();
+  if (trial.noticedAt() > lastInjection) {
+    EXPECT_LE(trial.noticedAt() - lastInjection, 200'000u)
         << "detection latency exceeds the recovery window";
   }
 
   // A valid checkpoint predating the (manifesting) injection must still
-  // exist, and recovery from it must succeed.
-  if (bySink) {
+  // exist, and recovery from it must succeed. A flush repaired the fault
+  // in place: nothing to roll back.
+  if (trial.notice() == FaultTrial::Notice::kDetection) {
     EXPECT_LT(sys.ber()->oldestCheckpoint(), lastInjection)
         << "recovery window expired before detection";
     EXPECT_TRUE(sys.recover(lastInjection));

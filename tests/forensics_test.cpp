@@ -9,7 +9,7 @@
 #include <utility>
 #include <vector>
 
-#include "faults/injector.hpp"
+#include "faults/trial.hpp"
 #include "obs/forensics.hpp"
 #include "obs/json.hpp"
 #include "obs/timeseries.hpp"
@@ -67,15 +67,12 @@ Json captureBundle(ForensicsRecorder& rec, Protocol protocol) {
   cfg.ber.interval = 20'000;
   cfg.forensics = &rec;  // no cfg.tracer: the System must arm its own
   System sys(cfg);
-  FaultInjector inj(sys, 0xF0F0);
 
   sys.runTo(30'000);
   EXPECT_EQ(sys.sink().count(), 0u);
-  for (int attempt = 0; attempt < 50 && !sys.sink().any(); ++attempt) {
-    inj.inject(FaultType::kCacheStateFlip);
-    sys.runTo(sys.sim().now() + 100'000, [&] { return sys.sink().any(); });
-  }
-  EXPECT_TRUE(sys.sink().any()) << "cache-state flips never manifested";
+  FaultTrial trial(sys, FaultType::kCacheStateFlip, 0xF0F0);
+  trial.run(100'000, 50);
+  EXPECT_TRUE(trial.noticed()) << "cache-state flips never manifested";
 
   std::ostringstream os;
   rec.writeTo(os);

@@ -258,9 +258,9 @@ INSTANTIATE_TEST_SUITE_P(
         Cell{"snoop_TSO_faulted", kSnp, CM::kTSO, Variant::kFaulted,
              0x90039740b218686dull, 0x292b759c4c2aa896ull},
         Cell{"dir_TSO_recovered", kDir, CM::kTSO, Variant::kRecovered,
-             0xb36c442c753633ebull, 0x8386df47d6000f75ull},
+             0xdde1e2115e7bef73ull, 0xdf55d24ce2345e9eull},
         Cell{"snoop_TSO_recovered", kSnp, CM::kTSO, Variant::kRecovered,
-             0xeaadfceb6fdc22b5ull, 0x747024994fcccd28ull}),
+             0x8173843c0e330801ull, 0xfb7e634b053b73d3ull}),
     cellName);
 
 }  // namespace

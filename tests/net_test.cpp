@@ -19,6 +19,17 @@ class Recorder final : public NetworkEndpoint {
   std::vector<Message> received;
 };
 
+/// Records the cycle at which each message arrives.
+class ArrivalClock final : public NetworkEndpoint {
+ public:
+  explicit ArrivalClock(const Simulator& sim) : sim_(sim) {}
+  void onMessage(const Message&) override { arrivals.push_back(sim_.now()); }
+  std::vector<Cycle> arrivals;
+
+ private:
+  const Simulator& sim_;
+};
+
 struct TorusFixture : ::testing::Test {
   TorusFixture() : net(sim, 8) {
     for (NodeId n = 0; n < 8; ++n) net.attach(n, &eps[n]);
@@ -142,6 +153,33 @@ TEST_F(TorusFixture, EpochBumpSquashesInFlight) {
   EXPECT_EQ(eps[7].received.size(), 1u);
 }
 
+TEST(TorusRecovery, FreshMessageAfterABumpSeesAnIdleNetwork) {
+  // A data message from 0 to 6 crosses three links. Its latency behind a
+  // squashed backlog of 20 on the same route must be its latency alone:
+  // the bump releases the links, and no squashed message reserves one
+  // further down the route.
+  auto latency = [](int backlog) {
+    Simulator sim;
+    TorusNetwork net(sim, 8);
+    std::vector<ArrivalClock> clocks(8, ArrivalClock(sim));
+    for (NodeId n = 0; n < 8; ++n) net.attach(n, &clocks[n]);
+    Message m;
+    m.type = MsgType::kData;
+    m.hasData = true;
+    m.src = 0;
+    m.dest = 6;
+    for (int i = 0; i < backlog; ++i) net.send(m);
+    sim.run(100);
+    net.bumpEpoch();
+    const Cycle sent = sim.now();
+    net.send(m);
+    sim.run();
+    EXPECT_EQ(clocks[6].arrivals.size(), 1u) << "backlog " << backlog;
+    return clocks[6].arrivals.back() - sent;
+  };
+  EXPECT_EQ(latency(20), latency(0));
+}
+
 TEST(TorusSizes, SingleNodeWorks) {
   Simulator sim;
   TorusNetwork net(sim, 1);
@@ -248,6 +286,28 @@ TEST_F(TreeFixture, EpochBumpSquashesBroadcast) {
   tree.bumpEpoch();
   sim.run();
   for (auto& ep : eps) EXPECT_TRUE(ep.received.empty());
+}
+
+TEST(TreeRecovery, FreshBroadcastAfterABumpSeesAnIdleRoot) {
+  // A broadcast after the bump is not arbitrated behind the squashed ones.
+  auto latency = [](int backlog) {
+    Simulator sim;
+    BroadcastTree tree(sim, 4, TorusConfig{}.bytesPerCycle);
+    std::vector<ArrivalClock> clocks(4, ArrivalClock(sim));
+    for (NodeId n = 0; n < 4; ++n) tree.attach(n, &clocks[n]);
+    Message m;
+    m.type = MsgType::kSnpGetM;
+    m.src = 1;
+    for (int i = 0; i < backlog; ++i) tree.broadcast(m);
+    sim.run(5);
+    tree.bumpEpoch();
+    const Cycle sent = sim.now();
+    tree.broadcast(m);
+    sim.run();
+    EXPECT_EQ(clocks[2].arrivals.size(), 1u) << "backlog " << backlog;
+    return clocks[2].arrivals.back() - sent;
+  };
+  EXPECT_EQ(latency(50), latency(0));
 }
 
 TEST_F(TreeFixture, DelayFaultKeepsSlotButDeliversLate) {

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "dvmc/shadow_checker.hpp"
-#include "faults/injector.hpp"
+#include "faults/trial.hpp"
 #include "system/runner.hpp"
 #include "system/system.hpp"
 
@@ -143,16 +143,12 @@ TEST(ShadowSystem, DetectsCacheStateFlip) {
                                   ConsistencyModel::kTSO);
   cfg.targetTransactions = 1'000'000;
   System sys(cfg);
-  FaultInjector inj(sys, 5);
   sys.runTo(30'000);
   ASSERT_EQ(sys.sink().count(), 0u);
-  int injections = 0;
-  for (int round = 0; round < 40 && !sys.sink().any(); ++round) {
-    if (inj.inject(FaultType::kCacheStateFlip)) ++injections;
-    sys.runTo(sys.sim().now() + 20'000, [&] { return sys.sink().any(); });
-  }
-  ASSERT_GT(injections, 0);
-  ASSERT_TRUE(sys.sink().any()) << "shadow checker missed the state flip";
+  FaultTrial trial(sys, FaultType::kCacheStateFlip, 5);
+  trial.run(20'000, 40);
+  ASSERT_GT(trial.injections(), 0);
+  ASSERT_TRUE(trial.noticed()) << "shadow checker missed the state flip";
   EXPECT_EQ(sys.sink().first().kind, CheckerKind::kCacheCoherence);
 }
 

@@ -153,6 +153,32 @@ TEST(SnoopingProtocol, OUpgradeSelfSupplies) {
   EXPECT_EQ(line->data.read(8), 2u);
 }
 
+TEST(SnoopingProtocol, OwnerSupplyToGetMRunsTheEccCheck) {
+  // An uncorrectable flip in an M line must not leave with the data the
+  // owner hands to a snooped GetM (the invalidation drops the flips).
+  SystemConfig cfg = baseConfig();
+  cfg.cpu.storePrefetch = false;  // node 1 asks for M only when it drains
+  std::map<NodeId, std::vector<Instr>> progs;
+  progs[0] = {Instr::store(kBlk, 500)};
+  progs[1] = {Instr::compute(2000), Instr::store(kBlk, 9)};
+  auto sys = makeSystem(cfg, progs);
+  CacheArray& array = sys->l2(0).array();
+  sys->runUntil([&] {
+    const CacheLine* line = array.find(kBlk);
+    return line != nullptr && line->data.read(0) == 500;
+  });
+  ASSERT_EQ(array.find(kBlk)->state, MosiState::kM);
+  ASSERT_TRUE(array.injectBitFlip(kBlk, 3));
+  ASSERT_TRUE(array.injectBitFlip(kBlk, 9));
+  RunResult r = sys->run();
+  ASSERT_TRUE(r.completed);
+  EXPECT_EQ(array.find(kBlk), nullptr);
+  ASSERT_TRUE(sys->sink().any());
+  EXPECT_EQ(sys->sink().first().kind, CheckerKind::kEcc);
+  EXPECT_EQ(sys->sink().first().node, 0u);
+  EXPECT_EQ(sys->sink().first().addr, kBlk);
+}
+
 TEST(SnoopingProtocol, ContendedWritersConverge) {
   SystemConfig cfg = baseConfig();
   std::map<NodeId, std::vector<Instr>> progs;

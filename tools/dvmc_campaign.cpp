@@ -9,11 +9,12 @@
 //                 is a false alarm, an oracle violation an oracle false
 //                 positive, and either fails the campaign.
 //   faulted case  a randomly drawn applicable fault type is injected
-//                 (re-injected until it manifests, like the paper's §6.1
-//                 campaign). If the oracle proves the committed execution
-//                 inconsistent but no checker fired, that is a reproducible
-//                 checker escape: the trace and a JSON description are
-//                 written to --escape-dir and the campaign fails.
+//                 by a FaultTrial (faults/trial.hpp): re-injected until a
+//                 checker notices it, like the paper's §6.1 campaign. If
+//                 the oracle proves the committed execution inconsistent
+//                 but no checker fired, that is a reproducible checker
+//                 escape: the trace and a JSON description are written to
+//                 --escape-dir and the campaign fails.
 //
 // In a faulted case, checker detections without an oracle violation are
 // expected (checkers catch errors before they corrupt the committed
@@ -73,7 +74,7 @@
 #include "common/rng.hpp"
 #include "common/subprocess.hpp"
 #include "common/version.hpp"
-#include "faults/injector.hpp"
+#include "faults/trial.hpp"
 #include "obs/journal.hpp"
 #include "obs/json.hpp"
 #include "obs/log.hpp"
@@ -126,15 +127,6 @@ struct CaseOutcome {
   std::shared_ptr<const verify::CapturedTrace> trace;
 };
 
-std::uint64_t totalFlushes(System& sys) {
-  std::uint64_t total = 0;
-  for (NodeId n = 0; n < sys.numNodes(); ++n) {
-    total += sys.core(n).stats().get("cpu.uoFlushes");
-    total += sys.core(n).stats().get("cpu.rmoReplayFlushes");
-  }
-  return total;
-}
-
 CaseOutcome runClean(int param) {
   SystemConfig cfg = makeFuzzConfig(param);
   cfg.trace.capture = true;
@@ -185,36 +177,28 @@ CaseOutcome runFaulted(int param, std::uint64_t seedBase) {
   const FaultType fault = applicable[rng.below(applicable.size())];
 
   System sys(cfg);
-  FaultInjector inj(sys, seedBase + param);
   CaseOutcome out;
   out.ran = true;
   out.fault = fault;
 
-  auto done = [&] { return sys.allCoresDone(); };
   {
     obs::ScopedSpan span("run");
-    sys.runTo(3'000, done);
-    const std::uint64_t flushesBefore = totalFlushes(sys);
-    auto detected = [&] {
-      return sys.sink().any() || totalFlushes(sys) > flushesBefore;
-    };
-    for (int round = 0; round < 40 && !detected() && !done(); ++round) {
-      if (inj.inject(fault)) ++out.injections;
-      sys.runTo(sys.sim().now() + 20'000,
-                [&] { return detected() || done(); });
-    }
+    sys.runTo(3'000);
+    FaultTrial trial(sys, fault, seedBase + param);
+    trial.run(20'000, 40);
+    out.injections = trial.injections();
     // Let the run settle so in-flight effects of the fault reach the
     // trace.
-    sys.runTo(sys.sim().now() + 30'000, done);
+    sys.runTo(sys.sim().now() + 30'000);
 
     // Final sweep: a corruption living in a still-open epoch is only
     // checked once that epoch's inform reaches the MET, so flush before
     // judging.
     sys.drainCheckers();
-    out.checkersDetected = detected();
+    out.checkersDetected = trial.noticed();
   }
 
-  RunResult r = sys.collectResult(done(), sys.sim().now());
+  RunResult r = sys.collectResult(sys.allCoresDone(), sys.sim().now());
   out.completed = r.completed;
   out.trace = r.trace;
   verify::OracleResult o;
