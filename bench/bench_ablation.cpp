@@ -50,18 +50,14 @@ void ablateSortResidence() {
               "(fault-free slash, snooping SC) --\n");
   std::printf("%-12s | %-16s\n", "residence", "false positives");
   for (Cycle residence : {Cycle{200}, Cycle{1'000}, Cycle{6'000}}) {
-    std::uint64_t falsePositives = 0;
-    for (int s = 0; s < 3; ++s) {
-      SystemConfig cfg = SystemConfig::withDvmc(Protocol::kSnooping,
-                                                ConsistencyModel::kSC);
-      cfg.numNodes = 4;
-      cfg.workload = WorkloadKind::kSlash;
-      cfg.targetTransactions = 60;
-      cfg.maxCycles = 10'000'000;
-      cfg.seed = 1 + s;
-      cfg.dvmc.informSortDelay = residence;
-      falsePositives += runOnce(cfg).detections;
-    }
+    SystemConfig cfg = SystemConfig::withDvmc(Protocol::kSnooping,
+                                              ConsistencyModel::kSC);
+    cfg.numNodes = 4;
+    cfg.workload = WorkloadKind::kSlash;
+    cfg.targetTransactions = 60;
+    cfg.maxCycles = 10'000'000;
+    cfg.dvmc.informSortDelay = residence;
+    const std::uint64_t falsePositives = runSeeds(cfg, 3).detections;
     std::printf("%-12llu | %llu\n",
                 static_cast<unsigned long long>(residence),
                 static_cast<unsigned long long>(falsePositives));
@@ -99,20 +95,15 @@ void ablateWbCoalescing() {
                                           ConsistencyModel::kPSO,
                                           WorkloadKind::kOltp, false, false);
     cfg.cpu.wbCoalescing = on;
-    RunningStat cyc;
-    std::uint64_t bytes = 0;
-    for (int s = 0; s < benchSeedCount(); ++s) {
-      cfg.seed = 1 + s;
-      RunResult r = runOnce(cfg);
-      cyc.addTracked(static_cast<double>(r.cycles));
-      bytes += r.coherenceBytes;
-    }
+    const MultiRunResult r = runSeeds(cfg, benchSeedCount());
+    const double bytes =
+        static_cast<double>(r.metrics.value("net.coherenceBytes"));
     if (base == 0.0) {
-      base = cyc.mean();
-      baseBytes = static_cast<double>(bytes);
+      base = r.cycles.mean();
+      baseBytes = bytes;
     }
     std::printf("%-12s | %5.3f          | %5.3f\n", on ? "on" : "off",
-                cyc.mean() / base, bytes / baseBytes);
+                r.cycles.mean() / base, bytes / baseBytes);
   }
 }
 
@@ -162,17 +153,14 @@ void ablateCheckerKind() {
                                             ConsistencyModel::kTSO, wl,
                                             true, true);
       cfg.coherenceChecker = kind;
-      std::uint64_t inform = 0;
+      const MultiRunResult r = runSeeds(cfg, benchSeedCount());
+      // Paired with the base run of the same seed.
       RunningStat cyc;
-      for (int s = 0; s < benchSeedCount(); ++s) {
-        cfg.seed = 1 + s;
-        RunResult r = runOnce(cfg);
-        cyc.addTracked(static_cast<double>(r.cycles) /
-                       vb[static_cast<std::size_t>(s)]);
-        inform += r.informBytes;
+      for (std::size_t s = 0; s < r.runs.size(); ++s) {
+        cyc.addTracked(static_cast<double>(r.runs[s].cycles) / vb[s]);
       }
       cells[idx] = cyc.mean();
-      informs[idx] = inform;
+      informs[idx] = r.metrics.value("net.informBytes");
       ++idx;
     }
     std::printf("%-8s | %5.3f          | %5.3f          | %llu vs %llu\n",
@@ -196,14 +184,9 @@ void ablateInformYield() {
                                           ConsistencyModel::kTSO,
                                           WorkloadKind::kSlash, true, true);
     cfg.torus.yieldCheckerTraffic = yield;
-    RunningStat cyc;
-    RunningStat bw;
-    for (int s = 0; s < benchSeedCount(); ++s) {
-      cfg.seed = 1 + s;
-      RunResult r = runOnce(cfg);
-      cyc.addTracked(static_cast<double>(r.cycles));
-      bw.addTracked(r.peakLinkBytesPerCycle);
-    }
+    const MultiRunResult r = runSeeds(cfg, benchSeedCount());
+    const RunningStat& cyc = r.cycles;
+    const RunningStat& bw = r.peakLinkBytesPerCycle;
     if (base == 0.0) base = cyc.mean();
     std::printf("%-8s |   %5.3f (+-%5.3f)    |   %5.3f (+-%5.3f)\n",
                 yield ? "on" : "off", cyc.mean() / base,

@@ -214,6 +214,10 @@ inline std::vector<double> runCyclesPerSeed(SystemConfig cfg, int seeds,
   const auto wallStart = std::chrono::steady_clock::now();
   const MultiRunResult r = runSeeds(cfg, seeds);
   if (detections != nullptr) *detections += r.detections;
+  std::vector<double> cycles;
+  for (const RunResult& run : r.runs) {
+    cycles.push_back(static_cast<double>(run.cycles));
+  }
   if (!benchJsonPath().empty()) {
     const double wallMs =
         std::chrono::duration<double, std::milli>(
@@ -221,13 +225,12 @@ inline std::vector<double> runCyclesPerSeed(SystemConfig cfg, int seeds,
             .count();
     // "events" for a full-system sweep = simulated cycles across all
     // seeds; eventsPerSec is thus host simulation throughput.
-    const std::uint64_t simCycles = std::accumulate(
-        r.seedCycles.begin(), r.seedCycles.end(), std::uint64_t{0});
-    const double eps =
-        wallMs > 0 ? static_cast<double>(simCycles) * 1e3 / wallMs : 0;
+    const double simCycles =
+        std::accumulate(cycles.begin(), cycles.end(), 0.0);
+    const double eps = wallMs > 0 ? simCycles * 1e3 / wallMs : 0;
     recordBenchResult(configLabel(cfg), eps, wallMs);
   }
-  return std::vector<double>(r.seedCycles.begin(), r.seedCycles.end());
+  return cycles;
 }
 
 inline RunningStat pairedRatio(const std::vector<double>& variant,

@@ -20,23 +20,12 @@ int run() {
     SystemConfig cfg = bench::benchConfig(Protocol::kDirectory,
                                           ConsistencyModel::kTSO, wl,
                                           /*dvmcOn=*/true, /*berOn=*/true);
-    RunningStat ratio;
-    std::uint64_t replay = 0;
-    std::uint64_t regular = 0;
-    for (int s = 0; s < seeds; ++s) {
-      cfg.seed = 1 + s;
-      RunResult r = runOnce(cfg);
-      replay += r.replayL1Misses;
-      regular += r.regularL1Misses;
-      if (r.regularL1Misses > 0) {
-        ratio.addTracked(static_cast<double>(r.replayL1Misses) /
-                         static_cast<double>(r.regularL1Misses));
-      }
-    }
+    const MultiRunResult r = runSeeds(cfg, seeds);
+    const unsigned long long replay = r.metrics.value("l1.replayMiss");
+    const unsigned long long regular = r.metrics.value("l1.miss");
     std::printf("%-8s |   %6.4f +-%6.4f  | %12llu | %12llu\n",
-                workloadName(wl), ratio.mean(), ratio.stddev(),
-                static_cast<unsigned long long>(replay),
-                static_cast<unsigned long long>(regular));
+                workloadName(wl), r.replayMissRatio.mean(),
+                r.replayMissRatio.stddev(), replay, regular);
   }
   return 0;
 }

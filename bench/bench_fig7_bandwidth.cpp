@@ -38,18 +38,11 @@ int run() {
       cfg.dvmc.cacheCoherence = c.dvcc;
       cfg.dvmc.uniprocOrdering = c.dvuo;
       cfg.dvmc.allowableReordering = c.dvar;
-      RunningStat bw;
-      std::uint64_t informB = 0;
-      std::uint64_t ckptB = 0;
-      std::uint64_t totalB = 0;
-      for (int s = 0; s < seeds; ++s) {
-        cfg.seed = 1 + s;
-        RunResult r = runOnce(cfg);
-        bw.addTracked(r.peakLinkBytesPerCycle);
-        informB += r.informBytes;
-        ckptB += r.ckptBytes;
-        totalB += r.totalNetBytes;
-      }
+      const MultiRunResult r = runSeeds(cfg, seeds);
+      const RunningStat& bw = r.peakLinkBytesPerCycle;
+      const std::uint64_t informB = r.metrics.value("net.informBytes");
+      const std::uint64_t ckptB = r.metrics.value("net.ckptBytes");
+      const std::uint64_t totalB = r.metrics.value("net.totalBytes");
       std::printf(" | %5.3f +-%5.3f", bw.mean(), bw.stddev());
       if (std::string(c.name) == "SN") snMean = bw.mean();
       if (std::string(c.name) == "SN+DVCC") dvccMean = bw.mean();

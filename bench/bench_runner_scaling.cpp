@@ -92,7 +92,7 @@ bool bitIdentical(const MultiRunResult& a, const MultiRunResult& b) {
          bitIdentical(a.peakLinkBytesPerCycle, b.peakLinkBytesPerCycle) &&
          bitIdentical(a.replayMissRatio, b.replayMissRatio) &&
          bitIdentical(a.frac32, b.frac32) && a.detections == b.detections &&
-         a.squashes == b.squashes && a.allCompleted == b.allCompleted;
+         a.metrics == b.metrics && a.allCompleted == b.allCompleted;
 }
 
 int benchRunSeeds() {

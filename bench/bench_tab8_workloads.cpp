@@ -26,20 +26,12 @@ int run() {
     SystemConfig cfg = bench::benchConfig(Protocol::kDirectory,
                                           ConsistencyModel::kPSO, ref.wl,
                                           true, true);
-    RunningStat frac;
-    std::uint64_t txns = 0;
-    for (int s = 0; s < seeds; ++s) {
-      cfg.seed = 1 + s;
-      RunResult r = runOnce(cfg);
-      txns = r.transactions;
-      if (r.memOps > 0) {
-        frac.addTracked(static_cast<double>(r.memOps32) /
-                        static_cast<double>(r.memOps));
-      }
-    }
+    const MultiRunResult r = runSeeds(cfg, seeds);
+    // txns/run: the last seed's transaction count.
     std::printf("%-8s |   %4.2f     |  %5.3f +-%5.3f  | %llu\n",
-                workloadName(ref.wl), ref.frac, frac.mean(), frac.stddev(),
-                static_cast<unsigned long long>(txns));
+                workloadName(ref.wl), ref.frac, r.frac32.mean(),
+                r.frac32.stddev(),
+                static_cast<unsigned long long>(r.runs.back().transactions));
   }
   return 0;
 }

@@ -70,7 +70,8 @@ int runDemo(int argc, char** argv) {
   std::printf("errors detected        : %llu\n",
               static_cast<unsigned long long>(r.detections));
   std::printf("automatic recoveries   : %llu\n",
-              static_cast<unsigned long long>(r.recoveries));
+              static_cast<unsigned long long>(
+                  r.metrics.value("ber.recoveries")));
   std::printf("unrecoverable          : %llu\n",
               static_cast<unsigned long long>(r.unrecoverable));
   std::printf("transactions completed : %llu / %llu\n",

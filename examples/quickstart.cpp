@@ -63,30 +63,18 @@ int runQuickstart(int argc, char** argv, bool stats) {
               r.peakLinkBytesPerCycle);
   std::printf("  load squashes       : %llu (speculation repair)\n",
               static_cast<unsigned long long>(r.squashes));
+  const auto count = [&r](const char* name) {
+    return static_cast<unsigned long long>(r.metrics.value(name));
+  };
   std::printf("  replay L1 misses    : %llu (of %llu execution misses)\n",
-              static_cast<unsigned long long>(r.replayL1Misses),
-              static_cast<unsigned long long>(r.regularL1Misses));
+              count("l1.replayMiss"), count("l1.miss"));
 
   // Checker activity: the machinery ran constantly, found nothing wrong.
-  std::uint64_t informs = 0;
-  std::uint64_t accessChecks = 0;
-  std::uint64_t performs = 0;
-  for (NodeId n = 0; n < sys.numNodes(); ++n) {
-    if (sys.cet(n) != nullptr) {
-      informs += sys.cet(n)->stats().get("cet.informEpoch");
-      accessChecks += sys.cet(n)->stats().get("cet.accessChecks");
-    }
-    if (sys.met(n) != nullptr) {
-      performs += sys.met(n)->stats().get("met.informsProcessed");
-    }
-  }
   std::printf("checker activity:\n");
-  std::printf("  CET perform checks  : %llu\n",
-              static_cast<unsigned long long>(accessChecks));
-  std::printf("  Inform-Epochs sent  : %llu\n",
-              static_cast<unsigned long long>(informs));
+  std::printf("  CET perform checks  : %llu\n", count("cet.accessChecks"));
+  std::printf("  Inform-Epochs sent  : %llu\n", count("cet.informEpoch"));
   std::printf("  MET informs checked : %llu\n",
-              static_cast<unsigned long long>(performs));
+              count("met.informsProcessed"));
   std::printf("  checkpoints kept    : %zu (window %llu cycles)\n",
               sys.ber()->checkpointCount(),
               static_cast<unsigned long long>(sys.ber()->recoveryWindow()));

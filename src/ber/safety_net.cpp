@@ -134,7 +134,6 @@ bool SafetyNet::recoverBefore(Cycle errorCycle) {
   dirtySinceCkpt_.clear();
   const Cycle target = checkpoints_[targetIdx].cycle;
   rollback_(image_, checkpoints_[targetIdx].cores);
-  ++recoveries_;
   cRecoveries_.inc();
   hRollbackDistance_.add(sim_.now() - target);
   if (auto* t = sim_.tracer()) {

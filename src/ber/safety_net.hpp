@@ -92,7 +92,7 @@ class SafetyNet {
     return checkpoints_.empty() ? 0 : checkpoints_.back().cycle;
   }
   Cycle recoveryWindow() const { return cfg_.interval * cfg_.maxCheckpoints; }
-  std::uint64_t recoveries() const { return recoveries_; }
+  std::uint64_t recoveries() const { return cRecoveries_.value(); }
   const MetricSet& stats() const { return stats_; }
 
  private:
@@ -127,7 +127,6 @@ class SafetyNet {
   RollbackFn rollback_;
   std::deque<Checkpoint> checkpoints_;
   bool running_ = false;
-  std::uint64_t recoveries_ = 0;
 
   MemoryImage image_;
   // Undo log of the open (live) interval, and the blocks it already holds.

@@ -59,9 +59,6 @@ class CacheHierarchy final : public CacheClient {
   CoherentCache& l2() { return l2_; }
   const MetricSet& stats() const { return stats_; }
 
-  std::uint64_t regularLoadL1Misses() const { return cMiss_.value(); }
-  std::uint64_t replayLoadL1Misses() const { return cReplayMiss_.value(); }
-
   /// BER recovery: drop every L1 line (the L2 was invalidated).
   void invalidateL1() { l1_.invalidateAll(); }
 

@@ -80,14 +80,14 @@ void Core::injectTick() {
   // Pipeline-hang watchdog: a core that retires nothing across a whole
   // injection period while holding instructions has lost an operation
   // pre-commit (e.g., a dropped data response stranded a load).
-  if (retiredCount_ == lastRetiredAtInject_ && !rob_.empty()) {
+  if (retired() == lastRetiredAtInject_ && !rob_.empty()) {
     if (sink_ != nullptr) {
       sink_->report({CheckerKind::kLostOperation, sim_.now(), node_,
                      rob_.front().seq, "pipeline made no progress"});
     }
     cHangDetections_.inc();
   }
-  lastRetiredAtInject_ = retiredCount_;
+  lastRetiredAtInject_ = retired();
   // A done core lets the chain end; restoreState re-arms it if a rollback
   // hands the core work again.
   if (!done()) armInjectTick();
@@ -866,7 +866,6 @@ void Core::phaseRetire() {
       }
     }
     moved_ = true;
-    ++retiredCount_;
     cRetired_.inc();
     for (std::uint64_t& m : stMask_) m >>= 1;
     atomicMask_ >>= 1;
@@ -1163,7 +1162,7 @@ void Core::debugDump() const {
                node_, rob_.size(), wb_.size(),
                (unsigned long long)outstandingStores_,
                (unsigned long long)pendingTokens_, (int)dispatchBlocked_,
-               (unsigned long long)retiredCount_);
+               (unsigned long long)retired());
   std::size_t shown = 0;
   for (const RobEntry& e : rob_) {
     if (shown++ >= 6) break;

@@ -130,7 +130,7 @@ class Core final : public CpuNotifier,
 
   const MetricSet& stats() const { return stats_; }
   void debugDump() const;
-  std::uint64_t retired() const { return retiredCount_; }
+  std::uint64_t retired() const { return cRetired_.value(); }
   std::uint64_t transactions() const {
     return program_ ? program_->transactionsCompleted() : 0;
   }
@@ -345,7 +345,6 @@ class Core final : public CpuNotifier,
   SeqNum nextSeq_ = 1;
   ConsistencyModel lastDispatchModel_;
   std::uint64_t outstandingStores_ = 0;  // in WB or performing (SC)
-  std::uint64_t retiredCount_ = 0;
   std::uint64_t pendingTokens_ = 0;
   bool dispatchBlocked_ = false;  // program awaits feedback
   bool started_ = false;

@@ -168,7 +168,8 @@ void TorusNetwork::traverse(PooledMessage pm, NodeId cur) {
   const Cycle ser = serializationCycles(bytes);
   linkFree_[link] = depart + ser;
   linkBytes_[link] += bytes;
-  classBytes_[static_cast<std::size_t>(trafficClassOf(pm->type))] += bytes;
+  cTotalBytes_.inc(bytes);
+  cClassBytes_[static_cast<std::size_t>(trafficClassOf(pm->type))].inc(bytes);
   const Cycle arrive = depart + ser + kHopLatency;
   const NodeId next = neighbor(cur, d);
   sim_.scheduleAt(arrive, [this, pm = std::move(pm), next]() mutable {
@@ -188,19 +189,6 @@ void TorusNetwork::deliver(const Message& msg) {
   ep->onMessage(msg);
 }
 
-void TorusNetwork::resetStats() {
-  std::fill(linkBytes_.begin(), linkBytes_.end(), 0);
-  classBytes_.fill(0);
-  statsStart_ = sim_.now();
-  messagesSent_ = 0;
-}
-
-std::uint64_t TorusNetwork::totalBytes() const {
-  std::uint64_t sum = 0;
-  for (auto b : linkBytes_) sum += b;
-  return sum;
-}
-
 std::uint64_t TorusNetwork::maxLinkBytes() const {
   std::uint64_t m = 0;
   for (auto b : linkBytes_) m = std::max(m, b);
@@ -208,9 +196,9 @@ std::uint64_t TorusNetwork::maxLinkBytes() const {
 }
 
 double TorusNetwork::peakLinkUtilization() const {
-  const Cycle elapsed = sim_.now() - statsStart_;
-  if (elapsed == 0) return 0.0;
-  return static_cast<double>(maxLinkBytes()) / static_cast<double>(elapsed);
+  if (sim_.now() == 0) return 0.0;
+  return static_cast<double>(maxLinkBytes()) /
+         static_cast<double>(sim_.now());
 }
 
 }  // namespace dvmc

@@ -5,7 +5,8 @@
 // shorter wrap direction. Each directed link models serialization at a
 // configurable bandwidth plus a fixed per-hop latency; messages queue when
 // a link is busy. Per-link byte counters feed the Figure-7 "bandwidth on
-// the highest loaded link" measurement.
+// the highest loaded link" measurement; the bytes each traffic class puts
+// on the links are `net.*` counters in the torus's metric registry.
 #pragma once
 
 #include <array>
@@ -15,6 +16,7 @@
 
 #include "net/message.hpp"
 #include "net/message_pool.hpp"
+#include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 
 namespace dvmc {
@@ -51,16 +53,14 @@ class TorusNetwork {
   void setFaultFilter(FaultFilter f) { faultFilter_ = std::move(f); }
 
   // --- statistics ---
-  void resetStats();
-  std::uint64_t totalBytes() const;
+  /// net.totalBytes and, per traffic class, net.coherenceBytes,
+  /// net.informBytes and net.ckptBytes: bytes put on links, once per hop.
+  const MetricSet& stats() const { return stats_; }
   std::uint64_t maxLinkBytes() const;
-  std::uint64_t classBytes(TrafficClass c) const {
-    return classBytes_[static_cast<std::size_t>(c)];
-  }
   std::uint64_t messagesSent() const { return messagesSent_; }
 
-  /// Mean bytes/cycle on the most heavily loaded directed link since the
-  /// last resetStats(). (Figure 7's metric.)
+  /// Mean bytes/cycle on the most heavily loaded directed link over the
+  /// run so far. (Figure 7's metric.)
   double peakLinkUtilization() const;
 
   std::size_t numNodes() const { return n_; }
@@ -107,12 +107,18 @@ class TorusNetwork {
   std::vector<Cycle> serCache_;
   std::vector<Cycle> linkFree_;
   std::vector<std::uint64_t> linkBytes_;
-  std::array<std::uint64_t, kNumTrafficClasses> classBytes_{};
   FaultFilter faultFilter_;
   std::uint32_t epoch_ = 0;
   std::uint64_t nextMsgId_ = 1;
   std::uint64_t messagesSent_ = 0;
-  Cycle statsStart_ = 0;
+
+  // Metric registry (stats_ must precede the handles).
+  MetricSet stats_;
+  Counter cTotalBytes_ = stats_.counter("net.totalBytes");
+  // Indexed by TrafficClass.
+  std::array<Counter, kNumTrafficClasses> cClassBytes_ = {
+      stats_.counter("net.coherenceBytes"), stats_.counter("net.informBytes"),
+      stats_.counter("net.ckptBytes")};
 };
 
 }  // namespace dvmc

@@ -6,7 +6,7 @@
 //                         trace_event JSON; open in chrome://tracing)
 //   --trace-capacity=N    trace ring size in events (default 65536)
 //   --report-json=FILE    write every experiment result as a versioned
-//                         JSON run report ("dvmc-run-report", version 2)
+//                         JSON run report ("dvmc-run-report", version 3)
 //   --forensics=FILE      capture a forensics bundle on every checker
 //                         detection ("dvmc-forensics", version 1)
 //   --forensics-window=K  trace events kept around each detection
@@ -34,19 +34,22 @@
 // validated eagerly: a zero or non-numeric count, or an unwritable output
 // path, is a clear error on stderr and exit(2) — not a silent no-op
 // discovered after an hour-long run. While a report file is armed, the
-// system layer records each runSeeds/runOnce result into the
+// system layer records each runSeeds result into the
 // process-global collector here; finalizeObs() writes every armed file at
 // the end of main. The collector is mutex-guarded because bench harnesses
 // launch perturbation runs from a thread pool.
 //
 // Report schema (validated by the CI json check):
-//   { "schema": "dvmc-run-report", "version": 2,
+//   { "schema": "dvmc-run-report", "version": 3,
 //     "generator": "...", "runs": [ {...}, ... ],
 //     "resource": {...}, "profile": {...} }
 // Version 2 adds the "resource" section (peak RSS + CPU time from the
 // in-process sampler) and, when the span profiler recorded any frames,
 // the "profile" aggregation tree; "generator" names the exact build
-// (git describe + build type + sanitizer config).
+// (git describe + build type + sanitizer config). Version 3 drops the
+// result scalars that repeat a counter of the result's "metrics"
+// (totalNetBytes, recoveries, squashes, ...): read those from
+// "metrics.counters".
 #pragma once
 
 #include <string>
@@ -62,7 +65,8 @@ namespace dvmc::obs {
 
 /// Current run-report schema version. Bump on any breaking layout change.
 /// v2: "resource" + "profile" sections, build-identity "generator".
-inline constexpr int kReportSchemaVersion = 2;
+/// v3: results keep only the scalars their "metrics" does not hold.
+inline constexpr int kReportSchemaVersion = 3;
 inline constexpr const char* kReportSchemaName = "dvmc-run-report";
 
 struct ObsOptions {

@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
-#include <sstream>
 #include <vector>
 
 #include "common/parallel_for.hpp"
@@ -91,21 +89,11 @@ Json toJson(const RunResult& r) {
       .set("completed", Json::boolean(r.completed))
       .set("cycles", Json::num(r.cycles))
       .set("transactions", Json::num(r.transactions))
-      .set("retiredInstructions", Json::num(r.retiredInstructions))
       .set("memOps", Json::num(r.memOps))
       .set("memOps32", Json::num(r.memOps32))
       .set("peakLinkBytesPerCycle", Json::num(r.peakLinkBytesPerCycle))
-      .set("totalNetBytes", Json::num(r.totalNetBytes))
-      .set("coherenceBytes", Json::num(r.coherenceBytes))
-      .set("informBytes", Json::num(r.informBytes))
-      .set("ckptBytes", Json::num(r.ckptBytes))
-      .set("regularL1Misses", Json::num(r.regularL1Misses))
-      .set("replayL1Misses", Json::num(r.replayL1Misses))
       .set("detections", Json::num(r.detections))
-      .set("recoveries", Json::num(r.recoveries))
       .set("unrecoverable", Json::num(r.unrecoverable))
-      .set("squashes", Json::num(r.squashes))
-      .set("uoFlushes", Json::num(r.uoFlushes))
       .set("metrics", snapshotJson(r.metrics));
   if (r.series) j.set("series", r.series->toJson());
   return j;
@@ -119,7 +107,6 @@ Json toJson(const MultiRunResult& r) {
       .set("replayMissRatio", statJson(r.replayMissRatio))
       .set("frac32", statJson(r.frac32))
       .set("detections", Json::num(r.detections))
-      .set("squashes", Json::num(r.squashes))
       .set("metrics", snapshotJson(r.metrics));
 }
 
@@ -235,30 +222,6 @@ void writeCaptureFileOnce(
   }
 }
 
-RunResult runOnce(const SystemConfig& cfg) {
-  SystemConfig c = cfg;
-  armCaptureFromObs(c);
-  std::optional<System> sys;
-  {
-    obs::ScopedSpan span("build");
-    sys.emplace(c);
-  }
-  RunResult r;
-  {
-    obs::ScopedSpan span("run");
-    r = sys->run();
-  }
-  {
-    obs::ScopedSpan span("capture");
-    writeCaptureFileOnce(r.trace);
-  }
-  if (obs::reportingActive()) {
-    obs::ScopedSpan span("report");
-    recordReport("runOnce", c, toJson(r));
-  }
-  return r;
-}
-
 namespace {
 
 std::atomic<int> g_defaultJobs{0};  // 0 = not yet initialized
@@ -337,8 +300,7 @@ MultiRunResult runSeeds(SystemConfig cfg, int seedCount,
           c.trace.sink = nullptr;
           c.trace.keepInMemory = true;
         }
-        // Per-seed results are folded into one report entry below, not
-        // recorded individually — build the System directly.
+        // Per-seed results are folded into one report entry below.
         const std::uint64_t seedStartMs = steadyMs();
         {
           obs::ScopedSpan span("run");
@@ -389,27 +351,24 @@ MultiRunResult runSeeds(SystemConfig cfg, int seedCount,
       });
 
   MultiRunResult out;
-  if (cfg.trace.capture) {
+  if (cfg.trace.capture && !results.empty()) {
     obs::ScopedSpan span("capture");
-    out.traces.reserve(results.size());
-    for (const RunResult& r : results) out.traces.push_back(r.trace);
     // The file mirrors the first seed's capture, like the tracer/series.
-    if (!results.empty()) writeCaptureFileOnce(results[0].trace);
+    writeCaptureFileOnce(results[0].trace);
   }
   for (const RunResult& r : results) {
     out.cycles.addTracked(static_cast<double>(r.cycles));
-    out.seedCycles.push_back(r.cycles);
     out.peakLinkBytesPerCycle.addTracked(r.peakLinkBytesPerCycle);
-    if (r.regularL1Misses > 0) {
-      out.replayMissRatio.addTracked(static_cast<double>(r.replayL1Misses) /
-                                     static_cast<double>(r.regularL1Misses));
+    if (const std::uint64_t regular = r.metrics.value("l1.miss"); regular > 0) {
+      out.replayMissRatio.addTracked(
+          static_cast<double>(r.metrics.value("l1.replayMiss")) /
+          static_cast<double>(regular));
     }
     if (r.memOps > 0) {
       out.frac32.addTracked(static_cast<double>(r.memOps32) /
                             static_cast<double>(r.memOps));
     }
     out.detections += r.detections;
-    out.squashes += r.squashes;
     out.allCompleted = out.allCompleted && r.completed;
     out.metrics.merge(r.metrics);
   }
@@ -425,15 +384,8 @@ MultiRunResult runSeeds(SystemConfig cfg, int seedCount,
     }
     recordReport("runSeeds", cfg, std::move(merged));
   }
+  out.runs = std::move(results);
   return out;
-}
-
-std::string MultiRunResult::summary() const {
-  std::ostringstream os;
-  os << "cycles=" << static_cast<std::uint64_t>(cycles.mean()) << " (+/- "
-     << static_cast<std::uint64_t>(cycles.stddev()) << ")";
-  if (!allCompleted) os << " [INCOMPLETE]";
-  return os.str();
 }
 
 int benchSeedCount() {

@@ -22,28 +22,22 @@ namespace dvmc {
 
 struct MultiRunResult {
   RunningStat cycles;
-  std::vector<std::uint64_t> seedCycles;  // each seed's cycles, seed order
   RunningStat peakLinkBytesPerCycle;
-  RunningStat replayMissRatio;   // replay L1 misses / regular L1 misses
+  RunningStat replayMissRatio;   // per seed: l1.replayMiss / l1.miss
   RunningStat frac32;            // measured 32-bit op fraction (Table 8)
   std::uint64_t detections = 0;  // summed across runs (0 in error-free runs)
-  std::uint64_t squashes = 0;
   bool allCompleted = true;
 
   /// Per-seed metric snapshots merged in seed order (bit-identical to a
   /// sequential run regardless of the worker count).
   MetricSnapshot metrics;
 
-  /// Per-seed commit traces in seed order (each null unless
-  /// SystemConfig::trace.capture; the whole vector is empty when capture
-  /// was off). Feed to verify::checkTrace for offline oracle runs.
-  std::vector<std::shared_ptr<const verify::CapturedTrace>> traces;
-
-  std::string summary() const;
+  /// Each seed's result in seed order: runs[s] is seed seedBase + s. Its
+  /// `trace` holds the seed's commit trace when SystemConfig::trace.capture
+  /// kept it in memory (every seed after the first does); feed it to
+  /// verify::checkTrace for offline oracle runs.
+  std::vector<RunResult> runs;
 };
-
-/// Builds a System from `cfg`, runs it once, returns the result.
-RunResult runOnce(const SystemConfig& cfg);
 
 // --- observability flags (obs::addObsFlags) ---
 
@@ -51,8 +45,8 @@ RunResult runOnce(const SystemConfig& cfg);
 /// --forensics recorder, --sample-every and --sample-capacity, and commit
 /// capture when --capture-trace was given. Capture stays off under
 /// autoRecover: recovery rewinds architectural state but not the
-/// append-only trace. runOnce and runSeeds arm capture themselves; a main
-/// that drives a System directly writes it with writeCaptureFileOnce.
+/// append-only trace. runSeeds arms capture itself; a main that drives a
+/// System directly writes it with writeCaptureFileOnce.
 void wireObsFlags(SystemConfig& cfg);
 
 /// Writes the --capture-trace file from the first non-null trace offered
@@ -81,10 +75,11 @@ int resolveJobs(const SystemConfig& cfg);
 void addRunnerFlags(CliParser& cli);
 
 // --- run-report serialization (the --report-json machinery) ---
-// runOnce/runSeeds feed these into the obs collector automatically while a
-// report file is armed; they are public so tools can build custom reports.
+// runSeeds feeds these into the obs collector automatically while a report
+// file is armed; they are public so tools can build custom reports.
 
-/// Scalar run measurements plus the merged metric snapshot.
+/// The measurements a run's metric snapshot does not hold, plus that
+/// snapshot.
 Json toJson(const RunResult& r);
 Json toJson(const MultiRunResult& r);
 /// Every SystemConfig knob that can change a run's results, nested as in

@@ -90,15 +90,13 @@ void printStatsReport(System& sys, std::ostream& os,
 
   // --- interconnect ---
   os << "\n[interconnect]\n";
-  printLine(os, "net/totalBytes", sys.dataNet().totalBytes());
+  printLine(os, "net/totalBytes", snap.value("net.totalBytes"));
   printLine(os, "net/maxLinkBytes", sys.dataNet().maxLinkBytes());
   printLine(os, "net/peakLinkBytesPerCycle",
             sys.dataNet().peakLinkUtilization());
-  printLine(os, "net/coherenceBytes",
-            sys.dataNet().classBytes(TrafficClass::kCoherence));
-  printLine(os, "net/informBytes",
-            sys.dataNet().classBytes(TrafficClass::kInform));
-  printLine(os, "net/ckptBytes", sys.dataNet().classBytes(TrafficClass::kCkpt));
+  printLine(os, "net/coherenceBytes", snap.value("net.coherenceBytes"));
+  printLine(os, "net/informBytes", snap.value("net.informBytes"));
+  printLine(os, "net/ckptBytes", snap.value("net.ckptBytes"));
   if (sys.addrNet() != nullptr) {
     printLine(os, "addrnet/broadcasts", sys.addrNet()->broadcastsIssued());
     printLine(os, "addrnet/totalBytes", sys.addrNet()->totalBytes());
@@ -111,18 +109,6 @@ void printStatsReport(System& sys, std::ostream& os,
   group({"shadow"}, "shadow/");
   group({"vc"}, "vc/");
   group({"ar"}, "ar/");
-  std::size_t metEntries = 0;
-  std::size_t metPeak = 0;
-  for (NodeId n = 0; n < sys.numNodes(); ++n) {
-    if (sys.met(n) != nullptr) {
-      metEntries += sys.met(n)->metEntries();
-      metPeak += sys.met(n)->peakMetEntries();
-    }
-  }
-  if (metPeak > 0) {
-    printLine(os, "met/entries", metEntries);
-    printLine(os, "met/peakEntries", metPeak);
-  }
 
   // --- BER ---
   if (sys.ber() != nullptr) {

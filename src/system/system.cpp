@@ -362,19 +362,9 @@ RunResult System::collectResult(bool completed, Cycle cycles) const {
   r.cycles = cycles;
   r.transactions = totalTransactions();
   r.peakLinkBytesPerCycle = torus_->peakLinkUtilization();
-  r.totalNetBytes = torus_->totalBytes();
-  r.coherenceBytes = torus_->classBytes(TrafficClass::kCoherence);
-  r.informBytes = torus_->classBytes(TrafficClass::kInform);
-  r.ckptBytes = torus_->classBytes(TrafficClass::kCkpt);
   r.detections = sink_.count();
-  r.recoveries = ber_ ? ber_->recoveries() : 0;
   r.unrecoverable = unrecoverable_;
   for (const Node& n : nodes_) {
-    r.retiredInstructions += n.core->retired();
-    r.regularL1Misses += n.hierarchy->regularLoadL1Misses();
-    r.replayL1Misses += n.hierarchy->replayLoadL1Misses();
-    r.squashes += n.core->stats().get("cpu.squashes");
-    r.uoFlushes += n.core->stats().get("cpu.uoFlushes");
     const auto* wl = dynamic_cast<const SyntheticWorkload*>(
         &const_cast<Core&>(*n.core).program());
     if (wl != nullptr) {
@@ -383,6 +373,8 @@ RunResult System::collectResult(bool completed, Cycle cycles) const {
     }
   }
   r.metrics = metricsSnapshot();
+  r.retiredInstructions = r.metrics.value("cpu.retired");
+  r.squashes = r.metrics.value("cpu.squashes");
   r.series = series_;
   if (traceRecorder_ && cfg_.trace.keepInMemory) {
     r.trace = traceRecorder_->trace();
@@ -390,41 +382,37 @@ RunResult System::collectResult(bool completed, Cycle cycles) const {
   return r;
 }
 
+template <typename Fn>
+void System::forEachMetricSet(Fn&& fn) const {
+  for (NodeId i = 0; i < nodes_.size(); ++i) {
+    const Node& n = nodes_[i];
+    fn(n.core->stats(), i);
+    fn(n.hierarchy->stats(), i);
+    fn(n.l2->stats(), i);
+    fn(n.home->stats(), i);
+    if (n.cet) fn(n.cet->stats(), i);
+    if (n.met) fn(n.met->stats(), i);
+    if (n.shadowCache) fn(n.shadowCache->stats(), i);
+    if (n.shadowHome) fn(n.shadowHome->stats(), i);
+    if (n.vc) fn(n.vc->stats(), i);
+    if (n.ar) fn(n.ar->stats(), i);
+  }
+  if (ber_) fn(ber_->stats(), kInvalidNode);
+  fn(torus_->stats(), kInvalidNode);
+}
+
 void System::buildSamplePlan() {
   // Every metric is registered at component construction (the MetricSet
   // contract), so resolving names once at run start sees the full
   // registry; slot addresses stay stable afterwards.
-  samplePlan_.clear();
-  samplePlan_.reserve(series_->columns().size());
-  for (const std::string& c : series_->columns()) {
-    SampleColumn col;
-    if (c == "net.totalBytes") {
-      col.net = SampleColumn::Net::kTotal;
-    } else if (c == "net.coherenceBytes") {
-      col.net = SampleColumn::Net::kCoherence;
-    } else if (c == "net.informBytes") {
-      col.net = SampleColumn::Net::kInform;
-    } else if (c == "net.ckptBytes") {
-      col.net = SampleColumn::Net::kCkpt;
-    } else {
-      auto add = [&col, &c](const MetricSet& s) {
-        if (const std::uint64_t* p = s.findScalar(c)) col.slots.push_back(p);
-      };
-      for (const Node& n : nodes_) {
-        add(n.core->stats());
-        add(n.hierarchy->stats());
-        add(n.l2->stats());
-        add(n.home->stats());
-        if (n.cet) add(n.cet->stats());
-        if (n.met) add(n.met->stats());
-        if (n.shadowCache) add(n.shadowCache->stats());
-        if (n.shadowHome) add(n.shadowHome->stats());
-        if (n.vc) add(n.vc->stats());
-        if (n.ar) add(n.ar->stats());
+  const std::vector<std::string>& columns = series_->columns();
+  samplePlan_.assign(columns.size(), {});
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    forEachMetricSet([&](const MetricSet& s, NodeId) {
+      if (const std::uint64_t* p = s.findScalar(columns[i])) {
+        samplePlan_[i].push_back(p);
       }
-      if (ber_) add(ber_->stats());
-    }
-    samplePlan_.push_back(std::move(col));
+    });
   }
 }
 
@@ -434,23 +422,7 @@ void System::scheduleSampleTick() {
     row.reserve(samplePlan_.size());
     for (const SampleColumn& col : samplePlan_) {
       std::uint64_t v = 0;
-      switch (col.net) {
-        case SampleColumn::Net::kTotal:
-          v = torus_->totalBytes();
-          break;
-        case SampleColumn::Net::kCoherence:
-          v = torus_->classBytes(TrafficClass::kCoherence);
-          break;
-        case SampleColumn::Net::kInform:
-          v = torus_->classBytes(TrafficClass::kInform);
-          break;
-        case SampleColumn::Net::kCkpt:
-          v = torus_->classBytes(TrafficClass::kCkpt);
-          break;
-        case SampleColumn::Net::kNone:
-          for (const std::uint64_t* p : col.slots) v += *p;
-          break;
-      }
+      for (const std::uint64_t* p : col) v += *p;
       row.push_back(v);
     }
     series_->sample(sim_.now(), row);
@@ -572,28 +544,12 @@ Json System::buildForensicsBundle(const Detection& d) {
 
 MetricSnapshot System::metricsSnapshot(bool perNode) const {
   MetricSnapshot snap;
-  auto collect = [&snap](const Node& n, const std::string& prefix) {
-    n.core->stats().snapshotInto(snap, prefix);
-    n.hierarchy->stats().snapshotInto(snap, prefix);
-    n.l2->stats().snapshotInto(snap, prefix);
-    n.home->stats().snapshotInto(snap, prefix);
-    if (n.cet) n.cet->stats().snapshotInto(snap, prefix);
-    if (n.met) n.met->stats().snapshotInto(snap, prefix);
-    if (n.shadowCache) n.shadowCache->stats().snapshotInto(snap, prefix);
-    if (n.shadowHome) n.shadowHome->stats().snapshotInto(snap, prefix);
-    if (n.vc) n.vc->stats().snapshotInto(snap, prefix);
-    if (n.ar) n.ar->stats().snapshotInto(snap, prefix);
-  };
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    collect(nodes_[i], {});
-    if (perNode) collect(nodes_[i], "node" + std::to_string(i) + "/");
-  }
-  if (ber_) ber_->stats().snapshotInto(snap);
-  snap.counters["net.totalBytes"] += torus_->totalBytes();
-  snap.counters["net.coherenceBytes"] +=
-      torus_->classBytes(TrafficClass::kCoherence);
-  snap.counters["net.informBytes"] += torus_->classBytes(TrafficClass::kInform);
-  snap.counters["net.ckptBytes"] += torus_->classBytes(TrafficClass::kCkpt);
+  forEachMetricSet([&](const MetricSet& s, NodeId node) {
+    s.snapshotInto(snap);
+    if (perNode && node != kInvalidNode) {
+      s.snapshotInto(snap, "node" + std::to_string(node) + "/");
+    }
+  });
   return snap;
 }
 

@@ -151,15 +151,17 @@ class System {
                 const SafetyNet::CoreSnapshots& cores);
   Json buildForensicsBundle(const Detection& d);
 
-  // Interval sampler (--sample-every). Column names are resolved to raw
-  // metric-slot pointers once at run start; each tick then sums a handful
-  // of pointers instead of snapshotting every registry (net.* columns read
-  // the torus accumulators directly).
-  struct SampleColumn {
-    enum class Net { kNone, kTotal, kCoherence, kInform, kCkpt };
-    Net net = Net::kNone;
-    std::vector<const std::uint64_t*> slots;
-  };
+  /// The one walk over the machine's metric registries, serving both
+  /// metricsSnapshot and the interval sampler: calls `fn(set, node)` for
+  /// each node's components with the node's index, then for SafetyNet and
+  /// the torus with kInvalidNode (machine-wide sets).
+  template <typename Fn>
+  void forEachMetricSet(Fn&& fn) const;
+
+  // Interval sampler (--sample-every). Each column's name is resolved once
+  // at run start to the metric slots that carry it; each tick then sums a
+  // handful of pointers instead of snapshotting every registry.
+  using SampleColumn = std::vector<const std::uint64_t*>;
   void buildSamplePlan();
   void scheduleSampleTick();
 

@@ -5,7 +5,9 @@
 // SafetyNet checkpoint epoch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -254,7 +256,7 @@ TEST(ForensicsCapture, AutoRecoveryMatchesFullSnapshotOracle) {
   EXPECT_GT(totalRetired(), retiredAtRecovery);
   EXPECT_EQ(oracleMismatches, 0u);
   EXPECT_TRUE(sys.ber()->image() == expected);
-  EXPECT_GE(r.recoveries, 1u);
+  EXPECT_GE(r.metrics.value("ber.recoveries"), 1u);
   EXPECT_EQ(r.unrecoverable, 0u);
 
   // The detection that triggered recovery was also captured for forensics,
@@ -300,6 +302,36 @@ TEST(TimeSeriesSampling, RunResultCarriesSampledSeries) {
   ASSERT_TRUE(parsed.has_value()) << err;
   EXPECT_EQ(parsed->find("columns")->size(), r.series->columns().size());
   EXPECT_EQ(parsed->find("samples")->size(), r.series->size());
+}
+
+// The sampler reads the torus's registry like every other: a protected
+// run's last row carries its interconnect bytes, checker and SafetyNet
+// traffic included.
+TEST(TimeSeriesSampling, LastRowCarriesTorusBytes) {
+  SystemConfig cfg =
+      SystemConfig::withDvmc(Protocol::kDirectory, ConsistencyModel::kTSO);
+  cfg.numNodes = 4;
+  cfg.workload = WorkloadKind::kOltp;
+  cfg.targetTransactions = 100;
+  cfg.maxCycles = 5'000'000;
+  cfg.ber.interval = 10'000;
+  cfg.sampleEvery = 1'000;
+  System sys(cfg);
+  const RunResult r = sys.run();
+  ASSERT_TRUE(r.completed);
+  ASSERT_NE(r.series, nullptr);
+  ASSERT_GT(r.series->size(), 0u);
+  const std::vector<std::string>& cols = r.series->columns();
+  const std::size_t last = r.series->size() - 1;
+  for (const char* name :
+       {"net.totalBytes", "net.informBytes", "net.ckptBytes"}) {
+    const auto it = std::find(cols.begin(), cols.end(), name);
+    ASSERT_NE(it, cols.end()) << name;
+    EXPECT_GT(r.series->valueAt(last, static_cast<std::size_t>(
+                                          it - cols.begin())),
+              0u)
+        << name;
+  }
 }
 
 TEST(TimeSeriesSampling, OffByDefault) {

@@ -3,9 +3,11 @@
 // Each cell is a fixed-seed, 4-node oltp run with the full DVMC checker
 // set, SafetyNet and commit-trace capture. The cell hashes (FNV-1a 64)
 // only integers and strings, into two halves:
-//   * machine: the serialized dvmc-trace (when captured), the integer
-//     RunResult fields except `detections`, and every counter and histogram
-//     of the per-node metric snapshot that does not belong to a checker;
+//   * machine: the serialized dvmc-trace (when captured), sixteen run
+//     totals (the integer RunResult fields except `detections`, and the
+//     torus, L1-miss, recovery and flush counters of the run's metrics),
+//     and every counter and histogram of the per-node metric snapshot
+//     that does not belong to a checker;
 //   * checker: the checker metrics (names starting `ar.`, `cet.`, `met.`,
 //     `shadow.` or `vc.` after any `nodeN/` prefix), `detections` and the
 //     detection list.
@@ -129,12 +131,13 @@ Fingerprint fingerprint(System& sys, const RunResult& r) {
     machine.u64(trace.size());
     machine.bytes(trace.data(), trace.size());
   }
+  const auto m = [&r](const char* name) { return r.metrics.value(name); };
   for (std::uint64_t v :
        {std::uint64_t{r.completed}, std::uint64_t{r.cycles}, r.transactions,
-        r.retiredInstructions, r.memOps, r.memOps32, r.totalNetBytes,
-        r.coherenceBytes, r.informBytes, r.ckptBytes, r.regularL1Misses,
-        r.replayL1Misses, r.recoveries, r.unrecoverable, r.squashes,
-        r.uoFlushes}) {
+        r.retiredInstructions, r.memOps, r.memOps32, m("net.totalBytes"),
+        m("net.coherenceBytes"), m("net.informBytes"), m("net.ckptBytes"),
+        m("l1.miss"), m("l1.replayMiss"), m("ber.recoveries"),
+        r.unrecoverable, r.squashes, m("cpu.uoFlushes")}) {
     machine.u64(v);
   }
   checker.u64(r.detections);
@@ -206,7 +209,7 @@ TEST_P(GoldenFingerprint, MatchesBaseline) {
     }
   }
   if (c.variant == Variant::kRecovered) {
-    EXPECT_GE(r.recoveries, 1u);
+    EXPECT_GE(r.metrics.value("ber.recoveries"), 1u);
     EXPECT_GT(snap.value("cpu.restarts"), 0u);
     EXPECT_TRUE(r.completed);
   }

@@ -9,12 +9,16 @@
 #include <vector>
 
 #include "store_image.hpp"
-#include "system/runner.hpp"
 #include "system/system.hpp"
 #include "workload/scripted.hpp"
 
 namespace dvmc {
 namespace {
+
+RunResult runSystem(const SystemConfig& cfg) {
+  System sys(cfg);
+  return sys.run();
+}
 
 // ---------------------------------------------------------------------------
 // Determinism
@@ -27,12 +31,12 @@ TEST(Integration, RunsAreBitDeterministic) {
   cfg.workload = WorkloadKind::kOltp;
   cfg.targetTransactions = 80;
   cfg.seed = 99;
-  const RunResult a = runOnce(cfg);
-  const RunResult b = runOnce(cfg);
+  const RunResult a = runSystem(cfg);
+  const RunResult b = runSystem(cfg);
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.retiredInstructions, b.retiredInstructions);
-  EXPECT_EQ(a.totalNetBytes, b.totalNetBytes);
-  EXPECT_EQ(a.replayL1Misses, b.replayL1Misses);
+  EXPECT_TRUE(a.metrics == b.metrics);
+  EXPECT_GT(a.metrics.value("net.totalBytes"), 0u);
   EXPECT_EQ(a.detections, b.detections);
 }
 
@@ -43,9 +47,9 @@ TEST(Integration, DifferentSeedsDiverge) {
   cfg.workload = WorkloadKind::kOltp;
   cfg.targetTransactions = 80;
   cfg.seed = 1;
-  const RunResult a = runOnce(cfg);
+  const RunResult a = runSystem(cfg);
   cfg.seed = 2;
-  const RunResult b = runOnce(cfg);
+  const RunResult b = runSystem(cfg);
   EXPECT_NE(a.cycles, b.cycles);
 }
 
@@ -260,19 +264,19 @@ TEST(Integration, DvmcAddsInterconnectTraffic) {
   base.numNodes = 4;
   base.workload = WorkloadKind::kOltp;
   base.targetTransactions = 100;
-  const RunResult rb = runOnce(base);
+  const RunResult rb = runSystem(base);
 
   SystemConfig dvmc = SystemConfig::withDvmc(Protocol::kDirectory,
                                              ConsistencyModel::kTSO);
   dvmc.numNodes = 4;
   dvmc.workload = WorkloadKind::kOltp;
   dvmc.targetTransactions = 100;
-  const RunResult rd = runOnce(dvmc);
+  const RunResult rd = runSystem(dvmc);
 
   const double perCycleBase =
-      static_cast<double>(rb.totalNetBytes) / rb.cycles;
+      static_cast<double>(rb.metrics.value("net.totalBytes")) / rb.cycles;
   const double perCycleDvmc =
-      static_cast<double>(rd.totalNetBytes) / rd.cycles;
+      static_cast<double>(rd.metrics.value("net.totalBytes")) / rd.cycles;
   EXPECT_GT(perCycleDvmc, perCycleBase);
 }
 

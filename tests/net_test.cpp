@@ -63,7 +63,8 @@ TEST_F(TorusFixture, LocalDeliveryIsFast) {
   sim.run();
   ASSERT_EQ(eps[3].received.size(), 1u);
   EXPECT_LE(sim.now(), 2u);
-  EXPECT_EQ(net.totalBytes(), 0u);  // no link traversed
+  ASSERT_NE(net.stats().findScalar("net.totalBytes"), nullptr);
+  EXPECT_EQ(net.stats().get("net.totalBytes"), 0u);  // no link traversed
 }
 
 TEST_F(TorusFixture, AllPairsDeliver) {
@@ -86,7 +87,8 @@ TEST_F(TorusFixture, BandwidthAccounting) {
   net.send(m);
   sim.run();
   // One hop for adjacent nodes: bytes on exactly one link.
-  EXPECT_EQ(net.totalBytes(), m.sizeBytes());
+  EXPECT_EQ(net.stats().get("net.totalBytes"), m.sizeBytes());
+  EXPECT_EQ(net.stats().get("net.coherenceBytes"), m.sizeBytes());
   EXPECT_EQ(net.maxLinkBytes(), m.sizeBytes());
 }
 
@@ -100,15 +102,6 @@ TEST_F(TorusFixture, SerializationDelaysBackToBackMessages) {
   sim.run();
   ASSERT_EQ(eps[1].received.size(), 2u);
   EXPECT_GT(sim.now(), 100u);
-}
-
-TEST_F(TorusFixture, ResetStatsClearsCounters) {
-  net.send(makeMsg(0, 2));
-  sim.run();
-  EXPECT_GT(net.totalBytes(), 0u);
-  net.resetStats();
-  EXPECT_EQ(net.totalBytes(), 0u);
-  EXPECT_EQ(net.messagesSent(), 0u);
 }
 
 TEST_F(TorusFixture, FaultFilterDrop) {

@@ -326,7 +326,7 @@ TEST(RunReport, EnvelopeCarriesSchemaAndVersion) {
   runs.push(Json::object().set("kind", Json::str("test")));
   const std::string s = obs::reportEnvelope(std::move(runs)).dump();
   EXPECT_NE(s.find("\"schema\":\"dvmc-run-report\""), std::string::npos);
-  EXPECT_NE(s.find("\"version\":2"), std::string::npos);
+  EXPECT_NE(s.find("\"version\":3"), std::string::npos);
   EXPECT_NE(s.find("\"runs\":["), std::string::npos);
   // v2 adds the host-resource section and a build-identity generator.
   EXPECT_NE(s.find("\"resource\":{"), std::string::npos);
@@ -348,6 +348,15 @@ TEST(RunReport, RunResultSerializationIncludesMetrics) {
   EXPECT_NE(j.find("\"cpu.retired\":99"), std::string::npos);
   EXPECT_NE(j.find("\"met.informSortResidence\""), std::string::npos);
   EXPECT_NE(j.find("\"buckets\""), std::string::npos);
+  // v3: no scalar repeats a counter of "metrics".
+  for (const char* copy :
+       {"\"retiredInstructions\"", "\"squashes\"", "\"totalNetBytes\"",
+        "\"informBytes\"", "\"replayL1Misses\"", "\"recoveries\"",
+        "\"uoFlushes\""}) {
+    EXPECT_EQ(j.find(copy), std::string::npos) << copy;
+  }
+  EXPECT_EQ(toJson(MultiRunResult{}).dump().find("\"squashes\""),
+            std::string::npos);
 }
 
 TEST(RunReport, ConfigJsonChangesWithEveryKnob) {

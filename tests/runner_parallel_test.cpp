@@ -11,6 +11,7 @@
 #include "common/cli.hpp"
 #include "common/parallel_for.hpp"
 #include "system/runner.hpp"
+#include "system/system.hpp"
 
 namespace dvmc {
 namespace {
@@ -105,16 +106,8 @@ TEST(RunSeedsParallel, MatchesSequentialBitForBit) {
                      "replayMissRatio");
   expectBitIdentical(seq.frac32, par.frac32, "frac32");
   EXPECT_EQ(seq.detections, par.detections);
-  EXPECT_EQ(seq.squashes, par.squashes);
   EXPECT_EQ(seq.allCompleted, par.allCompleted);
   EXPECT_TRUE(seq.allCompleted);
-
-  // Each seed's cycles, in seed order: the pairs the figure benches divide.
-  ASSERT_EQ(seq.seedCycles.size(), 4u);
-  EXPECT_EQ(seq.seedCycles, par.seedCycles);
-  SystemConfig second = smallConfig();
-  second.seed = 2;
-  EXPECT_EQ(par.seedCycles[1], runOnce(second).cycles);
 
   // The merged metric snapshot (typed registry) obeys the same contract:
   // seed-order merging makes the parallel fan-out bit-identical.
@@ -122,6 +115,40 @@ TEST(RunSeedsParallel, MatchesSequentialBitForBit) {
   EXPECT_GT(seq.metrics.value("cpu.retired"), 0u);
   EXPECT_GT(seq.metrics.value("cet.accessChecks"), 0u);
   EXPECT_TRUE(seq.metrics == par.metrics);
+}
+
+// runs[s] is seed seedBase + s at any worker count: each equals a System of
+// that seed driven directly. The figure benches pair these runs seed by
+// seed.
+TEST(RunSeedsParallel, RunsHoldEachSeedInSeedOrder) {
+  constexpr std::uint64_t kBase = 5;
+  constexpr int kSeeds = 3;
+  std::vector<RunResult> direct;
+  for (int s = 0; s < kSeeds; ++s) {
+    SystemConfig cfg = smallConfig();
+    cfg.seed = kBase + static_cast<std::uint64_t>(s);
+    System sys(cfg);
+    direct.push_back(sys.run());
+  }
+  // Distinct seeds give distinct runs, so a reordering cannot pass.
+  EXPECT_FALSE(direct[0].metrics == direct[1].metrics);
+  for (int jobs : {1, 4}) {
+    SystemConfig cfg = smallConfig();
+    cfg.jobs = jobs;
+    const MultiRunResult r = runSeeds(cfg, kSeeds, kBase);
+    ASSERT_EQ(r.runs.size(), direct.size()) << "jobs " << jobs;
+    for (std::size_t s = 0; s < direct.size(); ++s) {
+      const RunResult& got = r.runs[s];
+      EXPECT_EQ(got.cycles, direct[s].cycles) << "jobs " << jobs << " seed "
+                                              << s;
+      EXPECT_EQ(got.transactions, direct[s].transactions)
+          << "jobs " << jobs << " seed " << s;
+      EXPECT_EQ(got.memOps, direct[s].memOps)
+          << "jobs " << jobs << " seed " << s;
+      EXPECT_TRUE(got.metrics == direct[s].metrics)
+          << "jobs " << jobs << " seed " << s;
+    }
+  }
 }
 
 TEST(RunSeedsParallel, OversubscribedJobsStillDeterministic) {
@@ -132,7 +159,7 @@ TEST(RunSeedsParallel, OversubscribedJobsStillDeterministic) {
   cfg.jobs = 8;  // more workers than seeds
   const MultiRunResult par = runSeeds(cfg, 3, /*seedBase=*/11);
   expectBitIdentical(seq.cycles, par.cycles, "cycles");
-  EXPECT_EQ(seq.squashes, par.squashes);
+  EXPECT_TRUE(seq.metrics == par.metrics);
 }
 
 TEST(RunSeedsParallel, SnoopingProtocolToo) {
@@ -162,22 +189,24 @@ TEST(RunSeedsParallel, CapturedTracesBitIdenticalAcrossJobs) {
   cfg.jobs = 4;
   const MultiRunResult par = runSeeds(cfg, 3);
 
-  ASSERT_EQ(seq.traces.size(), 3u);
-  ASSERT_EQ(par.traces.size(), 3u);
-  for (std::size_t s = 0; s < seq.traces.size(); ++s) {
-    ASSERT_NE(seq.traces[s], nullptr) << "seed " << s;
-    ASSERT_NE(par.traces[s], nullptr) << "seed " << s;
-    EXPECT_GT(seq.traces[s]->records.size(), 0u) << "seed " << s;
-    EXPECT_EQ(seq.traces[s]->serialize(), par.traces[s]->serialize())
-        << "seed " << s;
+  ASSERT_EQ(seq.runs.size(), 3u);
+  ASSERT_EQ(par.runs.size(), 3u);
+  for (std::size_t s = 0; s < seq.runs.size(); ++s) {
+    const auto& a = seq.runs[s].trace;
+    const auto& b = par.runs[s].trace;
+    ASSERT_NE(a, nullptr) << "seed " << s;
+    ASSERT_NE(b, nullptr) << "seed " << s;
+    EXPECT_GT(a->records.size(), 0u) << "seed " << s;
+    EXPECT_EQ(a->serialize(), b->serialize()) << "seed " << s;
   }
 }
 
-// Capture off: the traces vector stays empty and RunResult::trace null.
+// Capture off: every run's trace stays null.
 TEST(RunSeedsParallel, NoTracesUnlessCaptureArmed) {
   SystemConfig cfg = smallConfig();
   const MultiRunResult r = runSeeds(cfg, 2);
-  EXPECT_TRUE(r.traces.empty());
+  ASSERT_EQ(r.runs.size(), 2u);
+  for (const RunResult& run : r.runs) EXPECT_EQ(run.trace, nullptr);
 }
 
 }  // namespace

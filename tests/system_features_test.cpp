@@ -10,7 +10,6 @@
 
 #include "coherence/logical_clock.hpp"
 #include "faults/injector.hpp"
-#include "system/runner.hpp"
 #include "system/system.hpp"
 #include "workload/scripted.hpp"
 
@@ -180,7 +179,7 @@ TEST(StopCondition, RecoveryLowersTheCountsAndStillStopsOnTheReferenceEvent) {
   cfg.seed = 11;
   System sys(cfg);
   const RunResult r = expectSameStop(sys, /*targetStops=*/true, 4'000);
-  EXPECT_GE(r.recoveries, 1u);
+  EXPECT_GE(r.metrics.value("ber.recoveries"), 1u);
   EXPECT_GT(r.metrics.value("cpu.restarts"), 0u);
 }
 
@@ -229,7 +228,7 @@ TEST(AutoRecovery, DetectionTriggersRollbackAndCompletion) {
   RunResult r = sys.runUntil([] { return false; });
   EXPECT_TRUE(r.completed);
   EXPECT_GE(r.detections, 1u);
-  EXPECT_GE(r.recoveries, 1u);
+  EXPECT_GE(r.metrics.value("ber.recoveries"), 1u);
   EXPECT_EQ(r.unrecoverable, 0u);
 }
 
@@ -403,7 +402,7 @@ TEST(CheckerFaults, CetCorruptionCausesFalsePositiveOnly) {
   // which the workload still completes correctly (the paper's claim).
   EXPECT_TRUE(r.completed);
   EXPECT_GE(r.detections, 1u) << "corruption never surfaced";
-  EXPECT_GE(r.recoveries, 1u);
+  EXPECT_GE(r.metrics.value("ber.recoveries"), 1u);
   EXPECT_EQ(r.unrecoverable, 0u);
 }
 
@@ -411,18 +410,35 @@ TEST(CheckerFaults, CetCorruptionCausesFalsePositiveOnly) {
 // Traffic classification
 // ---------------------------------------------------------------------------
 
+// The torus's per-class byte counters, as the run's metric snapshot
+// carries them.
+struct TorusBytes {
+  std::uint64_t total, coherence, inform, ckpt;
+};
+
+TorusBytes torusBytes(const MetricSnapshot& m) {
+  for (const char* name : {"net.totalBytes", "net.coherenceBytes",
+                           "net.informBytes", "net.ckptBytes"}) {
+    EXPECT_TRUE(m.counters.contains(name)) << name << " not registered";
+  }
+  return {m.value("net.totalBytes"), m.value("net.coherenceBytes"),
+          m.value("net.informBytes"), m.value("net.ckptBytes")};
+}
+
 TEST(TrafficClasses, InformAndCkptBytesAccounted) {
   SystemConfig cfg = SystemConfig::withDvmc(Protocol::kDirectory,
                                             ConsistencyModel::kTSO);
   cfg.numNodes = 4;
   cfg.workload = WorkloadKind::kOltp;
   cfg.targetTransactions = 100;
-  RunResult r = runOnce(cfg);
+  System sys(cfg);
+  const RunResult r = sys.run();
   ASSERT_TRUE(r.completed);
-  EXPECT_GT(r.informBytes, 0u);
-  EXPECT_GT(r.ckptBytes, 0u);
-  EXPECT_GT(r.coherenceBytes, r.informBytes);
-  EXPECT_EQ(r.totalNetBytes, r.coherenceBytes + r.informBytes + r.ckptBytes);
+  const TorusBytes b = torusBytes(r.metrics);
+  EXPECT_GT(b.inform, 0u);
+  EXPECT_GT(b.ckpt, 0u);
+  EXPECT_GT(b.coherence, b.inform);
+  EXPECT_EQ(b.total, b.coherence + b.inform + b.ckpt);
 }
 
 TEST(TrafficClasses, UnprotectedHasNoCheckerTraffic) {
@@ -431,10 +447,14 @@ TEST(TrafficClasses, UnprotectedHasNoCheckerTraffic) {
   cfg.numNodes = 4;
   cfg.workload = WorkloadKind::kOltp;
   cfg.targetTransactions = 100;
-  RunResult r = runOnce(cfg);
+  System sys(cfg);
+  const RunResult r = sys.run();
   ASSERT_TRUE(r.completed);
-  EXPECT_EQ(r.informBytes, 0u);
-  EXPECT_EQ(r.ckptBytes, 0u);
+  const TorusBytes b = torusBytes(r.metrics);
+  EXPECT_EQ(b.inform, 0u);
+  EXPECT_EQ(b.ckpt, 0u);
+  EXPECT_GT(b.coherence, 0u);
+  EXPECT_EQ(b.total, b.coherence);
 }
 
 TEST(TrafficClasses, Classification) {

@@ -483,13 +483,14 @@ TEST(LiveDifferential, CapturedTraceBitIdenticalAcrossJobs) {
 
   ASSERT_TRUE(serial.allCompleted);
   ASSERT_TRUE(parallel.allCompleted);
-  ASSERT_EQ(serial.traces.size(), 3u);
-  ASSERT_EQ(parallel.traces.size(), 3u);
-  for (std::size_t s = 0; s < serial.traces.size(); ++s) {
-    ASSERT_NE(serial.traces[s], nullptr) << "seed " << s;
-    ASSERT_NE(parallel.traces[s], nullptr) << "seed " << s;
-    EXPECT_EQ(serial.traces[s]->serialize(), parallel.traces[s]->serialize())
-        << "seed " << s;
+  ASSERT_EQ(serial.runs.size(), 3u);
+  ASSERT_EQ(parallel.runs.size(), 3u);
+  for (std::size_t s = 0; s < serial.runs.size(); ++s) {
+    const auto& a = serial.runs[s].trace;
+    const auto& b = parallel.runs[s].trace;
+    ASSERT_NE(a, nullptr) << "seed " << s;
+    ASSERT_NE(b, nullptr) << "seed " << s;
+    EXPECT_EQ(a->serialize(), b->serialize()) << "seed " << s;
   }
 }
 

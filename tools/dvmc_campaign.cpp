@@ -735,6 +735,43 @@ int main(int argc, char** argv) {
     });
   }
 
+  // Files slot `s`'s finished config from its result JSON (the "clean" /
+  // "faulted" records runConfig sets): the journal record, the running
+  // counts, the progress log and the status snapshot. Both execution
+  // modes file each config through here, exactly once.
+  const auto fileResult = [&](std::size_t s, int attempts, const Json& res) {
+    const int param = opt.paramBase + static_cast<int>(s);
+    Json rec = Json::object();
+    rec.set("param", Json::num(std::int64_t{param}));
+    rec.set("attempts", Json::num(std::int64_t{attempts}));
+    if (const Json* c = res.find("clean"); c != nullptr) {
+      if (jBool(*c, "falsePositive")) ++falsePositivesSoFar;
+      rec.set("clean", *c);
+    }
+    if (const Json* f = res.find("faulted"); f != nullptr) {
+      if (jBool(*f, "escape")) ++escapesSoFar;
+      rec.set("faulted", *f);
+    }
+    {
+      std::lock_guard<std::mutex> lock(journalMu);
+      records[s] = std::move(rec);
+      recordValid[s] = 1;
+      if (journal.isOpen() && !journal.append(records[s])) {
+        obs::logError("campaign", "journal append failed",
+                      Json::object().set("file", Json::str(journal.path())));
+      }
+      maybeTestExitAfter();
+    }
+    const std::size_t d = ++doneCount;
+    if (d % 25 == 0 || d == n) {
+      obs::logInfo("campaign", "progress",
+                   Json::object()
+                       .set("done", Json::num(std::uint64_t{d}))
+                       .set("total", Json::num(std::uint64_t{n})));
+    }
+    publishStatus("running", /*force=*/false);
+  };
+
   if (opt.inProcess) {
     parallelFor(pendingSlots.size(), workers, [&](std::size_t pi) {
       obs::ScopedSpan span("case");
@@ -744,41 +781,13 @@ int main(int argc, char** argv) {
         std::lock_guard<std::mutex> lock(inFlightMu);
         inFlight[param] = Heartbeat{nowUnixMs(), 0, 1};
       }
-      Json rec = Json::object();
-      rec.set("param", Json::num(std::int64_t{param}));
-      rec.set("attempts", Json::num(std::int64_t{1}));
-      runConfig(opt, param, rec);
-      if (const Json* c = rec.find("clean");
-          c != nullptr && jBool(*c, "falsePositive")) {
-        ++falsePositivesSoFar;
-      }
-      if (const Json* f = rec.find("faulted");
-          f != nullptr && jBool(*f, "escape")) {
-        ++escapesSoFar;
-      }
-      {
-        std::lock_guard<std::mutex> lock(journalMu);
-        records[s] = std::move(rec);
-        recordValid[s] = 1;
-        if (journal.isOpen() && !journal.append(records[s])) {
-          obs::logError("campaign", "journal append failed",
-                        Json::object().set("file",
-                                           Json::str(journal.path())));
-        }
-        maybeTestExitAfter();
-      }
+      Json res = Json::object();
+      runConfig(opt, param, res);
       {
         std::lock_guard<std::mutex> lock(inFlightMu);
         inFlight.erase(param);
       }
-      const std::size_t d = ++doneCount;
-      if (d % 25 == 0 || d == n) {
-        obs::logInfo("campaign", "progress",
-                     Json::object()
-                         .set("done", Json::num(std::uint64_t{d}))
-                         .set("total", Json::num(std::uint64_t{n})));
-      }
-      publishStatus("running", /*force=*/false);
+      fileResult(s, 1, res);
     });
   } else {
     const std::string selfExe = selfExePath(argv[0]);
@@ -857,39 +866,10 @@ int main(int argc, char** argv) {
           obs::logError("campaign", "config lost: retry budget exhausted",
                         std::move(fields));
         }
+        publishStatus("running", /*force=*/false);
       } else {
-        const Json& res = *resultJson[i];
-        Json rec = Json::object();
-        rec.set("param", Json::num(std::int64_t{param}));
-        rec.set("attempts", Json::num(std::int64_t{attempt}));
-        if (const Json* c = res.find("clean"); c != nullptr) {
-          if (jBool(*c, "falsePositive")) ++falsePositivesSoFar;
-          rec.set("clean", *c);
-        }
-        if (const Json* f = res.find("faulted"); f != nullptr) {
-          if (jBool(*f, "escape")) ++escapesSoFar;
-          rec.set("faulted", *f);
-        }
-        {
-          std::lock_guard<std::mutex> lock(journalMu);
-          records[s] = std::move(rec);
-          recordValid[s] = 1;
-          if (journal.isOpen() && !journal.append(records[s])) {
-            obs::logError("campaign", "journal append failed",
-                          Json::object().set("file",
-                                             Json::str(journal.path())));
-          }
-          maybeTestExitAfter();
-        }
-        const std::size_t d = ++doneCount;
-        if (d % 25 == 0 || d == n) {
-          obs::logInfo("campaign", "progress",
-                       Json::object()
-                           .set("done", Json::num(std::uint64_t{d}))
-                           .set("total", Json::num(std::uint64_t{n})));
-        }
+        fileResult(s, attempt, *resultJson[i]);
       }
-      publishStatus("running", /*force=*/false);
     };
     sup.run(tasks);
   }

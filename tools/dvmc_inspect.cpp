@@ -766,12 +766,8 @@ int series(const Artifact& a, const std::string& metric) {
   std::size_t printed = 0;
   bool found = false;
   for (std::size_t i = 0; runs != nullptr && i < runs->size(); ++i) {
-    const Json& run = runs->at(i);
-    const Json* s = objField(run, "series");
-    if (s == nullptr) {
-      const Json* res = objField(run, "result");
-      if (res != nullptr) s = objField(*res, "series");
-    }
+    const Json* res = objField(runs->at(i), "result");
+    const Json* s = res != nullptr ? objField(*res, "series") : nullptr;
     if (s == nullptr) continue;
     found = true;
     const int rc = seriesFromRun(*s, metric, &printed);

@@ -17,14 +17,14 @@ int main(int argc, char** argv) {
       for (auto wl : {WorkloadKind::kApache, WorkloadKind::kOltp,
                       WorkloadKind::kJbb, WorkloadKind::kSlash,
                       WorkloadKind::kBarnes}) {
+        SystemConfig cfg = SystemConfig::withDvmc(
+            p ? Protocol::kSnooping : Protocol::kDirectory, m);
+        cfg.numNodes = 8;
+        cfg.workload = wl;
+        cfg.targetTransactions = wl == WorkloadKind::kBarnes ? 4 : 300;
+        const MultiRunResult result = runSeeds(cfg, 2);
         for (int seed = 1; seed <= 2; ++seed) {
-          SystemConfig cfg = SystemConfig::withDvmc(
-              p ? Protocol::kSnooping : Protocol::kDirectory, m);
-          cfg.numNodes = 8;
-          cfg.workload = wl;
-          cfg.targetTransactions = wl == WorkloadKind::kBarnes ? 4 : 300;
-          cfg.seed = seed;
-          RunResult r = runOnce(cfg);
+          const RunResult& r = result.runs[seed - 1];
           if (!r.completed || r.detections) {
             printf("BAD %s %s %s seed=%d completed=%d det=%llu\n",
                    p ? "snoop" : "dir", modelName(m), workloadName(wl), seed,
